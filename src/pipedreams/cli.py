@@ -158,7 +158,7 @@ def _cmd_reduce(args) -> int:
     if args.tree:
         report.results["tree"] = reduction_tree(
             product_monomial(n, edges), parse_strategy(args.strategy, args.seed)
-        )
+        ).to_jsonable()
     _emit(report, args.json)
     return 0
 

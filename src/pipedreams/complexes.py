@@ -10,6 +10,7 @@ Demazure product exactly w, i.e. the pipe dreams of w.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Iterable
@@ -22,10 +23,21 @@ from .dreams import (
     reduced_pipe_dreams,
     staircase_boxes,
 )
-from .perms import Permutation, bruhat_leq, demazure_window
+from .perms import Permutation, demazure_window, word_contains
 from .poly import MultiPolynomial
 
 Face = frozenset
+
+
+def _downward_closure(faces: Iterable[Face]) -> frozenset[Face]:
+    """Every subset of every given face, the empty face included."""
+    out: set[Face] = set()
+    for face in faces:
+        elems = sorted(face)
+        for k in range(len(elems) + 1):
+            for sub in combinations(elems, k):
+                out.add(frozenset(sub))
+    return frozenset(out)
 
 
 class SimplicialComplex:
@@ -58,13 +70,7 @@ class SimplicialComplex:
     def faces(self) -> frozenset[Face]:
         """Downward closure of the facets, including the empty face."""
         if self._faces is None:
-            out: set[Face] = set()
-            for facet in self.facets:
-                elems = sorted(facet)
-                for k in range(len(elems) + 1):
-                    for sub in combinations(elems, k):
-                        out.add(frozenset(sub))
-            self._faces = frozenset(out)
+            self._faces = _downward_closure(self.facets)
         return self._faces
 
     def boundary_faces(self) -> frozenset[Face]:
@@ -72,20 +78,10 @@ class SimplicialComplex:
         lying in exactly one facet.  Meaningful for pure complexes."""
         if not self.is_pure():
             raise ValueError("boundary computation expects a pure complex")
-        d = self.dim + 1
-        ridge_count: dict[Face, int] = {}
-        for facet in self.facets:
-            for ridge in combinations(sorted(facet), d - 1):
-                key = frozenset(ridge)
-                ridge_count[key] = ridge_count.get(key, 0) + 1
-        out: set[Face] = set()
-        for ridge, count in ridge_count.items():
-            if count == 1:
-                elems = sorted(ridge)
-                for k in range(len(elems) + 1):
-                    for sub in combinations(elems, k):
-                        out.add(frozenset(sub))
-        return frozenset(out)
+        ridges = Counter(
+            frozenset(r) for facet in self.facets for r in combinations(sorted(facet), self.dim)
+        )
+        return _downward_closure(ridge for ridge, count in ridges.items() if count == 1)
 
     def to_jsonable(self) -> dict:
         index = {v: i for i, v in enumerate(self.vertices)}
@@ -176,8 +172,7 @@ def is_face_of_pdc(boxes: Iterable[Box], w: Permutation) -> bool:
     """Whether a box set is a face of the pipe dream complex of w: the
     letters on the complementary boxes must contain w."""
     removed = set(boxes)
-    letters = [box_letter(b) for b in staircase_boxes(w.n) if b not in removed]
-    return bruhat_leq(w.window, demazure_window(letters, w.n))
+    return word_contains([box_letter(b) for b in staircase_boxes(w.n) if b not in removed], w)
 
 
 def interior_faces(

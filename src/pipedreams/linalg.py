@@ -7,18 +7,10 @@ here are tiny (at most ~10), so plain Gaussian elimination is fine.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
-
-
-def vec(values: Iterable) -> Vec:
-    return tuple(Fraction(v) for v in values)
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
 
 
 def matvec(A: Mat, x: Sequence[Fraction]) -> Vec:

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .linalg import Vec, det_int, inverse, matvec, solve_in_span, solve_unique, vec
-from .subdivision import Edge, LexFirst, Strategy, Triple, reducible_triples
+from .linalg import Mat, Vec, det_int, inverse, matvec, solve_in_span, solve_unique
+from .subdivision import Edge, EdgeMonomial, ReductionNode, Strategy, Triple
+from .subdivision import reducible_triples, reduction_tree
 
 Point = Vec
 
@@ -34,8 +36,8 @@ class AcyclicGraph:
 
     def __post_init__(self):
         edges = tuple(sorted({tuple(e) for e in self.edges}))
-        if len(edges) != len(set(self.edges)):
-            raise ValueError("duplicate edges")
+        if len(edges) != len(self.edges):
+            raise ValueError(f"edges {tuple(self.edges)} repeat an edge (a 2-cycle)")
         parent = list(range(self.n + 1))
 
         def find(a):
@@ -222,77 +224,39 @@ def graph_reduce(G0: AcyclicGraph, triple: Triple) -> tuple[AcyclicGraph, Acycli
 
 
 @dataclass(frozen=True, slots=True)
-class DissectionNode:
-    graph: AcyclicGraph
-    triple: Optional[Triple]
-    children: Optional[tuple["DissectionNode", "DissectionNode", "DissectionNode"]]
-
-    def walk(self) -> Iterator["DissectionNode"]:
-        yield self
-        if self.children:
-            for child in self.children:
-                yield from child.walk()
-
-
-@dataclass(frozen=True, slots=True)
 class Dissection:
-    """The full reduction tree of a graph.  Children follow the two
-    same-size rewrites plus the shared-facet graph (one edge fewer); the
-    latter carries the beta bookkeeping of the subdivision algebra."""
+    """The reduction tree of a graph, read as graphs: by the reduction
+    lemma each rewrite x_ij x_jk -> x_ik (x_ij + x_jk + b) of the edge
+    monomial cuts the root polytope into the pieces of G1 and G2, which
+    share the facet of G3 (one edge fewer, one more power of b)."""
 
     root: AcyclicGraph
-    tree: DissectionNode
+    tree: ReductionNode
 
     def leaves(self) -> list[tuple[AcyclicGraph, int]]:
-        """Alternating leaf graphs with the number of edges lost en route
-        (the beta power of the matching reduced form monomial)."""
-        e0 = len(self.root.edges)
-        return [
-            (node.graph, e0 - len(node.graph.edges))
-            for node in self.tree.walk()
-            if node.children is None
-        ]
+        """Alternating leaf graphs with the number of edges lost en route,
+        the beta power of the leaf monomial."""
+        return [(AcyclicGraph(m.n, m.edges), m.beta) for m in self.tree.leaves()]
 
     def full_dimensional_leaves(self) -> list[AcyclicGraph]:
         return [g for g, beta in self.leaves() if beta == 0]
 
     def census(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for _g, beta in self.leaves():
-            out[beta] = out.get(beta, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(Counter(m.beta for m in self.tree.leaves()).items()))
 
     def to_jsonable(self) -> dict:
-        def node_json(node: DissectionNode) -> dict:
-            data: dict = {"graph": node.graph.to_jsonable()}
-            if node.children:
-                data["triple"] = list(node.triple)
-                data["children"] = {
-                    label: node_json(child)
-                    for label, child in zip(("G1", "G2", "G3"), node.children)
-                }
-            return data
-
-        return {"root": self.root.to_jsonable(), "tree": node_json(self.tree)}
+        tree = self.tree.to_jsonable(lambda m: {"graph": AcyclicGraph(m.n, m.edges).to_jsonable()})
+        return {"root": self.root.to_jsonable(), "tree": tree}
 
 
 def dissect(G: AcyclicGraph, strategy: Strategy | None = None) -> Dissection:
-    """Expand the reduction tree of G until every leaf is alternating.
+    """The graph view of the rewrite tree of G's edge monomial, expanded
+    until every leaf is alternating.
 
     >>> dissect(AcyclicGraph.path(4)).census()
     {0: 5, 1: 5, 2: 1}
     """
-    if strategy is None:
-        strategy = LexFirst()
-
-    def expand(graph: AcyclicGraph) -> DissectionNode:
-        triple = strategy.choose(graph.edges)
-        if triple is None:
-            return DissectionNode(graph, None, None)
-        g1, g2, g3 = graph_reduce(graph, triple)
-        return DissectionNode(graph, triple, (expand(g1), expand(g2), expand(g3)))
-
-    return Dissection(G, expand(G))
+    return Dissection(G, reduction_tree(EdgeMonomial(G.n, G.edges), strategy))
 
 
 # -- noncrossing alternating trees and the canonical triangulation ---------
@@ -349,6 +313,23 @@ def noncrossing_alternating_trees(n: int) -> tuple[AcyclicGraph, ...]:
     return tuple(out)
 
 
+OUTSIDE, BOUNDARY, INTERIOR = 0, 1, 2
+
+
+def location(c: Optional[Vec], with_origin: bool = True) -> int:
+    """Where a point lies in a simplex, from its coefficients c over the
+    generators (None: outside their span).  With the origin as a vertex the
+    simplex is c >= 0, sum(c) <= 1; without it, c >= 0, sum(c) == 1.
+    Returns at the first negative coefficient, before summing."""
+    if c is None or any(v < 0 for v in c):
+        return OUTSIDE
+    total = sum(c)
+    if total > 1 or (total < 1 and not with_origin):
+        return OUTSIDE
+    # Without the origin, sum(c) == 1 is an equation, never strict.
+    return INTERIOR if all(c) and (total < 1 or not with_origin) else BOUNDARY
+
+
 @dataclass(frozen=True, slots=True)
 class Simplex:
     """Simplex spanned by linearly independent generator points, together
@@ -379,21 +360,11 @@ class Simplex:
         return solve_in_span(self.generators, x)
 
     def contains(self, x: Point) -> bool:
-        c = self.barycentric(x)
-        if c is None:
-            return False
-        if self.with_origin:
-            return all(v >= 0 for v in c) and sum(c) <= 1
-        return all(v >= 0 for v in c) and sum(c) == 1
+        return location(self.barycentric(x), self.with_origin) != OUTSIDE
 
     def contains_interior(self, x: Point) -> bool:
         """Strict interior relative to the simplex's own dimension."""
-        c = self.barycentric(x)
-        if c is None:
-            return False
-        if self.with_origin:
-            return all(v > 0 for v in c) and sum(c) < 1
-        return all(v > 0 for v in c) and sum(c) == 1
+        return location(self.barycentric(x), self.with_origin) == INTERIOR
 
     def to_jsonable(self) -> dict:
         return {
@@ -461,18 +432,24 @@ def vertex_figure_simplices(n: int) -> list[Simplex]:
     return out
 
 
-def barycentric_solver(S: Simplex):
-    """For a full-dimensional simplex with origin, precompute the inverse
-    generator matrix (first n-1 coordinates) and return a fast exact
-    coefficient map, for bulk point-location."""
+def _generator_inverse(S: Simplex) -> Mat:
+    """Inverse of the matrix whose columns are the generators restricted
+    to their first n-1 coordinates, for a full-dimensional simplex with
+    origin: it maps a point to its coefficients over the generators."""
     if not S.with_origin or len(S.generators) != S.n - 1:
-        raise ValueError("solver needs a full-dimensional simplex with origin")
-    d = S.n - 1
-    cols = [g[:-1] for g in S.generators]
-    M = tuple(tuple(cols[c][r] for c in range(d)) for r in range(d))
+        raise ValueError("needs a full-dimensional simplex with origin")
+    M = tuple(tuple(g[r] for g in S.generators) for r in range(S.n - 1))
     Minv = inverse(M)
     if Minv is None:
         raise ValueError("generators are linearly dependent")
+    return Minv
+
+
+def barycentric_solver(S: Simplex):
+    """For a full-dimensional simplex with origin, precompute the inverse
+    generator matrix and return a fast exact coefficient map, for bulk
+    point-location."""
+    Minv = _generator_inverse(S)
 
     def coefficients(x: Point) -> Vec:
         return matvec(Minv, x[:-1])
@@ -484,18 +461,11 @@ def barycentric_solver(S: Simplex):
 
 def _halfspaces(S: Simplex) -> list[tuple[Vec, Fraction]]:
     """Inequalities a.z <= b in the first n-1 coordinates describing a
-    full-dimensional simplex with origin."""
-    d = S.n - 1
-    cols = [g[:-1] for g in S.generators]
-    M = tuple(tuple(cols[c][r] for c in range(d)) for r in range(d))
-    Minv = inverse(M)
-    if Minv is None:
-        raise ValueError("simplex is not full-dimensional")
-    ineqs: list[tuple[Vec, Fraction]] = []
-    for row in Minv:
-        ineqs.append((tuple(-v for v in row), Fraction(0)))
-    total = tuple(sum(col) for col in zip(*Minv))
-    ineqs.append((total, Fraction(1)))
+    full-dimensional simplex with origin: every coefficient is
+    nonnegative and their sum is at most 1."""
+    Minv = _generator_inverse(S)
+    ineqs: list[tuple[Vec, Fraction]] = [(tuple(-v for v in row), Fraction(0)) for row in Minv]
+    ineqs.append((tuple(sum(col) for col in zip(*Minv)), Fraction(1)))
     return ineqs
 
 

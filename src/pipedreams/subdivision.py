@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .dreams import DEFAULT_LIMIT_N
 from .poly import MultiPolynomial
 from .report import VerifyResult
 
@@ -281,29 +282,58 @@ def product_monomial(n: int, edges: Iterable[Edge]) -> EdgeMonomial:
     return EdgeMonomial(n, tuple(edges))
 
 
-def reduction_tree(m: EdgeMonomial, strategy: Strategy | None = None) -> dict:
-    """The unmerged rewrite tree of a single monomial: each node carries
-    the monomial and, when reducible, the chosen triple and children
-    labeled G1/G2/G3.  Exponential in general; meant for CLI inspection of
-    small inputs."""
+def _monomial_head(m: EdgeMonomial) -> dict:
+    return {"monomial": str(m), "edges": [list(e) for e in m.edges], "beta": m.beta}
+
+
+@dataclass(frozen=True, slots=True)
+class ReductionNode:
+    """A node of the unmerged rewrite tree: the monomial and, when it is
+    reducible, the chosen triple and the children G1, G2, G3 that
+    reduce_once makes of it."""
+
+    monomial: EdgeMonomial
+    triple: Optional[Triple] = None
+    children: tuple["ReductionNode", ...] = ()
+
+    def walk(self) -> Iterator["ReductionNode"]:
+        """Preorder: the node, then the subtrees of G1, G2 and G3."""
+        yield self
+        for child in self.children:
+            yield from child.walk()
+
+    def leaves(self) -> list[EdgeMonomial]:
+        """The alternating monomials at the leaves, in preorder."""
+        return [node.monomial for node in self.walk() if not node.children]
+
+    def to_jsonable(self, head: Callable[[EdgeMonomial], dict] = _monomial_head) -> dict:
+        """Nested dicts: head(monomial), then, when reducible, the triple
+        and the children keyed G1, G2, G3."""
+        data = head(self.monomial)
+        if self.children:
+            data["triple"] = list(self.triple)
+            labels = ("G1", "G2", "G3")
+            data["children"] = {k: c.to_jsonable(head) for k, c in zip(labels, self.children)}
+        return data
+
+
+def reduction_tree(m: EdgeMonomial, strategy: Strategy | None = None) -> ReductionNode:
+    """The unmerged rewrite tree of a single monomial, expanded until every
+    leaf is alternating.  Exponential in general; for inspection and
+    dissection of small inputs.
+
+    >>> tree = reduction_tree(product_monomial(3, [(1, 2), (2, 3)]))
+    >>> tree.triple, [str(m) for m in tree.leaves()]
+    ((1, 2, 3), ['x12*x13', 'x13*x23', 'b*x13'])
+    """
     if strategy is None:
         strategy = LexFirst()
 
-    def expand(mono: EdgeMonomial) -> dict:
-        node: dict = {
-            "monomial": str(mono),
-            "edges": [list(e) for e in mono.edges],
-            "beta": mono.beta,
-        }
+    def expand(mono: EdgeMonomial) -> ReductionNode:
         triple = strategy.choose(mono.edges)
-        if triple is not None:
-            node["triple"] = list(triple)
-            children = reduce_once(mono, triple)
-            node["children"] = {
-                label: expand(child)
-                for label, child in zip(("G1", "G2", "G3"), children)
-            }
-        return node
+        if triple is None:
+            return ReductionNode(mono)
+        return ReductionNode(mono, triple, tuple(expand(c) for c in reduce_once(mono, triple)))
 
     return expand(m)
 
@@ -324,7 +354,7 @@ def path_edges(n: int) -> tuple[Edge, ...]:
     return tuple((i, i + 1) for i in range(1, n))
 
 
-def verify_kirillov(n: int, limit_n: int = 9) -> VerifyResult:
+def verify_kirillov(n: int, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
     """Q_{P_n}(b) computed by rewriting equals the x=1, y=0 Grothendieck
     polynomial of 1 n n-1 ... 2 computed by pipe dream enumeration."""
     from .grothendieck import groth_beta

@@ -22,6 +22,8 @@ from .grothendieck import (
 from .perms import Permutation, all_windows, catalan_permutation
 from .poly import MultiPolynomial, poly_diff
 from .polytopes import (
+    INTERIOR,
+    OUTSIDE,
     AcyclicGraph,
     barycentric_solver,
     canonical_triangulation,
@@ -31,6 +33,7 @@ from .polytopes import (
     graph_reduce,
     intersect_tree_simplices,
     is_unimodular,
+    location,
     noncrossing_alternating_trees,
     project_and_map,
     random_acyclic_graph,
@@ -194,11 +197,20 @@ def check_dissection_census(
     max_n: int = 6, seed: int = 0, num_graphs: int = 25
 ) -> VerifyResult:
     """Leaves of the dissection tree, counted by edges lost, reproduce the
-    coefficients of Q_G: the geometry and the rewriting agree."""
+    coefficients of Q_G: the geometry and the rewriting agree.  Each
+    internal node's children must also be the graphs that the set-based
+    graph_reduce makes of the node's graph."""
     name = f"dissection-census:{max_n}"
     for G in sample_acyclic_graphs(num_graphs, max_n, seed):
         for strategy in (LexFirst(), ReverseLex(), SeededRandom(seed + 7)):
-            census = dissect(G, strategy).census()
+            d = dissect(G, strategy)
+            for node in d.tree.walk():
+                if node.children:
+                    graphs = tuple(AcyclicGraph(G.n, c.monomial.edges) for c in node.children)
+                    parent = AcyclicGraph(G.n, node.monomial.edges)
+                    if graphs != graph_reduce(parent, node.triple):
+                        return VerifyResult(name, False, {"graph": str(G), "node": str(node.monomial)})
+            census = d.census()
             qp = q_polynomial(G.n, G.edges, strategy)
             coeffs = {e[0]: c for e, c in qp.terms.items()}
             if census != coeffs:
@@ -260,10 +272,10 @@ def check_point_location(n: int, seed: int = 0, samples: int = 1000) -> VerifyRe
         hits = 0
         interior = 0
         for solve in solvers:
-            c = solve(x)
-            if all(v >= 0 for v in c) and sum(c) <= 1:
+            where = location(solve(x))
+            if where != OUTSIDE:
                 hits += 1
-                if all(v > 0 for v in c) and sum(c) < 1:
+                if where == INTERIOR:
                     interior += 1
         if not hits:
             return VerifyResult(name, False, {"sample": k, "point": [str(c) for c in x]})
@@ -313,55 +325,50 @@ def check_scripted_path4() -> VerifyResult:
     return VerifyResult("scripted-path4", ok, {"terms": len(rf.monomials), "q": str(rf.beta_specialization())})
 
 
+# The checks of each verify selector.  Lambdas look each check up by name
+# when they run, so a module attribute rebound later (a monkeypatch) holds.
+SUITES = {
+    "groth-h": lambda n, w, seed, limit_n: [
+        verify_groth_h(w, limit_n) if w is not None else check_groth_h_rank(n, limit_n)],
+    "kirillov": lambda n, w, seed, limit_n: [verify_kirillov(n, limit_n)],
+    "bijection": lambda n, w, seed, limit_n: [verify_bijection(n, limit_n)],
+    "realize": lambda n, w, seed, limit_n: [
+        verify_face_map(n, limit_n), verify_realization(n, limit_n)],
+    "narayana": lambda n, w, seed, limit_n: [check_census(n, limit_n), narayana_check(n, limit_n)],
+    "strategies": lambda n, w, seed, limit_n: [
+        check_strategy_independence(min(n, 6), seed, num_graphs=20, num_strategies=20),
+        check_strategy_dependence(),
+    ],
+    "projection": lambda n, w, seed, limit_n: [check_projection(min(n, 6), seed, num_graphs=25)],
+    "all": lambda n, w, seed, limit_n: [
+        check_census(n, limit_n),
+        check_scripted_path4(),
+        verify_kirillov(n, limit_n),
+        check_groth_h_rank(n, limit_n),
+        check_interior_h_rank(n, limit_n),
+        check_qt_identity_rank(n, limit_n),
+        check_homogeneity_rank(n, limit_n),
+        check_nonnegativity_rank(n, limit_n),
+        check_strategy_independence(min(n, 6), seed, num_graphs=20, num_strategies=20),
+        check_strategy_dependence(),
+        check_dissection_census(min(n, 6), seed, num_graphs=15),
+        check_projection(min(n, 6), seed, num_graphs=25),
+        check_unimodularity(n),
+        check_point_location(n, seed, samples=200),
+        check_intersections(n, seed, pairs=10),
+        verify_bijection(n, limit_n),
+        verify_face_map(n, limit_n),
+        verify_realization(n, limit_n),
+        narayana_check(n, limit_n),
+    ],
+}
+
+SELECTORS = tuple(SUITES)
+
+
 def suite(selector: str, n: int, w: Permutation | None, seed: int,
           limit_n: int = DEFAULT_LIMIT_N) -> list[VerifyResult]:
     """Assemble the checks for one CLI verify selector."""
-    if selector == "groth-h":
-        if w is not None:
-            return [verify_groth_h(w, limit_n)]
-        return [check_groth_h_rank(n, limit_n)]
-    if selector == "kirillov":
-        return [verify_kirillov(n, limit_n)]
-    if selector == "bijection":
-        return [verify_bijection(n, limit_n)]
-    if selector == "realize":
-        return [verify_face_map(n, limit_n), verify_realization(n, limit_n)]
-    if selector == "narayana":
-        return [check_census(n, limit_n), narayana_check(n, limit_n)]
-    if selector == "strategies":
-        return [
-            check_strategy_independence(min(n, 6), seed, num_graphs=20, num_strategies=20),
-            check_strategy_dependence(),
-        ]
-    if selector == "projection":
-        return [check_projection(min(n, 6), seed, num_graphs=25)]
-    if selector == "all":
-        return [
-            check_census(n, limit_n),
-            check_scripted_path4(),
-            verify_kirillov(n, limit_n),
-            check_groth_h_rank(n, limit_n),
-            check_interior_h_rank(n, limit_n),
-            check_qt_identity_rank(n, limit_n),
-            check_homogeneity_rank(n, limit_n),
-            check_nonnegativity_rank(n, limit_n),
-            check_strategy_independence(min(n, 6), seed, num_graphs=20, num_strategies=20),
-            check_strategy_dependence(),
-            check_dissection_census(min(n, 6), seed, num_graphs=15),
-            check_projection(min(n, 6), seed, num_graphs=25),
-            check_unimodularity(n),
-            check_point_location(n, seed, samples=200),
-            check_intersections(n, seed, pairs=10),
-            verify_bijection(n, limit_n),
-            verify_face_map(n, limit_n),
-            verify_realization(n, limit_n),
-            narayana_check(n, limit_n),
-        ]
-    raise ValueError(f"unknown verify selector {selector!r}")
-
-
-SELECTORS = (
-    "groth-h", "kirillov", "bijection", "realize", "narayana",
-    "strategies", "projection", "all",
-)
-
+    if selector not in SUITES:
+        raise ValueError(f"unknown verify selector {selector!r}")
+    return SUITES[selector](n, w, seed, limit_n)

@@ -152,6 +152,11 @@ def test_invalid_permutation_exits_2(capsys):
     assert main(["groth", "notaperm"]) == 2
 
 
+def test_dissect_repeated_edge_exits_2(capsys):
+    assert main(["dissect", "12,12,23"]) == 2
+    assert "repeat an edge" in capsys.readouterr().err
+
+
 def test_invalid_selector_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["verify", "everything"])

@@ -49,6 +49,8 @@ def test_acyclic_validation():
         AcyclicGraph(3, ((1, 2), (2, 3), (1, 3)))
     with pytest.raises(ValueError):
         AcyclicGraph(3, ((2, 1),))
+    with pytest.raises(ValueError):  # a repeated edge is a 2-cycle
+        AcyclicGraph(3, ((1, 2), (1, 2), (2, 3)))
     G = AcyclicGraph(4, ((3, 4), (1, 2)))
     assert G.edges == ((1, 2), (3, 4))
 
@@ -261,6 +263,11 @@ def test_simplex_membership():
     assert not S.contains(tuple(F(x) for x in (-1, 1, 0)))
     inner = tuple((a + b) / 4 for a, b in zip(root(3, 1, 2), root(3, 2, 3)))
     assert S.contains_interior(inner)
+    beyond = tuple(a + b for a, b in zip(root(3, 1, 2), root(3, 2, 3)))
+    assert not S.contains(beyond)
+    facet = Simplex(3, (root(3, 1, 2), root(3, 2, 3)), with_origin=False)
+    assert facet.contains_interior(mid) and not facet.contains(inner)
+    assert facet.contains(root(3, 1, 2)) and not facet.contains_interior(root(3, 1, 2))
 
 
 def test_barycentric_solver_matches_simplex():
