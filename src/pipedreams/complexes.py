@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Hashable, Iterable
 
 from .dreams import (
@@ -136,24 +137,10 @@ def h_polynomial(C: SimplicialComplex) -> MultiPolynomial:
         raise ValueError("h-polynomial computed only for pure complexes")
     fv = f_vector(C).f
     d = len(fv) - 1
-    # coefficients of sum f_{i-1} (x-1)^(d-i), as a dense list in x
-    acc = [0] * (d + 1)
-    for i, fi in enumerate(fv):
-        # fi * (x-1)^(d-i)
-        power = d - i
-        coeffs = [1]
-        for _ in range(power):
-            nxt = [0] * (len(coeffs) + 1)
-            for k, c in enumerate(coeffs):
-                nxt[k + 1] += c
-                nxt[k] -= c
-            coeffs = nxt
-        for k, c in enumerate(coeffs):
-            acc[k] += fi * c
-    # acc[k] is the coefficient of x^k; h_i is the coefficient of x^(d-i)
-    h = [acc[d - i] for i in range(d + 1)]
-    vars = ("x",)
-    return MultiPolynomial(vars, {(i,): c for i, c in enumerate(h) if c})
+    # fv[i] is f_{i-1}; h_k collects the x^(d-k) terms of the sum above
+    h = [sum((-1) ** (k - i) * comb(d - i, k - i) * fv[i] for i in range(k + 1))
+         for k in range(d + 1)]
+    return MultiPolynomial(("x",), {(i,): c for i, c in enumerate(h) if c})
 
 
 def build_pdc(w: Permutation, limit_n: int = DEFAULT_LIMIT_N) -> SimplicialComplex:

@@ -147,8 +147,8 @@ def parse_strategy(text: str, seed: int = 0) -> Strategy:
         triples = []
         for chunk in body.split(";"):
             parts = [int(p) for p in chunk.split(",")]
-            if len(parts) != 3:
-                raise ValueError(f"bad script triple {chunk!r}")
+            if len(parts) != 3 or not parts[0] < parts[1] < parts[2]:
+                raise ValueError(f"bad script triple {chunk!r}: want i,j,k with i < j < k")
             triples.append(tuple(parts))
         return Scripted(triples)
     raise ValueError(f"unknown strategy {text!r}")

@@ -149,16 +149,19 @@ def check_census(n: int, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
 
 
 def sample_acyclic_graphs(count: int, max_n: int, seed: int) -> list[AcyclicGraph]:
+    """`count` distinct random forests on at most max_n vertices.  Few
+    exist at small max_n (1, 7 and 44 for max_n = 2, 3, 4), so this gives
+    up with ValueError after 1000 draws per forest asked for."""
     rng = random.Random(seed)
-    graphs = []
-    seen = set()
-    while len(graphs) < count:
+    graphs: dict[tuple, AcyclicGraph] = {}
+    for _ in range(1000 * count):
+        if len(graphs) == count:
+            break
         G = random_acyclic_graph(rng, max_n)
-        key = (G.n, G.edges)
-        if key not in seen:
-            seen.add(key)
-            graphs.append(G)
-    return graphs
+        graphs.setdefault((G.n, G.edges), G)
+    if len(graphs) < count:
+        raise ValueError(f"found {len(graphs)} distinct forests on at most {max_n} vertices, not {count}")
+    return list(graphs.values())
 
 
 def check_strategy_independence(
@@ -325,6 +328,11 @@ def check_scripted_path4() -> VerifyResult:
     return VerifyResult("scripted-path4", ok, {"terms": len(rf.monomials), "q": str(rf.beta_specialization())})
 
 
+def _forest_rank(n: int) -> int:
+    """Random-forest checks run at rank 4..6: below 4 too few forests exist."""
+    return min(max(n, 4), 6)
+
+
 # The checks of each verify selector.  Lambdas look each check up by name
 # when they run, so a module attribute rebound later (a monkeypatch) holds.
 SUITES = {
@@ -336,10 +344,10 @@ SUITES = {
         verify_face_map(n, limit_n), verify_realization(n, limit_n)],
     "narayana": lambda n, w, seed, limit_n: [check_census(n, limit_n), narayana_check(n, limit_n)],
     "strategies": lambda n, w, seed, limit_n: [
-        check_strategy_independence(min(n, 6), seed, num_graphs=20, num_strategies=20),
+        check_strategy_independence(_forest_rank(n), seed, num_graphs=20, num_strategies=20),
         check_strategy_dependence(),
     ],
-    "projection": lambda n, w, seed, limit_n: [check_projection(min(n, 6), seed, num_graphs=25)],
+    "projection": lambda n, w, seed, limit_n: [check_projection(_forest_rank(n), seed, num_graphs=25)],
     "all": lambda n, w, seed, limit_n: [
         check_census(n, limit_n),
         check_scripted_path4(),
@@ -349,10 +357,10 @@ SUITES = {
         check_qt_identity_rank(n, limit_n),
         check_homogeneity_rank(n, limit_n),
         check_nonnegativity_rank(n, limit_n),
-        check_strategy_independence(min(n, 6), seed, num_graphs=20, num_strategies=20),
+        check_strategy_independence(_forest_rank(n), seed, num_graphs=20, num_strategies=20),
         check_strategy_dependence(),
-        check_dissection_census(min(n, 6), seed, num_graphs=15),
-        check_projection(min(n, 6), seed, num_graphs=25),
+        check_dissection_census(_forest_rank(n), seed, num_graphs=15),
+        check_projection(_forest_rank(n), seed, num_graphs=25),
         check_unimodularity(n),
         check_point_location(n, seed, samples=200),
         check_intersections(n, seed, pairs=10),

@@ -157,6 +157,11 @@ def test_dissect_repeated_edge_exits_2(capsys):
     assert "repeat an edge" in capsys.readouterr().err
 
 
+def test_decreasing_script_triple_exits_2(capsys):
+    assert main(["reduce", "12,23", "--strategy", "script:3,2,1"]) == 2
+    assert "i < j < k" in capsys.readouterr().err
+
+
 def test_invalid_selector_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["verify", "everything"])

@@ -102,9 +102,22 @@ def test_inverse(A):
     assert product == identity
 
 
+def test_int_entries_give_exact_fractions():
+    A = ((2, 1), (1, 3))
+    assert solve_unique(A, (1, 1)) == (Fraction(2, 5), Fraction(1, 5))
+    Ainv = inverse(A)
+    assert Ainv == ((Fraction(3, 5), Fraction(-1, 5)), (Fraction(-1, 5), Fraction(2, 5)))
+    assert all(type(v) is Fraction for row in Ainv for v in row)
+
+
 def test_non_square_raises():
+    A = ((Fraction(1), Fraction(2)),)
     with pytest.raises(ValueError):
-        solve_unique(((Fraction(1), Fraction(2)),), (Fraction(1),))
+        solve_unique(A, (Fraction(1),))
+    with pytest.raises(ValueError):
+        inverse(A)
+    with pytest.raises(ValueError):
+        det_int(((1, 2),))
 
 
 @PROPERTY

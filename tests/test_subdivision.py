@@ -156,6 +156,9 @@ def test_parse_strategy():
         parse_strategy("clever")
     with pytest.raises(ValueError):
         parse_strategy("script:1,2")
+    for script in ("script:3,2,1", "script:2,3,4;1,2,2"):
+        with pytest.raises(ValueError):  # such a triple never applies
+            parse_strategy(script)
 
 
 def test_scripted_falls_back_to_lex():

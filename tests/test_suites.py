@@ -1,0 +1,62 @@
+"""Random-forest sampling and the verify suites at small rank.  Calls that
+once looped forever run in a child process with a timeout, so a hang
+fails the test instead of stalling the run."""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pipedreams
+from pipedreams.polytopes import random_acyclic_graph
+from pipedreams.suites import sample_acyclic_graphs
+
+
+def child(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(pipedreams.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=60, env=env)
+
+
+def unbounded_sample(count, max_n, seed):
+    """The sampler without a draw bound: the oracle for every call that
+    returns."""
+    rng = random.Random(seed)
+    graphs, seen = [], set()
+    while len(graphs) < count:
+        G = random_acyclic_graph(rng, max_n)
+        if (G.n, G.edges) not in seen:
+            seen.add((G.n, G.edges))
+            graphs.append(G)
+    return graphs
+
+
+@pytest.mark.parametrize("count,max_n", [(7, 3), (25, 4), (44, 4), (15, 5), (50, 6)])
+def test_sampler_matches_unbounded_loop(count, max_n):
+    for seed in range(3):
+        assert sample_acyclic_graphs(count, max_n, seed) == unbounded_sample(count, max_n, seed)
+
+
+def test_sampler_gives_up_when_too_few_forests_exist():
+    # Only 1, 7 and 44 forests exist on at most 2, 3 and 4 vertices.
+    for count, max_n in ((2, 2), (8, 3), (45, 4)):
+        proc = child("-c", "from pipedreams.suites import sample_acyclic_graphs as s; "
+                           f"s({count}, {max_n}, 0)")
+        assert proc.returncode == 1 and "ValueError" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("selector,n", [
+    ("strategies", 1), ("strategies", 2), ("projection", 1), ("projection", 3), ("all", 3)])
+def test_verify_small_rank_returns(selector, n):
+    proc = child("-m", "pipedreams.cli", "verify", selector, "--n", str(n))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.endswith(": pass") for line in lines)
+
+
+def test_verify_all_rank_2_exits_2():
+    proc = child("-m", "pipedreams.cli", "verify", "all", "--n", "2")
+    assert proc.returncode == 2 and "realization needs n >= 3" in proc.stderr
