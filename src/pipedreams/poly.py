@@ -8,6 +8,7 @@ immutable: every operation returns a new polynomial.
 
 from __future__ import annotations
 
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Union
 
 
@@ -210,47 +211,90 @@ class MultiPolynomial:
         """Map each variable to a polynomial over `target_vars`.
 
         Variables absent from `images` are carried through unchanged and
-        must therefore appear in `target_vars`.
+        must therefore appear in `target_vars`.  A variable that no term
+        uses needs no image.
+
+        Variables are eliminated one at a time.  One pass handles every
+        image that is zero or a single term, as an exponent shift and a
+        coefficient power.  Each image with several terms then gets a pass
+        of its own, over terms keyed by (exponents not yet eliminated,
+        target exponents), so terms that meet are merged before the next
+        pass.  The two parts stay apart, so an image naming a source
+        variable (b -> b - 1) is applied once.
+
+        >>> b = MultiPolynomial.variable("b", ("b",))
+        >>> print((b**2 + 5*b + 5).substitute({"b": b - 1}, ("b",)))
+        b^2 + 3*b + 1
         """
         target = tuple(target_vars)
-        imgs: dict[int, MultiPolynomial] = {}
+        zeros: list[int] = []
+        shifts: list[tuple[int, tuple[tuple[int, int], ...], int]] = []
+        pending: list[int] = []
+        multis: list[MultiPolynomial] = []
+        for i, v in enumerate(self.vars):
+            if not any(map(itemgetter(i), self.terms)):
+                continue
+            img = images.get(v)
+            if img is None:
+                if v not in target:
+                    raise ValueError(f"{v} has no image and is not in {target}")
+                shifts.append((i, ((target.index(v), 1),), 1))
+                continue
+            if isinstance(img, int):
+                img = MultiPolynomial.constant(img, target)
+            elif img.vars != target:
+                raise ValueError(f"image of {v} is over {img.vars}, not {target}")
+            if not img.terms:
+                zeros.append(i)
+            elif len(img.terms) == 1:
+                [(exps, c)] = img.terms.items()
+                shifts.append((i, tuple((j, k) for j, k in enumerate(exps) if k), c))
+            else:
+                pending.append(i)
+                multis.append(img)
 
-        def image(i: int) -> MultiPolynomial:
-            if i not in imgs:
-                v = self.vars[i]
-                img = images.get(v)
-                if img is None:
-                    img = MultiPolynomial.variable(v, target)
-                elif isinstance(img, int):
-                    img = MultiPolynomial.constant(img, target)
-                elif img.vars != target:
-                    raise ValueError(f"image of {v} is over {img.vars}, not {target}")
-                imgs[i] = img
-            return imgs[i]
-
-        powers: dict[tuple[int, int], MultiPolynomial] = {}
-
-        def power(i: int, e: int) -> MultiPolynomial:
-            key = (i, e)
-            if key not in powers:
-                powers[key] = image(i) ** e
-            return powers[key]
-
-        acc: dict[tuple[int, ...], int] = {}
+        blank = [0] * len(target)
+        acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for exps, coef in self.terms.items():
-            term = MultiPolynomial.constant(coef, target)
-            for i, e in enumerate(exps):
+            if zeros and any(exps[i] for i in zeros):
+                continue
+            t = blank[:]
+            for i, shift, c in shifts:
+                e = exps[i]
                 if e:
-                    term = term * power(i, e)
-            for e2, c2 in term.terms.items():
-                s = acc.get(e2, 0) + c2
-                if s:
-                    acc[e2] = s
-                elif e2 in acc:
-                    del acc[e2]
+                    for j, k in shift:
+                        t[j] += k * e
+                    if c != 1:
+                        coef *= c**e
+            key = (tuple([exps[i] for i in pending]), tuple(t))
+            s = acc.get(key, 0) + coef
+            if s:
+                acc[key] = s
+            elif key in acc:
+                del acc[key]
+
+        for img in multis:
+            powers: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+            nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+            for (rest, t), coef in acc.items():
+                e, rest = rest[0], rest[1:]
+                if e:
+                    if e not in powers:
+                        powers[e] = list((img**e).terms.items())
+                    moved = [((rest, tuple(map(add, t, te))), coef * c) for te, c in powers[e]]
+                else:
+                    moved = [((rest, t), coef)]
+                for key, c in moved:
+                    s = nxt.get(key, 0) + c
+                    if s:
+                        nxt[key] = s
+                    elif key in nxt:
+                        del nxt[key]
+            acc = nxt
+
         out = MultiPolynomial.__new__(MultiPolynomial)
         out.vars = target
-        out.terms = acc
+        out.terms = {t: c for (_, t), c in acc.items()}
         return out
 
     def rename(self, mapping: Mapping[str, str]) -> "MultiPolynomial":
