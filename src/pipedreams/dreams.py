@@ -211,18 +211,5 @@ def reduced_pipe_dreams(
     return [P for P in enumerate_pipe_dreams(w, limit_n) if P.size == l]
 
 
-def enumerate_pipe_dreams_bruteforce(w: Permutation) -> list[PipeDream]:
-    """Oracle for the pruned search: try all 2^boxes subsets.  Tiny n only."""
-    boxes = staircase_boxes(w.n)
-    out = []
-    for mask in range(1 << len(boxes)):
-        crosses = tuple(b for i, b in enumerate(boxes) if mask >> i & 1)
-        P = PipeDream(w.n, crosses)
-        if P.permutation() == w:
-            out.append(P)
-    out.sort(key=lambda p: (p.size, p.crosses))
-    return out
-
-
 def dreams_to_jsonable(dreams: Iterable[PipeDream]) -> list[dict]:
     return [P.to_jsonable() for P in dreams]

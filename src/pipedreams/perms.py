@@ -10,7 +10,7 @@ the permutation - the semantics of ignoring repeated pipe crossings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations as _itperms
+from itertools import permutations as _itperms
 from typing import Iterable, Iterator
 
 Window = tuple[int, ...]
@@ -216,15 +216,3 @@ def word_contains(letters: Word, w: Permutation) -> bool:
     """
     return bruhat_leq(w.window, demazure_window(letters, w.n))
 
-
-def word_contains_bruteforce(letters: Word, w: Permutation) -> bool:
-    """Independent oracle for word_contains: scan all subsequences of the
-    target length for an ordinary product equal to w.  Exponential; only
-    for cross-checks at tiny rank."""
-    l = w.length()
-    if l > len(letters):
-        return False
-    for positions in combinations(range(len(letters)), l):
-        if ordinary_product([letters[p] for p in positions], w.n) == w.window:
-            return True
-    return False

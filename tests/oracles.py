@@ -7,9 +7,38 @@ this module.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Mapping, Union
 
+from pipedreams.dreams import PipeDream, staircase_boxes
+from pipedreams.perms import Permutation, Word, ordinary_product
 from pipedreams.poly import MultiPolynomial
+
+
+def word_contains_bruteforce(letters: Word, w: Permutation) -> bool:
+    """Oracle for `perms.word_contains`: scan all subsequences of the
+    target length for an ordinary product equal to w.  Exponential; only
+    for cross-checks at tiny rank."""
+    l = w.length()
+    if l > len(letters):
+        return False
+    for positions in combinations(range(len(letters)), l):
+        if ordinary_product([letters[p] for p in positions], w.n) == w.window:
+            return True
+    return False
+
+
+def enumerate_pipe_dreams_bruteforce(w: Permutation) -> list[PipeDream]:
+    """Oracle for the pruned search: try all 2^boxes subsets.  Tiny n only."""
+    boxes = staircase_boxes(w.n)
+    out = []
+    for mask in range(1 << len(boxes)):
+        crosses = tuple(b for i, b in enumerate(boxes) if mask >> i & 1)
+        P = PipeDream(w.n, crosses)
+        if P.permutation() == w:
+            out.append(P)
+    out.sort(key=lambda p: (p.size, p.crosses))
+    return out
 
 
 def substitute_per_term(

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+from oracles import enumerate_pipe_dreams_bruteforce
 from pipedreams.dreams import (
     EnumerationLimitError,
     PipeDream,
     enumerate_pipe_dreams,
-    enumerate_pipe_dreams_bruteforce,
     is_pipe_dream_for,
     is_reduced_for,
     permutation_of,

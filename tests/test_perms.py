@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import word_contains_bruteforce
 from pipedreams.perms import (
     Permutation,
     all_windows,
@@ -19,7 +20,6 @@ from pipedreams.perms import (
     parse_permutation,
     parse_word,
     word_contains,
-    word_contains_bruteforce,
     word_to_string,
 )
 
