@@ -156,9 +156,8 @@ def _cmd_reduce(args) -> int:
         rf.beta_specialization().to_jsonable() if args.json else str(rf.beta_specialization())
     )
     if args.tree:
-        report.results["tree"] = reduction_tree(
-            product_monomial(n, edges), parse_strategy(args.strategy, args.seed)
-        ).to_jsonable()
+        tree = reduction_tree(product_monomial(n, edges), parse_strategy(args.strategy, args.seed))
+        report.results["tree"] = tree.to_jsonable() if args.json else tree.outline()
     _emit(report, args.json)
     return 0
 
@@ -173,7 +172,7 @@ def _cmd_dissect(args) -> int:
                        seed=args.seed)
     report.results["census"] = {str(k): v for k, v in d.census().items()}
     if args.tree:
-        report.results["tree"] = d.to_jsonable()
+        report.results["tree"] = d.to_jsonable() if args.json else d.outline()
     else:
         report.results["leaves"] = [
             {"edges": [list(e) for e in g.edges], "beta": beta} for g, beta in d.leaves()

@@ -248,6 +248,10 @@ class Dissection:
         tree = self.tree.to_jsonable(lambda m: {"graph": AcyclicGraph(m.n, m.edges).to_jsonable()})
         return {"root": self.root.to_jsonable(), "tree": tree}
 
+    def outline(self) -> list[str]:
+        """The tree as `ReductionNode.outline`, one graph per line."""
+        return self.tree.outline(lambda m: str(AcyclicGraph(m.n, m.edges)))
+
 
 def dissect(G: AcyclicGraph, strategy: Strategy | None = None) -> Dissection:
     """The graph view of the rewrite tree of G's edge monomial, expanded

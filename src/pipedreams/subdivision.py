@@ -282,6 +282,9 @@ def product_monomial(n: int, edges: Iterable[Edge]) -> EdgeMonomial:
     return EdgeMonomial(n, tuple(edges))
 
 
+_LABELS = ("G1", "G2", "G3")
+
+
 def _monomial_head(m: EdgeMonomial) -> dict:
     return {"monomial": str(m), "edges": [list(e) for e in m.edges], "beta": m.beta}
 
@@ -312,9 +315,29 @@ class ReductionNode:
         data = head(self.monomial)
         if self.children:
             data["triple"] = list(self.triple)
-            labels = ("G1", "G2", "G3")
-            data["children"] = {k: c.to_jsonable(head) for k, c in zip(labels, self.children)}
+            data["children"] = {k: c.to_jsonable(head) for k, c in zip(_LABELS, self.children)}
         return data
+
+    def outline(self, head: Callable[[EdgeMonomial], str] = str) -> list[str]:
+        """One line per node in preorder, indented two spaces per depth:
+        the G1/G2/G3 label, head(monomial), and the triple when the node
+        is reducible.
+
+        >>> tree = reduction_tree(product_monomial(3, [(1, 2), (2, 3)]))
+        >>> print(*tree.outline(), sep="\\n")
+        x12*x23  triple (1, 2, 3)
+          G1: x12*x13
+          G2: x13*x23
+          G3: b*x13
+        """
+
+        def lines(node: ReductionNode, depth: int, label: str) -> Iterator[str]:
+            triple = f"  triple {node.triple}" if node.children else ""
+            yield f"{'  ' * depth}{label}{head(node.monomial)}{triple}"
+            for k, child in zip(_LABELS, node.children):
+                yield from lines(child, depth + 1, f"{k}: ")
+
+        return list(lines(self, 0, ""))
 
 
 def reduction_tree(m: EdgeMonomial, strategy: Strategy | None = None) -> ReductionNode:

@@ -90,6 +90,32 @@ def test_reduce_tree(capsys):
     assert tree["children"]["G3"]["beta"] == 1
 
 
+def test_reduce_tree_text_is_an_outline(capsys):
+    code, out = run(capsys, "reduce", "12,23", "--tree")
+    assert code == 0
+    assert out == (
+        "reduced_form: x12*x13 + x13*x23 + b*x13\n"
+        "q: b + 2\n"
+        "tree:\n"
+        "  x12*x23  triple (1, 2, 3)\n"
+        "    G1: x12*x13\n"
+        "    G2: x13*x23\n"
+        "    G3: b*x13\n"
+    )
+
+
+def test_dissect_tree_text_is_an_outline(capsys):
+    code, out = run(capsys, "dissect", "12,23", "--tree")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "tree:",
+        "  {12,23}  triple (1, 2, 3)",
+        "    G1: {12,13}",
+        "    G2: {13,23}",
+        "    G3: {13}",
+    ]
+
+
 def test_dissect(capsys):
     code, out = run(capsys, "dissect", "12,23,34")
     assert code == 0
