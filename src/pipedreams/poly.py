@@ -215,8 +215,8 @@ class MultiPolynomial:
         uses needs no image.
 
         Variables are eliminated one at a time.  One pass handles every
-        image that is zero or a single term, as an exponent shift and a
-        coefficient power.  Each image with several terms then gets a pass
+        image that is a single term, as an exponent shift and a coefficient
+        power.  Each other image (zero, or several terms) then gets a pass
         of its own, over terms keyed by (exponents not yet eliminated,
         target exponents), so terms that meet are merged before the next
         pass.  The two parts stay apart, so an image naming a source
@@ -227,7 +227,6 @@ class MultiPolynomial:
         b^2 + 3*b + 1
         """
         target = tuple(target_vars)
-        zeros: list[int] = []
         shifts: list[tuple[int, tuple[tuple[int, int], ...], int]] = []
         pending: list[int] = []
         multis: list[MultiPolynomial] = []
@@ -238,15 +237,12 @@ class MultiPolynomial:
             if img is None:
                 if v not in target:
                     raise ValueError(f"{v} has no image and is not in {target}")
-                shifts.append((i, ((target.index(v), 1),), 1))
-                continue
-            if isinstance(img, int):
+                img = MultiPolynomial.variable(v, target)
+            elif isinstance(img, int):
                 img = MultiPolynomial.constant(img, target)
             elif img.vars != target:
                 raise ValueError(f"image of {v} is over {img.vars}, not {target}")
-            if not img.terms:
-                zeros.append(i)
-            elif len(img.terms) == 1:
+            if len(img.terms) == 1:
                 [(exps, c)] = img.terms.items()
                 shifts.append((i, tuple((j, k) for j, k in enumerate(exps) if k), c))
             else:
@@ -256,8 +252,6 @@ class MultiPolynomial:
         blank = [0] * len(target)
         acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for exps, coef in self.terms.items():
-            if zeros and any(exps[i] for i in zeros):
-                continue
             t = blank[:]
             for i, shift, c in shifts:
                 e = exps[i]
