@@ -8,11 +8,13 @@ this module.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
-from pipedreams.dreams import PipeDream, staircase_boxes
-from pipedreams.perms import Permutation, Word, ordinary_product
+from pipedreams.dreams import Box, PipeDream, staircase_boxes
+from pipedreams.perms import Permutation, Word, catalan_permutation, ordinary_product
 from pipedreams.poly import MultiPolynomial
+from pipedreams.polytopes import vertex_figure_point, vertex_figure_simplices
+from pipedreams.realization import box_edge
 
 
 def word_contains_bruteforce(letters: Word, w: Permutation) -> bool:
@@ -88,3 +90,34 @@ def substitute_per_term(
     out.vars = target
     out.terms = acc
     return out
+
+
+def face_scan_matches_triangulation(
+    n: int, is_face: Callable[[Iterable[Box], Permutation], bool]
+) -> bool:
+    """Oracle for the face check of `realization.realize`: test `is_face`
+    on every one of the 2^|boxes| box subsets, and return whether it holds
+    exactly when the subset's points lie in one vertex-figure simplex.
+    Exponential; n <= 6 in the tests."""
+    pi = catalan_permutation(n)
+    boxes = staircase_boxes(n)
+    vmap = {b: vertex_figure_point(n, *box_edge(b, n)) for b in boxes}
+    tree_point_sets = [frozenset(S.vertex_points()) for S in vertex_figure_simplices(n)]
+    # bitmask per box of the simplices whose vertex set contains its point;
+    # a box set spans a face of the triangulation iff the masks intersect
+    box_mask = {}
+    for b in boxes:
+        mask = 0
+        for t, pts in enumerate(tree_point_sets):
+            if vmap[b] in pts:
+                mask |= 1 << t
+        box_mask[b] = mask
+    full = (1 << len(tree_point_sets)) - 1
+    for size in range(len(boxes) + 1):
+        for subset in combinations(boxes, size):
+            mask = full
+            for b in subset:
+                mask &= box_mask[b]
+            if is_face(subset, pi) != (mask != 0):
+                return False
+    return True

@@ -1,8 +1,11 @@
 """The pipe dream to tree bijection and the geometric realization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pipedreams.complexes import build_pdc, h_polynomial
+from oracles import face_scan_matches_triangulation
+from pipedreams.complexes import SimplicialComplex, build_pdc, h_polynomial, is_face_of_pdc
 from pipedreams.dreams import PipeDream, reduced_pipe_dreams, staircase_boxes
 from pipedreams.perms import Permutation, catalan_permutation
 from pipedreams.poly import MultiPolynomial
@@ -112,9 +115,66 @@ def test_realize_rejects_degenerate_rank():
         realize(2)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_verify_realization(n):
     assert verify_realization(n).ok
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_realize_agrees_with_subset_scan(n):
+    assert face_scan_matches_triangulation(n, is_face_of_pdc)
+    realize(n)  # raises RealizationError on a mismatch
+
+
+def corrupted_faces(n):
+    """Face sets of two complexes near the complex of 1 n n-1 ... 2: one
+    facet dropped, and one minimal non-face added."""
+    C = build_pdc(catalan_permutation(n))
+    faces = C.faces()
+    candidates = {F | {b} for F in faces for b in C.vertices if b not in F} - faces
+    minimal = [N for N in candidates if all(N - {b} in faces for b in N)]
+    added = min(minimal, key=lambda N: (len(N), sorted(N)))
+    return {
+        "facet dropped": SimplicialComplex(C.facets[1:]).faces(),
+        "non-face added": faces | {added},
+    }
+
+
+@pytest.mark.parametrize("kind", ["facet dropped", "non-face added"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_realize_and_subset_scan_reject_corrupted_complex(n, kind, monkeypatch):
+    faces = corrupted_faces(n)[kind]
+
+    def is_face(boxes, w):
+        return frozenset(boxes) in faces
+
+    assert not face_scan_matches_triangulation(n, is_face)
+    monkeypatch.setattr("pipedreams.realization.is_face_of_pdc", is_face)
+    with pytest.raises(RealizationError, match="face mismatch"):
+        realize(n)
+    assert not verify_realization(n).ok
+
+
+@st.composite
+def permutations_and_box_sets(draw):
+    """A permutation of S_2..S_6, a staircase box set S, and a subset of S."""
+    n = draw(st.integers(2, 6))
+    w = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    boxes = staircase_boxes(n)
+    S = [b for b in boxes if draw(st.booleans())]
+    T = [b for b in S if draw(st.booleans())]
+    return w, S, T
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(permutations_and_box_sets())
+def test_is_face_of_pdc_is_closed_under_subsets(case):
+    """The property the realization check relies on: a pipe dream complex
+    is a subword complex, so a subset of a face is a face."""
+    w, S, T = case
+    if is_face_of_pdc(S, w):
+        assert is_face_of_pdc(T, w)
+        assert all(is_face_of_pdc([a for a in S if a != b], w) for b in S)
 
 
 def test_vertex_map_hits_every_scaled_root():
