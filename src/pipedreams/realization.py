@@ -16,6 +16,7 @@ from math import comb
 
 from .complexes import (
     SimplicialComplex,
+    _downward_closure,
     build_pdc,
     h_polynomial,
     interior_faces,
@@ -207,8 +208,9 @@ class RealizationMap:
 def realize(n: int, limit_n: int = DEFAULT_LIMIT_N) -> RealizationMap:
     """Build the realization and check it: facet images coincide with the
     vertex-figure simplices, a box set is a face of the complex exactly
-    when its image spans a face of the triangulation, and boundary matches
-    boundary.  Raises RealizationError at the first failure.
+    when its image spans a face of the triangulation (tested on the
+    triangulation's faces and on each face plus one box), and boundary
+    matches boundary.  Raises RealizationError at the first failure.
 
     For n = 2 the complex is the degenerate case and is not realized.
     """
@@ -226,37 +228,28 @@ def realize(n: int, limit_n: int = DEFAULT_LIMIT_N) -> RealizationMap:
         for P in dreams
     }
 
-    target = {frozenset(S.vertex_points()) for S in vertex_figure_simplices(n)}
+    tri = triangulation_complex(n)
     got = {frozenset(S.vertex_points()) for S in fmap.values()}
-    if got != target:
+    if got != set(tri.facets):
         raise RealizationError("facet images differ from the vertex-figure simplices")
 
-    # bitmask per box of the simplices whose vertex set contains its point;
-    # a box set spans a face of the triangulation iff the masks intersect
-    tree_point_sets = list(got)
-    box_mask = {}
-    for b in boxes:
-        mask = 0
-        for t, pts in enumerate(tree_point_sets):
-            if vmap[b] in pts:
-                mask |= 1 << t
-        box_mask[b] = mask
-    full = (1 << len(tree_point_sets)) - 1
-    for size in range(len(boxes) + 1):
-        for subset in combinations(boxes, size):
-            mask = full
-            for b in subset:
-                mask &= box_mask[b]
-            spans = mask != 0
-            if is_face_of_pdc(subset, pi) != spans:
-                raise RealizationError(f"face mismatch at boxes {sorted(subset)}")
+    # Both face predicates are closed under subsets (the pipe dream complex
+    # is a subword complex), so they agree on every box set iff they agree
+    # on the triangulation's faces and on each such face plus one box.
+    box_of = {p: b for b, p in vmap.items()}
+    faces = _downward_closure(frozenset(box_of[p] for p in pts) for pts in tri.facets)
+    for face in faces:
+        if not is_face_of_pdc(face, pi):
+            raise RealizationError(f"face mismatch at boxes {sorted(face)}")
+    for subset in {face | {b} for face in faces for b in boxes if b not in face} - faces:
+        if is_face_of_pdc(subset, pi):
+            raise RealizationError(f"face mismatch at boxes {sorted(subset)}")
 
     C = build_pdc(pi, limit_n)
     pd_boundary = {
         frozenset(vmap[b] for b in face) for face in C.boundary_faces()
     }
-    tri_boundary = set(triangulation_complex(n).boundary_faces())
-    if pd_boundary != tri_boundary:
+    if pd_boundary != set(tri.boundary_faces()):
         raise RealizationError("boundary faces do not correspond")
 
     return RealizationMap(n, vmap, fmap)
