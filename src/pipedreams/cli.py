@@ -61,18 +61,24 @@ class RunReport:
         }
 
     def render_text(self) -> str:
+        """One `key: value` line per result, a list as one indented line
+        per item, and each dict (a result or a list item) as sorted JSON."""
+
+        def text(v) -> str:
+            return json.dumps(jsonable(v), sort_keys=True) if isinstance(v, dict) else str(v)
+
         lines = []
         for key, value in self.results.items():
             if isinstance(value, list):
                 lines.append(f"{key}:")
-                lines.extend(f"  {v}" for v in value)
+                lines.extend(f"  {text(v)}" for v in value)
             else:
-                lines.append(f"{key}: {value}")
+                lines.append(f"{key}: {text(value)}")
         for c in self.checks:
             status = "pass" if c.ok else "FAIL"
             lines.append(f"check {c.name}: {status}")
             if not c.ok:
-                lines.append(f"  details: {json.dumps(jsonable(c.details), sort_keys=True)}")
+                lines.append(f"  details: {text(c.details)}")
         return "\n".join(lines)
 
 

@@ -126,6 +126,24 @@ def test_dissect(capsys):
     assert "census" in data
 
 
+def test_text_mode_prints_dicts_as_json(capsys):
+    code, out = run(capsys, "dissect", "12,23")
+    assert code == 0
+    assert out.splitlines() == [
+        'census: {"0": 2, "1": 1}',
+        "leaves:",
+        '  {"beta": 0, "edges": [[1, 2], [1, 3]]}',
+        '  {"beta": 0, "edges": [[1, 3], [2, 3]]}',
+        '  {"beta": 1, "edges": [[1, 3]]}',
+    ]
+    for argv in (("pdc", "1432", "--interior"), ("pdc", "1432", "--dreams"),
+                 ("triangulate", "--n", "3")):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        items = [line[2:] for line in out.splitlines() if line.startswith("  {")]
+        assert items and all(isinstance(json.loads(item), dict) for item in items)
+
+
 def test_dissect_tree_json(capsys):
     code, out = run(capsys, "dissect", "12,23", "--tree", "--json")
     assert code == 0
