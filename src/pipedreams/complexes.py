@@ -19,7 +19,6 @@ from typing import Hashable, Iterable
 from .dreams import (
     DEFAULT_LIMIT_N,
     Box,
-    PipeDream,
     box_letter,
     reduced_pipe_dreams,
     staircase_boxes,
@@ -186,13 +185,3 @@ def h_from_interior(C: SimplicialComplex, w: Permutation) -> MultiPolynomial:
     for _face, codim in interior_faces(C, w):
         terms[(codim,)] = terms.get((codim,), 0) + 1
     return MultiPolynomial(("b",), terms)
-
-
-def interior_pipe_dreams(C: SimplicialComplex, w: Permutation) -> list[PipeDream]:
-    """The pipe dreams labeling the interior faces (complement cross sets)."""
-    boxes = staircase_boxes(w.n)
-    out = []
-    for face, _codim in interior_faces(C, w):
-        out.append(PipeDream(w.n, tuple(b for b in boxes if b not in face)))
-    out.sort(key=lambda p: (p.size, p.crosses))
-    return out

@@ -96,16 +96,8 @@ class PipeDream:
         return cls(data["n"], tuple((r, c) for r, c in data["crosses"]))
 
 
-def permutation_of(P: PipeDream) -> Permutation:
-    return P.permutation()
-
-
 def is_pipe_dream_for(P: PipeDream, w: Permutation) -> bool:
     return P.n == w.n and P.permutation() == w
-
-
-def is_reduced_for(P: PipeDream, w: Permutation) -> bool:
-    return is_pipe_dream_for(P, w) and P.size == w.length()
 
 
 def codimension(P: PipeDream, w: Permutation) -> int:

@@ -181,17 +181,6 @@ def catalan_permutation(n: int) -> Permutation:
     return Permutation(tuple([1] + list(range(n, 1, -1))))
 
 
-def parse_word(text: str) -> Word:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(p) for p in text.split(","))
-
-
-def word_to_string(word: Word) -> str:
-    return ",".join(str(a) for a in word)
-
-
 def demazure_product(word: Iterable[int], n: int) -> Permutation:
     """Demazure (0-Hecke) product of a word, folded from the identity.
 

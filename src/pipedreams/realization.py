@@ -64,11 +64,6 @@ def box_edge(box: Box, n: int) -> Edge:
     return (c, n - r + 1)
 
 
-def edge_box(edge: Edge, n: int) -> Box:
-    i, j = edge
-    return (n - j + 1, i)
-
-
 def tree_of_pipedream(P: PipeDream) -> AcyclicGraph:
     """Edges of the elbow boxes of a reduced pipe dream of 1 n n-1 ... 2;
     always a spanning tree.

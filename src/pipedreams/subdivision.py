@@ -154,10 +154,6 @@ def parse_strategy(text: str, seed: int = 0) -> Strategy:
     raise ValueError(f"unknown strategy {text!r}")
 
 
-def reducible_pair(m: EdgeMonomial, strategy: Strategy) -> Optional[Triple]:
-    return strategy.choose(m.edges)
-
-
 def _remove_one(edges: tuple[Edge, ...], e: Edge) -> list[Edge]:
     out = list(edges)
     out.remove(e)

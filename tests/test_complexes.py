@@ -12,10 +12,9 @@ from pipedreams.complexes import (
     h_from_interior,
     h_polynomial,
     interior_faces,
-    interior_pipe_dreams,
     is_face_of_pdc,
 )
-from pipedreams.dreams import enumerate_pipe_dreams, staircase_boxes
+from pipedreams.dreams import PipeDream, enumerate_pipe_dreams, staircase_boxes
 from pipedreams.perms import Permutation, all_windows
 from pipedreams.poly import MultiPolynomial
 
@@ -110,10 +109,16 @@ def test_interior_faces_degenerate():
 
 
 def test_interior_pipe_dreams_match_enumeration():
+    """The complements of the interior faces are exactly the pipe dreams."""
+    boxes = staircase_boxes(4)
     for window in all_windows(4):
         w = Permutation(window)
-        C = build_pdc(w)
-        assert interior_pipe_dreams(C, w) == enumerate_pipe_dreams(w)
+        complements = [
+            PipeDream(4, tuple(b for b in boxes if b not in face))
+            for face, _codim in interior_faces(build_pdc(w), w)
+        ]
+        complements.sort(key=lambda P: (P.size, P.crosses))
+        assert complements == enumerate_pipe_dreams(w)
 
 
 def test_cross_count_is_length_plus_codim():

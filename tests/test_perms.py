@@ -18,9 +18,7 @@ from pipedreams.perms import (
     is_reduced_word,
     ordinary_product,
     parse_permutation,
-    parse_word,
     word_contains,
-    word_to_string,
 )
 
 
@@ -132,8 +130,6 @@ def test_parse_and_serialize():
     assert w.to_string() == "1432"
     big = parse_permutation("1,10,9,8,7,6,5,4,3,2")
     assert big.n == 10 and big.to_string().startswith("1,10")
-    assert parse_word("2,3,2") == (2, 3, 2)
-    assert word_to_string((2, 3, 2)) == "2,3,2"
     with pytest.raises(ValueError):
         parse_permutation("14x2")
     with pytest.raises(ValueError):

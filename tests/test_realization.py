@@ -17,7 +17,6 @@ from pipedreams.realization import (
     RealizationError,
     box_edge,
     catalan_number,
-    edge_box,
     narayana_check,
     narayana_number,
     realize,
@@ -46,8 +45,8 @@ def test_box_edge_bijection():
         edges = {box_edge(b, n) for b in boxes}
         assert len(edges) == len(boxes)
         assert edges == {(i, j) for i in range(1, n) for j in range(i + 1, n + 1)}
-        for b in boxes:
-            assert edge_box(box_edge(b, n), n) == b
+        for r, c in boxes:
+            assert box_edge((r, c), n) == (c, n - r + 1)
 
 
 def test_tree_of_pipedream_star_example():
