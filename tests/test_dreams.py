@@ -44,7 +44,7 @@ def test_triangular_word_examples():
     assert len(w5) == 10 and w5[-3:] == (4, 3, 4)
 
 
-def test_permutation_examples():
+def test_permutation_of_examples():
     assert PipeDream(4, ()).permutation().is_identity()
     assert PipeDream(4, ((1, 3), (1, 2), (2, 2))).permutation() == W1432
     full = PipeDream(4, staircase_boxes(4))

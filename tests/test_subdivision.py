@@ -25,12 +25,12 @@ from pipedreams.subdivision import (
 B = MultiPolynomial.variable("b", ("b",))
 
 
-def test_strategy_choose_examples():
-    path = ((1, 2), (2, 3), (3, 4))
-    assert LexFirst().choose(path) == (1, 2, 3)
-    assert ReverseLex().choose(path) == (2, 3, 4)
-    assert LexFirst().choose(((1, 2), (1, 3))) is None
-    assert LexFirst().choose(((1, 3), (2, 3))) is None
+def test_reducible_pair_examples():
+    m = product_monomial(4, [(1, 2), (2, 3), (3, 4)])
+    assert LexFirst().choose(m.edges) == (1, 2, 3)
+    assert ReverseLex().choose(m.edges) == (2, 3, 4)
+    assert LexFirst().choose(product_monomial(3, [(1, 2), (1, 3)]).edges) is None
+    assert LexFirst().choose(product_monomial(3, [(1, 3), (2, 3)]).edges) is None
 
 
 def test_reduce_once_base_relation():
