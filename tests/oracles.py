@@ -11,7 +11,14 @@ from itertools import combinations
 from typing import Callable, Iterable, Mapping, Union
 
 from pipedreams.dreams import Box, PipeDream, staircase_boxes
-from pipedreams.perms import Permutation, Word, catalan_permutation, ordinary_product
+from pipedreams.perms import (
+    Permutation,
+    Window,
+    Word,
+    catalan_permutation,
+    inversions,
+    ordinary_product,
+)
 from pipedreams.poly import MultiPolynomial
 from pipedreams.polytopes import vertex_figure_point, vertex_figure_simplices
 from pipedreams.realization import box_edge
@@ -28,6 +35,23 @@ def word_contains_bruteforce(letters: Word, w: Permutation) -> bool:
         if ordinary_product([letters[p] for p in positions], w.n) == w.window:
             return True
     return False
+
+
+def demazure_bruteforce(letters: Word, n: int) -> Window:
+    """Oracle for the Demazure product: the longest ordinary product among
+    the reduced subwords of `letters`, checked to be unique.  Scans every
+    subsequence from the longest down; tiny words only."""
+    for k in range(len(letters), -1, -1):
+        found = set()
+        for positions in combinations(range(len(letters)), k):
+            product = ordinary_product([letters[p] for p in positions], n)
+            if inversions(product) == k:
+                found.add(product)
+        if found:
+            if len(found) != 1:
+                raise AssertionError(f"{len(found)} longest reduced subword products")
+            return found.pop()
+    raise AssertionError("the empty subword is always reduced")
 
 
 def enumerate_pipe_dreams_bruteforce(w: Permutation) -> list[PipeDream]:

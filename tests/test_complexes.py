@@ -3,7 +3,10 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import demazure_bruteforce, word_contains_bruteforce
 from pipedreams.complexes import (
     FaceVector,
     SimplicialComplex,
@@ -14,7 +17,7 @@ from pipedreams.complexes import (
     interior_faces,
     is_face_of_pdc,
 )
-from pipedreams.dreams import PipeDream, enumerate_pipe_dreams, staircase_boxes
+from pipedreams.dreams import PipeDream, box_letter, enumerate_pipe_dreams, staircase_boxes
 from pipedreams.perms import Permutation, all_windows
 from pipedreams.poly import MultiPolynomial
 
@@ -183,6 +186,28 @@ def test_is_face_of_pdc():
     assert is_face_of_pdc([(1, 1)], W1432)
     assert not is_face_of_pdc(staircase_boxes(4), W1432)
     assert is_face_of_pdc([], W1432)
+
+
+@st.composite
+def permutations_and_box_sets(draw):
+    """A permutation of S_3..S_5 and a staircase box set for its rank."""
+    n = draw(st.integers(3, 5))
+    w = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    return w, [b for b in staircase_boxes(n) if draw(st.booleans())]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(permutations_and_box_sets())
+def test_box_sets_agree_with_oracle_fold(case):
+    """A box set's permutation and its face test both come from the letters
+    on the staircase boxes in reading order."""
+    w, S = case
+    n = w.n
+    inside = set(S)
+    letters = tuple(box_letter(b) for b in staircase_boxes(n) if b in inside)
+    rest = tuple(box_letter(b) for b in staircase_boxes(n) if b not in inside)
+    assert PipeDream(n, tuple(S)).permutation().window == demazure_bruteforce(letters, n)
+    assert is_face_of_pdc(S, w) == word_contains_bruteforce(rest, w)
 
 
 def test_json_shape():

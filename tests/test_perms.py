@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import word_contains_bruteforce
+from oracles import demazure_bruteforce, word_contains_bruteforce
 from pipedreams.perms import (
     Permutation,
     all_windows,
@@ -122,6 +124,38 @@ def test_word_contains_agrees_with_bruteforce():
         for window in all_windows(4):
             w = Permutation(window)
             assert word_contains(word, w) == word_contains_bruteforce(word, w)
+
+
+@st.composite
+def words(draw):
+    """A rank n in 2..6 and a word of at most 9 letters in s_1..s_{n-1}."""
+    n = draw(st.integers(2, 6))
+    return n, tuple(draw(st.lists(st.integers(1, n - 1), max_size=9)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(words())
+def test_demazure_is_longest_reduced_subword_product(case):
+    n, word = case
+    assert demazure_window(word, n) == demazure_bruteforce(word, n)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 5).flatmap(
+    lambda n: st.tuples(st.permutations(range(1, n + 1)), st.permutations(range(1, n + 1)))))
+def test_bruhat_leq_is_subword_containment(case):
+    """u <= w iff a reduced word of w contains a reduced word of u."""
+    uwin, wwin = (tuple(p) for p in case)
+    # a reduced word of w, read off by sorting w with adjacent swaps
+    word = []
+    cur = list(wwin)
+    while inversions(tuple(cur)) > 0:
+        a = next(i for i in range(1, len(cur)) if cur[i - 1] > cur[i])
+        cur[a - 1], cur[a] = cur[a], cur[a - 1]
+        word.append(a)
+    word.reverse()
+    assert demazure_window(word, len(wwin)) == wwin and len(word) == inversions(wwin)
+    assert bruhat_leq(uwin, wwin) == word_contains_bruteforce(tuple(word), Permutation(uwin))
 
 
 def test_parse_and_serialize():
