@@ -16,14 +16,8 @@ from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable
 
-from .dreams import (
-    DEFAULT_LIMIT_N,
-    Box,
-    box_letter,
-    reduced_pipe_dreams,
-    staircase_boxes,
-)
-from .perms import Permutation, demazure_window, word_contains
+from .dreams import DEFAULT_LIMIT_N, Box, reduced_pipe_dreams, staircase_product
+from .perms import Permutation, bruhat_leq
 from .poly import MultiPolynomial
 
 Face = frozenset
@@ -156,9 +150,10 @@ def build_pdc(w: Permutation, limit_n: int = DEFAULT_LIMIT_N) -> SimplicialCompl
 
 def is_face_of_pdc(boxes: Iterable[Box], w: Permutation) -> bool:
     """Whether a box set is a face of the pipe dream complex of w: the
-    letters on the complementary boxes must contain w."""
-    removed = set(boxes)
-    return word_contains([box_letter(b) for b in staircase_boxes(w.n) if b not in removed], w)
+    letters on the complementary boxes must contain a reduced word for w.
+    A word contains one exactly when its Demazure product dominates w in
+    Bruhat order, which is how it is tested here."""
+    return bruhat_leq(w.window, staircase_product(w.n, boxes))
 
 
 def interior_faces(
@@ -166,13 +161,10 @@ def interior_faces(
 ) -> list[tuple[Face, int]]:
     """Faces whose complementary cross set is a pipe dream for w, with
     their codimensions.  These are exactly the faces labeled by Pipes(w)."""
-    boxes = staircase_boxes(w.n)
     d = max(len(f) for f in C.facets)
     out = []
     for face in C.faces():
-        crosses = [b for b in boxes if b not in face]
-        letters = [box_letter(b) for b in crosses]
-        if demazure_window(letters, w.n) == w.window:
+        if staircase_product(w.n, face) == w.window:
             out.append((face, d - len(face)))
     out.sort(key=lambda t: (t[1], sorted(t[0])))
     return out

@@ -15,14 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .perms import (
-    Permutation,
-    Window,
-    bruhat_leq,
-    demazure_step,
-    demazure_window,
-    identity_window,
-)
+from .perms import Permutation, Window, bruhat_leq, demazure_fold, identity_window
 from .poly import MultiPolynomial
 
 Box = tuple[int, int]
@@ -59,6 +52,19 @@ def triangular_word(n: int) -> tuple[int, ...]:
     return tuple(box_letter(b) for b in staircase_boxes(n))
 
 
+def staircase_product(n: int, elbows: Iterable[Box]) -> Window:
+    """The Demazure product of the letters on the staircase boxes not in
+    `elbows`, in reading order: the permutation of the pipe dream whose
+    crosses are those boxes.
+
+    >>> staircase_product(4, [(1, 1), (2, 1), (3, 1)])
+    (1, 4, 3, 2)
+    """
+    skip = set(elbows)
+    letters = [box_letter(b) for b in staircase_boxes(n) if b not in skip]
+    return demazure_fold(identity_window(n), letters)
+
+
 @dataclass(frozen=True, slots=True)
 class PipeDream:
     """A set of crossed staircase boxes for rank n."""
@@ -84,9 +90,7 @@ class PipeDream:
         return tuple(b for b in staircase_boxes(self.n) if b not in cross)
 
     def permutation(self) -> Permutation:
-        cross = set(self.crosses)
-        letters = [box_letter(b) for b in staircase_boxes(self.n) if b in cross]
-        return Permutation(demazure_window(letters, self.n))
+        return Permutation(staircase_product(self.n, self.elbows()))
 
     def to_jsonable(self) -> dict:
         return {"n": self.n, "crosses": [list(b) for b in self.crosses]}
@@ -94,18 +98,6 @@ class PipeDream:
     @classmethod
     def from_jsonable(cls, data) -> "PipeDream":
         return cls(data["n"], tuple((r, c) for r, c in data["crosses"]))
-
-
-def is_pipe_dream_for(P: PipeDream, w: Permutation) -> bool:
-    return P.n == w.n and P.permutation() == w
-
-
-def codimension(P: PipeDream, w: Permutation) -> int:
-    """Codimension of the face labeled by P inside the complex of w:
-    the number of crosses beyond l(w)."""
-    if not is_pipe_dream_for(P, w):
-        raise ValueError(f"{P} is not a pipe dream for {w}")
-    return P.size - w.length()
 
 
 def weight(P: PipeDream, vars: tuple[str, ...] | None = None) -> MultiPolynomial:
@@ -150,36 +142,26 @@ def enumerate_pipe_dreams(
             f"rank {n} exceeds search limit {limit_n}; raise limit_n to override"
         )
     boxes = staircase_boxes(n)
-    letters = [box_letter(b) for b in boxes]
+    letters = triangular_word(n)
     m = len(boxes)
     target = w.window
+    # The cross step's one-letter words and the prune's suffix words, built
+    # once so that a search node allocates neither.
+    steps = [(a,) for a in letters]
+    suffixes = [letters[i:] for i in range(m + 1)]
 
-    below: dict[Window, bool] = {}
-
-    def is_below(u: Window) -> bool:
-        v = below.get(u)
-        if v is None:
-            v = below[u] = bruhat_leq(u, target)
-        return v
-
-    reach: dict[tuple[Window, int], bool] = {}
-
-    def can_reach(u: Window, i: int) -> bool:
-        """Whether w is below the Demazure product of u with letters i..m."""
-        key = (u, i)
-        v = reach.get(key)
-        if v is None:
-            full = u
-            for a in letters[i:]:
-                full = demazure_step(full, a)
-            v = reach[key] = bruhat_leq(target, full)
-        return v
+    live: dict[tuple[Window, int], bool] = {}  # (u, i) -> passes both prunes
 
     found: list[tuple[Box, ...]] = []
     chosen: list[Box] = []
 
     def dfs(i: int, u: Window) -> None:
-        if not is_below(u) or not can_reach(u, i):
+        key = (u, i)
+        ok = live.get(key)
+        if ok is None:
+            ok = live[key] = (bruhat_leq(u, target)
+                              and bruhat_leq(target, demazure_fold(u, suffixes[i])))
+        if not ok:
             return
         if i == m:
             if u == target:
@@ -187,7 +169,7 @@ def enumerate_pipe_dreams(
             return
         dfs(i + 1, u)
         chosen.append(boxes[i])
-        dfs(i + 1, demazure_step(u, letters[i]))
+        dfs(i + 1, demazure_fold(u, steps[i]))
         chosen.pop()
 
     dfs(0, identity_window(n))

@@ -37,42 +37,27 @@ def inversions(window: Window) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if window[i] > window[j])
 
 
-def apply_s(window: Window, a: int) -> Window:
-    """Right multiplication by s_a (swap positions a, a+1; 1-indexed)."""
-    w = list(window)
-    w[a - 1], w[a] = w[a], w[a - 1]
+def demazure_fold(u: Window, letters: Iterable[int]) -> Window:
+    """u times the letters in order, each s_a applied only when it
+    lengthens: the one Demazure (0-Hecke) fold.  Letters are not
+    range-checked here; `demazure_window` checks words from outside.
+
+    >>> demazure_fold((1, 2, 3, 4), (3, 2, 3, 3))
+    (1, 4, 3, 2)
+    """
+    w = list(u)
+    for a in letters:
+        if w[a - 1] < w[a]:
+            w[a - 1], w[a] = w[a], w[a - 1]
     return tuple(w)
 
 
-def demazure_step(window: Window, a: int) -> Window:
-    """window * s_a if that lengthens, else window."""
-    if window[a - 1] < window[a]:
-        w = list(window)
-        w[a - 1], w[a] = w[a], w[a - 1]
-        return tuple(w)
-    return window
-
-
 def demazure_window(letters: Iterable[int], n: int) -> Window:
-    w = identity_window(n)
+    letters = tuple(letters)
     for a in letters:
         if not 1 <= a <= n - 1:
             raise ValueError(f"letter {a} out of range for rank {n}")
-        if w[a - 1] < w[a]:
-            lst = list(w)
-            lst[a - 1], lst[a] = lst[a], lst[a - 1]
-            w = tuple(lst)
-    return w
-
-
-def ordinary_product(letters: Iterable[int], n: int) -> Window:
-    """Plain group product of simple reflections, for reduced-word checks."""
-    w = identity_window(n)
-    for a in letters:
-        if not 1 <= a <= n - 1:
-            raise ValueError(f"letter {a} out of range for rank {n}")
-        w = apply_s(w, a)
-    return w
+    return demazure_fold(identity_window(n), letters)
 
 
 def bruhat_leq(u: Window, w: Window) -> bool:
@@ -195,13 +180,4 @@ def demazure_product(word: Iterable[int], n: int) -> Permutation:
 def is_reduced_word(word: Word, w: Permutation) -> bool:
     """True iff the word is a reduced decomposition of w."""
     return len(word) == w.length() and demazure_window(word, w.n) == w.window
-
-
-def word_contains(letters: Word, w: Permutation) -> bool:
-    """True iff some subsequence of `letters` is a reduced word for w.
-
-    Equivalent to the Demazure product of the whole word dominating w in
-    Bruhat order, which is how it is computed here.
-    """
-    return bruhat_leq(w.window, demazure_window(letters, w.n))
 

@@ -16,18 +16,35 @@ from pipedreams.perms import (
     Window,
     Word,
     catalan_permutation,
+    identity_window,
     inversions,
-    ordinary_product,
 )
 from pipedreams.poly import MultiPolynomial
 from pipedreams.polytopes import vertex_figure_point, vertex_figure_simplices
 from pipedreams.realization import box_edge
 
 
+def apply_s(window: Window, a: int) -> Window:
+    """Right multiplication by s_a (swap positions a, a+1; 1-indexed)."""
+    w = list(window)
+    w[a - 1], w[a] = w[a], w[a - 1]
+    return tuple(w)
+
+
+def ordinary_product(letters: Iterable[int], n: int) -> Window:
+    """Plain group product of simple reflections, for reduced-word checks."""
+    w = identity_window(n)
+    for a in letters:
+        if not 1 <= a <= n - 1:
+            raise ValueError(f"letter {a} out of range for rank {n}")
+        w = apply_s(w, a)
+    return w
+
+
 def word_contains_bruteforce(letters: Word, w: Permutation) -> bool:
-    """Oracle for `perms.word_contains`: scan all subsequences of the
-    target length for an ordinary product equal to w.  Exponential; only
-    for cross-checks at tiny rank."""
+    """Oracle for the face test of `complexes.is_face_of_pdc`: scan all
+    subsequences of the target length for an ordinary product equal to w.
+    Exponential; only for cross-checks at tiny rank."""
     l = w.length()
     if l > len(letters):
         return False

@@ -9,7 +9,6 @@ from pipedreams.dreams import (
     EnumerationLimitError,
     PipeDream,
     enumerate_pipe_dreams,
-    is_pipe_dream_for,
     reduced_pipe_dreams,
     staircase_boxes,
     triangular_word,
@@ -53,11 +52,11 @@ def test_permutation_of_examples():
 
 def test_pipe_dream_predicates():
     P = PipeDream(4, ((1, 3), (1, 2), (2, 2)))
-    assert is_pipe_dream_for(P, W1432) and P.size == W1432.length()
+    assert P.permutation() == W1432 and P.size == W1432.length()
     four = PipeDream(4, ((1, 3), (1, 2), (2, 2), (2, 1)))
-    assert is_pipe_dream_for(four, W1432) and four.size > W1432.length()
+    assert four.permutation() == W1432 and four.size > W1432.length()
     empty = PipeDream(4, ())
-    assert not is_pipe_dream_for(empty, W1432)
+    assert empty.permutation() != W1432
 
 
 def test_boxes_validated():
@@ -125,7 +124,7 @@ def test_minimal_dreams_are_the_reduced_ones():
         dreams = enumerate_pipe_dreams(w)
         min_size = min(P.size for P in dreams)
         assert min_size == w.length()
-        assert all(is_pipe_dream_for(P, w) for P in dreams)
+        assert all(P.permutation() == w for P in dreams)
 
 
 def test_sizes_are_length_plus_codim():
