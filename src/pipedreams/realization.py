@@ -217,10 +217,11 @@ def realize(n: int, limit_n: int = DEFAULT_LIMIT_N) -> RealizationMap:
     if len(set(vmap.values())) != len(boxes):
         raise RealizationError("vertex map is not injective")
 
-    dreams = reduced_pipe_dreams(pi, limit_n)
+    C = build_pdc(pi, limit_n)
     fmap = {
-        P: Simplex(n, tuple(vmap[b] for b in P.elbows()), with_origin=False)
-        for P in dreams
+        PipeDream(n, tuple(b for b in boxes if b not in facet)):
+            Simplex(n, tuple(vmap[b] for b in facet), with_origin=False)
+        for facet in C.facets
     }
 
     tri = triangulation_complex(n)
@@ -240,7 +241,6 @@ def realize(n: int, limit_n: int = DEFAULT_LIMIT_N) -> RealizationMap:
         if is_face_of_pdc(subset, pi):
             raise RealizationError(f"face mismatch at boxes {sorted(subset)}")
 
-    C = build_pdc(pi, limit_n)
     pd_boundary = {
         frozenset(vmap[b] for b in face) for face in C.boundary_faces()
     }
