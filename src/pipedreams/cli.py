@@ -25,7 +25,7 @@ from .polytopes import (
     canonical_triangulation,
     dissect,
     noncrossing_alternating_trees,
-    vertex_figure_simplices,
+    vertex_figure,
 )
 from .realization import realize, RealizationError
 from .report import VerifyResult, jsonable
@@ -200,8 +200,9 @@ def _cmd_trees(args) -> int:
 
 def _cmd_triangulate(args) -> int:
     report = RunReport("triangulate", {"n": args.n}, seed=args.seed)
-    report.results["simplices"] = [S.to_jsonable() for S in canonical_triangulation(args.n)]
-    report.results["vertex_figure"] = [S.to_jsonable() for S in vertex_figure_simplices(args.n)]
+    simplices = canonical_triangulation(args.n)
+    report.results["simplices"] = [S.to_jsonable() for S in simplices]
+    report.results["vertex_figure"] = [vertex_figure(S).to_jsonable() for S in simplices]
     if args.emit_svg:
         with open(args.emit_svg, "w") as fh:
             fh.write(render_vertex_figure(args.n))

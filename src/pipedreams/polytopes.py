@@ -426,14 +426,17 @@ def vertex_figure_point(n: int, i: int, j: int) -> Point:
     return tuple(c / (j - i) for c in root(n, i, j))
 
 
+def vertex_figure(S: Simplex) -> Simplex:
+    """Cut a simplex with origin by the level-1 hyperplane: each generator
+    g becomes g / level(g), so a tree edge (i, j) gives (e_i - e_j) / (j - i)."""
+    return Simplex(
+        S.n, tuple(tuple(c / level(S.n, g) for c in g) for g in S.generators), with_origin=False
+    )
+
+
 def vertex_figure_simplices(n: int) -> list[Simplex]:
-    """Cut each canonical simplex with the level-1 hyperplane: the tree
-    edge (i, j) contributes the vertex (e_i - e_j) / (j - i)."""
-    out = []
-    for T in noncrossing_alternating_trees(n):
-        pts = tuple(vertex_figure_point(n, i, j) for i, j in T.edges)
-        out.append(Simplex(n, pts, with_origin=False))
-    return out
+    """The vertex figure of each canonical simplex."""
+    return [vertex_figure(tree_simplex(T)) for T in noncrossing_alternating_trees(n)]
 
 
 def _generator_inverse(S: Simplex) -> Mat:
