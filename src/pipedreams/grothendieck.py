@@ -38,11 +38,12 @@ def double_beta_grothendieck(
     """
     vars = xy_beta_vars(w.n)
     l = w.length()
-    b = MultiPolynomial.variable("b", vars)
-    total = MultiPolynomial.zero(vars)
-    for P in enumerate_pipe_dreams(w, limit_n):
-        total = total + b ** (P.size - l) * weight(P, vars)
-    return total
+    # weight(P) has no b, so b^codim sets the last exponent of each term
+    return MultiPolynomial(vars, (
+        (exps[:-1] + (P.size - l,), c)
+        for P in enumerate_pipe_dreams(w, limit_n)
+        for exps, c in weight(P, vars).terms.items()
+    ))
 
 
 def double_grothendieck(
