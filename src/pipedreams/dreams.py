@@ -145,23 +145,32 @@ def enumerate_pipe_dreams(
     letters = triangular_word(n)
     m = len(boxes)
     target = w.window
-    # The cross step's one-letter words and the prune's suffix words, built
-    # once so that a search node allocates neither.
+    # one-letter words for the cross step, built once rather than per node
     steps = [(a,) for a in letters]
-    suffixes = [letters[i:] for i in range(m + 1)]
 
-    live: dict[tuple[Window, int], bool] = {}  # (u, i) -> passes both prunes
+    below: dict[Window, bool] = {}
+
+    def is_below(u: Window) -> bool:
+        v = below.get(u)
+        if v is None:
+            v = below[u] = bruhat_leq(u, target)
+        return v
+
+    reach: dict[tuple[Window, int], bool] = {}
+
+    def can_reach(u: Window, i: int) -> bool:
+        """Whether w is below the Demazure product of u with letters i..m."""
+        key = (u, i)
+        v = reach.get(key)
+        if v is None:
+            v = reach[key] = bruhat_leq(target, demazure_fold(u, letters[i:]))
+        return v
 
     found: list[tuple[Box, ...]] = []
     chosen: list[Box] = []
 
     def dfs(i: int, u: Window) -> None:
-        key = (u, i)
-        ok = live.get(key)
-        if ok is None:
-            ok = live[key] = (bruhat_leq(u, target)
-                              and bruhat_leq(target, demazure_fold(u, suffixes[i])))
-        if not ok:
+        if not is_below(u) or not can_reach(u, i):
             return
         if i == m:
             if u == target:
