@@ -419,7 +419,7 @@ def canonical_triangulation(n: int) -> list[Simplex]:
 def level(n: int, x: Point) -> Fraction:
     """The separating functional sum_k (n-k) x_k; every root e_i - e_j has
     level j - i >= 1 while the origin has level 0."""
-    return sum((n - k) * x[k - 1] for k in range(1, n + 1))
+    return sum((n - k) * c for k, c in enumerate(x, start=1) if c)
 
 
 def vertex_figure_point(n: int, i: int, j: int) -> Point:
@@ -429,9 +429,11 @@ def vertex_figure_point(n: int, i: int, j: int) -> Point:
 def vertex_figure(S: Simplex) -> Simplex:
     """Cut a simplex with origin by the level-1 hyperplane: each generator
     g becomes g / level(g), so a tree edge (i, j) gives (e_i - e_j) / (j - i)."""
-    return Simplex(
-        S.n, tuple(tuple(c / level(S.n, g) for c in g) for g in S.generators), with_origin=False
-    )
+    points = []
+    for g in S.generators:
+        t = level(S.n, g)
+        points.append(tuple(c / t for c in g))
+    return Simplex(S.n, tuple(points), with_origin=False)
 
 
 def vertex_figure_simplices(n: int) -> list[Simplex]:
