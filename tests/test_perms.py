@@ -95,21 +95,25 @@ def test_right_multiplication_changes_length_by_one():
                 assert abs(inversions(apply_s(window, a)) - l) == 1
 
 
+def reduced_word(window):
+    """A reduced word for the permutation, built greedily by first descents."""
+    word = []
+    cur = list(window)
+    while inversions(tuple(cur)) > 0:
+        a = next(i for i in range(1, len(cur)) if cur[i - 1] > cur[i])
+        cur[a - 1], cur[a] = cur[a], cur[a - 1]
+        word.append(a)
+    word.reverse()
+    return tuple(word)
+
+
 def test_bruhat_matches_subword_definition():
     # u <= w iff some subsequence of a reduced word for w is reduced for u
     for wwin in all_windows(3):
-        w = Permutation(wwin)
+        word = reduced_word(wwin)
         for uwin in all_windows(3):
             u = Permutation(uwin)
-            # build a reduced word for w greedily by first descents
-            word = []
-            cur = list(wwin)
-            while inversions(tuple(cur)) > 0:
-                a = next(i for i in range(1, 3) if cur[i - 1] > cur[i])
-                cur[a - 1], cur[a] = cur[a], cur[a - 1]
-                word.append(a)
-            word.reverse()
-            assert word_contains_bruteforce(tuple(word), u) == bruhat_leq(uwin, wwin)
+            assert word_contains_bruteforce(word, u) == bruhat_leq(uwin, wwin)
 
 
 def test_word_contains_agrees_with_bruteforce():
@@ -144,16 +148,9 @@ def test_demazure_is_longest_reduced_subword_product(case):
 def test_bruhat_leq_is_subword_containment(case):
     """u <= w iff a reduced word of w contains a reduced word of u."""
     uwin, wwin = (tuple(p) for p in case)
-    # a reduced word of w, read off by sorting w with adjacent swaps
-    word = []
-    cur = list(wwin)
-    while inversions(tuple(cur)) > 0:
-        a = next(i for i in range(1, len(cur)) if cur[i - 1] > cur[i])
-        cur[a - 1], cur[a] = cur[a], cur[a - 1]
-        word.append(a)
-    word.reverse()
-    assert demazure_window(word, len(wwin)) == wwin and len(word) == inversions(wwin)
-    assert bruhat_leq(uwin, wwin) == word_contains_bruteforce(tuple(word), Permutation(uwin))
+    word = reduced_word(wwin)
+    assert demazure_bruteforce(word, len(wwin)) == wwin and len(word) == inversions(wwin)
+    assert bruhat_leq(uwin, wwin) == word_contains_bruteforce(word, Permutation(uwin))
 
 
 def test_parse_and_serialize():
