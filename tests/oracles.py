@@ -7,8 +7,10 @@ this module.
 
 from __future__ import annotations
 
+import heapq
+from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from pipedreams.dreams import Box, PipeDream, staircase_boxes
 from pipedreams.perms import (
@@ -19,8 +21,9 @@ from pipedreams.perms import (
     identity_window,
     inversions,
 )
+from pipedreams.linalg import inverse, solve_unique
 from pipedreams.poly import MultiPolynomial
-from pipedreams.polytopes import vertex_figure_point, vertex_figure_simplices
+from pipedreams.polytopes import Point, Simplex, vertex_figure_point, vertex_figure_simplices
 from pipedreams.realization import box_edge
 
 
@@ -162,3 +165,67 @@ def face_scan_matches_triangulation(
             if is_face(subset, pi) != (mask != 0):
                 return False
     return True
+
+
+def prufer_decode_heap(seq: Sequence[int], n: int) -> tuple[tuple[int, int], ...]:
+    """Oracle for `polytopes._prufer_decode`: the tree of a Prufer sequence
+    on [n], joining each entry to the smallest remaining leaf kept in a
+    heap.  Returns the sorted edge tuple."""
+    degree = [1] * (n + 1)
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for v in list(seq) + [n]:
+        u = heapq.heappop(leaves)
+        edges.append((min(u, v), max(u, v)))
+        degree[v] -= 1
+        if degree[v] == 1 and v != n:
+            heapq.heappush(leaves, v)
+    return tuple(sorted(edges))
+
+
+def spanning_tree_edges_recursive(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Oracle for `polytopes.spanning_trees`: the edge tuple of every
+    labeled tree on [n], one per Prufer sequence, the sequences built
+    recursively in lexicographic order."""
+    if n == 1:
+        yield ()
+        return
+    if n == 2:
+        yield ((1, 2),)
+        return
+
+    def rec(prefix: list[int]):
+        if len(prefix) == n - 2:
+            yield prufer_decode_heap(prefix, n)
+            return
+        for v in range(1, n + 1):
+            prefix.append(v)
+            yield from rec(prefix)
+            prefix.pop()
+
+    yield from rec([])
+
+
+def intersect_simplices_fraction(S1: Simplex, S2: Simplex) -> frozenset[Point]:
+    """Oracle for `polytopes.intersect_tree_simplices`, in `Fraction`
+    arithmetic throughout: each full-dimensional simplex with origin is
+    c >= 0, sum(c) <= 1 for its coefficients c = M^-1 z over the first n-1
+    coordinates, and the intersection's vertices are the basic solutions
+    of the combined inequalities that satisfy all of them."""
+    ineqs = []
+    for S in (S1, S2):
+        M = tuple(tuple(g[r] for g in S.generators) for r in range(S.n - 1))
+        Minv = inverse(M)
+        ineqs += [(tuple(-v for v in row), Fraction(0)) for row in Minv]
+        ineqs.append((tuple(sum(col) for col in zip(*Minv)), Fraction(1)))
+    verts = set()
+    for subset in combinations(range(len(ineqs)), S1.n - 1):
+        z = solve_unique(tuple(ineqs[r][0] for r in subset), tuple(ineqs[r][1] for r in subset))
+        if z is None:
+            continue
+        if all(sum(a * x for a, x in zip(row, z)) <= rhs for row, rhs in ineqs):
+            verts.add(tuple(z) + (-sum(z),))
+    return frozenset(verts)

@@ -3,7 +3,8 @@ must print exactly what `tests/golden_cli.json` recorded.
 
 README examples are stored in full (stdout, exit code, and the bytes of
 any SVG they write); the reduce/dissect matrix over forests, strategies
-and output modes is stored as SHA-256 digests of stdout.  Regenerate with
+and output modes, and the larger geometry outputs, are stored as SHA-256
+digests of stdout.  Regenerate with
 `PYTHONPATH=src python tests/test_golden_cli.py`, and only at a commit
 whose outputs are known to be right.
 """
@@ -60,6 +61,18 @@ MATRIX = [
     for mode in MODES
 ]
 
+# Trees, triangulations and realizations at the largest n the tests afford:
+# they pin the order of the Prufer scan and every exact coordinate.
+GEOMETRY = [
+    ["trees", "--n", "6", "--json"],
+    ["trees", "--n", "7", "--json"],
+    ["triangulate", "--n", "5", "--json"],
+    ["triangulate", "--n", "6", "--json"],
+    ["realize", "--n", "5", "--json"],
+    ["verify", "realize", "--n", "6", "--json"],
+    ["verify", "bijection", "--n", "7", "--json"],
+]
+
 
 def run_cli(argv):
     """Exit code, stdout, and the bytes of the SVG written to the working
@@ -76,7 +89,7 @@ def digest(text):
 
 
 def record():
-    data = {"readme": [], "matrix": {}}
+    data = {"readme": [], "matrix": {}, "geometry": {}}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -89,6 +102,10 @@ def record():
                 code, out, _svg = run_cli(argv)
                 assert code == 0, argv
                 data["matrix"][" ".join(argv)] = digest(out)
+            for argv in GEOMETRY:
+                code, out, _svg = run_cli(argv)
+                assert code == 0, argv
+                data["geometry"][" ".join(argv)] = digest(out)
         finally:
             os.chdir(cwd)
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
@@ -118,6 +135,13 @@ def test_reduce_dissect_matrix_is_byte_identical():
         if code != 0 or digest(out) != expected[" ".join(argv)]:
             changed.append(" ".join(argv))
     assert not changed
+
+
+@pytest.mark.parametrize("argv", GEOMETRY, ids=" ".join)
+def test_geometry_output_is_byte_identical(argv):
+    code, out, _svg = run_cli(argv)
+    assert code == 0
+    assert digest(out) == golden()["geometry"][" ".join(argv)]
 
 
 if __name__ == "__main__":
