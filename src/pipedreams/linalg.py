@@ -13,10 +13,18 @@ from typing import Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
+IntVec = tuple[int, ...]
+IntMat = tuple[IntVec, ...]
 
 
-def matvec(A: Mat, x: Sequence[Fraction]) -> Vec:
+def matvec(A: Mat | IntMat, x: Sequence) -> tuple:
     return tuple(sum(a * b for a, b in zip(row, x)) for row in A)
+
+
+def clear_denominators(x: Sequence[Fraction]) -> tuple[IntVec, int]:
+    """Integer numerators p and the least q > 0 with x = p / q."""
+    q = lcm(*(v.denominator for v in x))
+    return tuple(v.numerator * (q // v.denominator) for v in x), q
 
 
 def _eliminate(rows: Sequence[Sequence], k: int) -> Optional[tuple[list[list[int]], int, int]]:

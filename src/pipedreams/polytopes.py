@@ -12,17 +12,18 @@ sum_k (n-k) x_k = 1, which every root meets at positive integer level.
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import lcm
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .linalg import Mat, Vec, det_int, inverse, matvec, solve_in_span, solve_unique
-from .subdivision import Edge, EdgeMonomial, ReductionNode, Strategy, Triple
-from .subdivision import reducible_triples, reduction_tree
+from .linalg import IntMat, IntVec, Vec, clear_denominators, det_int, inverse, matvec
+from .linalg import solve_in_span, solve_unique
+from .subdivision import Edge, EdgeMonomial, ReductionNode, Strategy, Triple, reduction_tree
 
 Point = Vec
 
@@ -60,7 +61,8 @@ class AcyclicGraph:
         return cls(n, tuple((i, i + 1) for i in range(1, n)))
 
     def is_alternating(self) -> bool:
-        return not reducible_triples(self.edges)
+        """No reducible pair (i, j), (j, k): no vertex ends one edge and starts another."""
+        return {j for _, j in self.edges}.isdisjoint(i for i, _ in self.edges)
 
     def is_noncrossing(self) -> bool:
         for (i, k), (j, l) in combinations(self.edges, 2):
@@ -266,41 +268,32 @@ def dissect(G: AcyclicGraph, strategy: Strategy | None = None) -> Dissection:
 # -- noncrossing alternating trees and the canonical triangulation ---------
 
 def _prufer_decode(seq: Sequence[int], n: int) -> tuple[Edge, ...]:
+    """The tree on [n], n >= 2, of a Prufer sequence: each entry joins the
+    smallest leaf left.  `ptr` only moves up; a new leaf below it is next."""
     degree = [1] * (n + 1)
     for v in seq:
         degree[v] += 1
+    leaf = ptr = degree.index(1, 1)
     edges = []
-    pool = list(seq) + [n]
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for v in pool:
-        u = heapq.heappop(leaves)
-        edges.append((min(u, v), max(u, v)))
+    for v in seq:
+        edges.append((leaf, v) if leaf < v else (v, leaf))
         degree[v] -= 1
-        if degree[v] == 1 and v != n:
-            heapq.heappush(leaves, v)
+        if degree[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            leaf = ptr = degree.index(1, ptr + 1)
+    edges.append((leaf, n))
     return tuple(sorted(edges))
 
 
 def spanning_trees(n: int) -> Iterator[AcyclicGraph]:
-    """All labeled spanning trees of K_n via Prufer sequences."""
+    """All labeled spanning trees of K_n, one per Prufer sequence, the
+    sequences in lexicographic order."""
     if n == 1:
         yield AcyclicGraph(1, ())
         return
-    if n == 2:
-        yield AcyclicGraph(2, ((1, 2),))
-        return
-
-    def rec(prefix: list[int]):
-        if len(prefix) == n - 2:
-            yield AcyclicGraph(n, _prufer_decode(prefix, n))
-            return
-        for v in range(1, n + 1):
-            prefix.append(v)
-            yield from rec(prefix)
-            prefix.pop()
-
-    yield from rec([])
+    for seq in product(range(1, n + 1), repeat=n - 2):
+        yield AcyclicGraph(n, _prufer_decode(seq, n))
 
 
 def noncrossing_alternating_trees(n: int) -> tuple[AcyclicGraph, ...]:
@@ -320,18 +313,18 @@ def noncrossing_alternating_trees(n: int) -> tuple[AcyclicGraph, ...]:
 OUTSIDE, BOUNDARY, INTERIOR = 0, 1, 2
 
 
-def location(c: Optional[Vec], with_origin: bool = True) -> int:
-    """Where a point lies in a simplex, from its coefficients c over the
-    generators (None: outside their span).  With the origin as a vertex the
-    simplex is c >= 0, sum(c) <= 1; without it, c >= 0, sum(c) == 1.
+def location(c: Optional[Sequence], scale: int = 1, with_origin: bool = True) -> int:
+    """Where a point lies in a simplex, from its coefficients c / scale > 0
+    over the generators (None: outside their span).  With the origin as a
+    vertex it is c >= 0, sum(c) <= scale; without it, c >= 0, sum(c) == scale.
     Returns at the first negative coefficient, before summing."""
     if c is None or any(v < 0 for v in c):
         return OUTSIDE
     total = sum(c)
-    if total > 1 or (total < 1 and not with_origin):
+    if total > scale or (total < scale and not with_origin):
         return OUTSIDE
-    # Without the origin, sum(c) == 1 is an equation, never strict.
-    return INTERIOR if all(c) and (total < 1 or not with_origin) else BOUNDARY
+    # Without the origin, sum(c) == scale is an equation, never strict.
+    return INTERIOR if all(c) and (total < scale or not with_origin) else BOUNDARY
 
 
 @dataclass(frozen=True, slots=True)
@@ -364,11 +357,11 @@ class Simplex:
         return solve_in_span(self.generators, x)
 
     def contains(self, x: Point) -> bool:
-        return location(self.barycentric(x), self.with_origin) != OUTSIDE
+        return location(self.barycentric(x), with_origin=self.with_origin) != OUTSIDE
 
     def contains_interior(self, x: Point) -> bool:
         """Strict interior relative to the simplex's own dimension."""
-        return location(self.barycentric(x), self.with_origin) == INTERIOR
+        return location(self.barycentric(x), with_origin=self.with_origin) == INTERIOR
 
     def to_jsonable(self) -> dict:
         return {
@@ -441,40 +434,42 @@ def vertex_figure_simplices(n: int) -> list[Simplex]:
     return [vertex_figure(tree_simplex(T)) for T in noncrossing_alternating_trees(n)]
 
 
-def _generator_inverse(S: Simplex) -> Mat:
-    """Inverse of the matrix whose columns are the generators restricted
-    to their first n-1 coordinates, for a full-dimensional simplex with
-    origin: it maps a point to its coefficients over the generators."""
+def _generator_inverse(S: Simplex) -> tuple[IntMat, int]:
+    """(N, d), d > 0, with N / d the inverse of the matrix whose columns are
+    the generators' first n-1 coordinates, for a full-dimensional simplex
+    with origin: it maps a point to its coefficients.  d = 1 if unimodular."""
     if not S.with_origin or len(S.generators) != S.n - 1:
         raise ValueError("needs a full-dimensional simplex with origin")
     M = tuple(tuple(g[r] for g in S.generators) for r in range(S.n - 1))
     Minv = inverse(M)
     if Minv is None:
         raise ValueError("generators are linearly dependent")
-    return Minv
+    d = lcm(*(v.denominator for row in Minv for v in row))
+    return tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in Minv), d
 
 
 def barycentric_solver(S: Simplex):
-    """For a full-dimensional simplex with origin, precompute the inverse
-    generator matrix and return a fast exact coefficient map, for bulk
-    point-location."""
-    Minv = _generator_inverse(S)
+    """For a full-dimensional simplex with origin, precompute the integer
+    inverse generator matrix and return an exact coefficient map for bulk
+    point-location: integer p and q > 0 give the coefficients of p / q as
+    (c, scale), with integer c."""
+    N, d = _generator_inverse(S)
 
-    def coefficients(x: Point) -> Vec:
-        return matvec(Minv, x[:-1])
+    def coefficients(p: IntVec, q: int) -> tuple[IntVec, int]:
+        return matvec(N, p[:-1]), d * q
 
     return coefficients
 
 
 # -- exact intersection of two full-dimensional tree simplices -------------
 
-def _halfspaces(S: Simplex) -> list[tuple[Vec, Fraction]]:
-    """Inequalities a.z <= b in the first n-1 coordinates describing a
-    full-dimensional simplex with origin: every coefficient is
-    nonnegative and their sum is at most 1."""
-    Minv = _generator_inverse(S)
-    ineqs: list[tuple[Vec, Fraction]] = [(tuple(-v for v in row), Fraction(0)) for row in Minv]
-    ineqs.append((tuple(sum(col) for col in zip(*Minv)), Fraction(1)))
+def _halfspaces(S: Simplex) -> list[tuple[IntVec, int]]:
+    """Integer inequalities a.z <= b in the first n-1 coordinates
+    describing a full-dimensional simplex with origin: every coefficient
+    N_r.z / d is nonnegative and their sum is at most 1."""
+    N, d = _generator_inverse(S)
+    ineqs = [(tuple(-v for v in row), 0) for row in N]
+    ineqs.append((tuple(map(sum, zip(*N))), d))
     return ineqs
 
 
@@ -484,17 +479,15 @@ def intersect_tree_simplices(S1: Simplex, S2: Simplex) -> frozenset[Point]:
     halfspace description.  Desk-scale only."""
     if S1.n != S2.n:
         raise ValueError("ambient mismatch")
-    d = S1.n - 1
     ineqs = _halfspaces(S1) + _halfspaces(S2)
     verts = set()
-    for subset in combinations(range(len(ineqs)), d):
-        A = tuple(ineqs[r][0] for r in subset)
-        b = tuple(ineqs[r][1] for r in subset)
-        z = solve_unique(A, b)
+    for subset in combinations(ineqs, S1.n - 1):
+        z = solve_unique(tuple(a for a, _ in subset), tuple(b for _, b in subset))
         if z is None:
             continue
-        if all(sum(a * x for a, x in zip(row, z)) <= rhs for row, rhs in ineqs):
-            verts.add(tuple(z) + (-sum(z),))
+        p, q = clear_denominators(z)
+        if all(sum(map(mul, a, p)) <= b * q for a, b in ineqs):
+            verts.add(z + (-sum(z),))
     return frozenset(verts)
 
 

@@ -19,6 +19,7 @@ from .grothendieck import (
     specialize_qt,
     verify_groth_h,
 )
+from .linalg import clear_denominators
 from .perms import Permutation, all_windows, catalan_permutation
 from .poly import MultiPolynomial, poly_diff
 from .polytopes import (
@@ -254,13 +255,13 @@ def sample_polytope_point(n: int, rng: random.Random):
     """Random rational convex combination of the path root polytope's
     vertices with full support."""
     vertices = sorted(root_polytope_vertices(AcyclicGraph.path(n)))
-    weights = [Fraction(rng.randint(1, 1000)) for _ in vertices]
-    total = sum(weights)
-    point = [Fraction(0)] * n
+    weights = [rng.randint(1, 1000) for _ in vertices]
+    point = [0] * n
     for wgt, v in zip(weights, vertices):
         for i, c in enumerate(v):
-            point[i] += wgt * c
-    return tuple(c / total for c in point)
+            point[i] += wgt * c.numerator  # vertex coordinates are integers
+    total = sum(weights)
+    return tuple(Fraction(c, total) for c in point)
 
 
 def check_point_location(n: int, seed: int = 0, samples: int = 1000) -> VerifyResult:
@@ -272,10 +273,11 @@ def check_point_location(n: int, seed: int = 0, samples: int = 1000) -> VerifyRe
     solvers = [barycentric_solver(S) for S in simplices]
     for k in range(samples):
         x = sample_polytope_point(n, rng)
+        p, q = clear_denominators(x)
         hits = 0
         interior = 0
         for solve in solvers:
-            where = location(solve(x))
+            where = location(*solve(p, q))
             if where != OUTSIDE:
                 hits += 1
                 if where == INTERIOR:

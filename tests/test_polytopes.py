@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from pipedreams.linalg import clear_denominators
 from pipedreams.polytopes import (
     AcyclicGraph,
     Simplex,
@@ -278,9 +279,10 @@ def test_barycentric_solver_matches_simplex():
         for _ in range(10):
             x = tuple(F(rng.randint(-2, 2)) / rng.randint(1, 3) for _ in range(4))
             x = x[:-1] + (-sum(x[:-1]),)  # land on the sum-zero hyperplane
-            c = solve(x)
+            p, q = clear_denominators(x)
+            c, scale = solve(p, q)
             direct = S.barycentric(x)
-            assert direct == tuple(c)
+            assert direct == tuple(Fraction(v, scale) for v in c)
 
 
 def test_intersections_match_common_forest_all_pairs_n4():
