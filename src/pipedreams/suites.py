@@ -256,11 +256,11 @@ def sample_polytope_point(n: int, rng: random.Random):
     vertices with full support."""
     vertices = sorted(root_polytope_vertices(AcyclicGraph.path(n)))
     weights = [rng.randint(1, 1000) for _ in vertices]
+    total = sum(weights)
     point = [0] * n
     for wgt, v in zip(weights, vertices):
         for i, c in enumerate(v):
             point[i] += wgt * c.numerator  # vertex coordinates are integers
-    total = sum(weights)
     return tuple(Fraction(c, total) for c in point)
 
 

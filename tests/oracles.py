@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from pipedreams.dreams import Box, PipeDream, staircase_boxes
+from pipedreams.linalg import inverse, solve_unique
 from pipedreams.perms import (
     Permutation,
     Window,
@@ -21,7 +22,6 @@ from pipedreams.perms import (
     identity_window,
     inversions,
 )
-from pipedreams.linalg import inverse, solve_unique
 from pipedreams.poly import MultiPolynomial
 from pipedreams.polytopes import Point, Simplex, vertex_figure_point, vertex_figure_simplices
 from pipedreams.realization import box_edge
