@@ -12,12 +12,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .complexes import build_pdc, f_vector, h_polynomial, interior_faces
-from .dreams import (
-    DEFAULT_LIMIT_N,
-    EnumerationLimitError,
-    dreams_to_jsonable,
-    enumerate_pipe_dreams,
-)
+from .dreams import DEFAULT_LIMIT_N, LIMIT_N, dreams_to_jsonable, enumerate_pipe_dreams
 from .grothendieck import double_grothendieck, groth_beta, specialize_qt
 from .perms import parse_permutation
 from .polytopes import (
@@ -111,13 +106,13 @@ def _cmd_groth(args) -> int:
     w = parse_permutation(args.permutation)
     report = RunReport("groth", {"w": str(w)}, seed=args.seed)
     if args.double:
-        poly = double_grothendieck(w, args.limit_n)
+        poly = double_grothendieck(w)
         key = "double"
     elif args.qt:
-        poly = specialize_qt(w, args.limit_n)
+        poly = specialize_qt(w)
         key = "qt"
     else:
-        poly = groth_beta(w, args.limit_n)
+        poly = groth_beta(w)
         key = "beta"
     report.results[key] = poly.to_jsonable() if args.json else str(poly)
     _emit(report, args.json)
@@ -126,7 +121,7 @@ def _cmd_groth(args) -> int:
 
 def _cmd_pdc(args) -> int:
     w = parse_permutation(args.permutation)
-    C = build_pdc(w, args.limit_n)
+    C = build_pdc(w)
     report = RunReport("pdc", {"w": str(w)}, seed=args.seed)
     report.results["vertices"] = len(C.vertices)
     report.results["facets"] = len(C.facets)
@@ -143,9 +138,7 @@ def _cmd_pdc(args) -> int:
             for face, codim in interior_faces(C, w)
         ]
     if args.dreams:
-        report.results["dreams"] = dreams_to_jsonable(
-            enumerate_pipe_dreams(w, args.limit_n)
-        )
+        report.results["dreams"] = dreams_to_jsonable(enumerate_pipe_dreams(w))
     _emit(report, args.json)
     return 0
 
@@ -214,7 +207,7 @@ def _cmd_triangulate(args) -> int:
 def _cmd_realize(args) -> int:
     report = RunReport("realize", {"n": args.n}, seed=args.seed)
     try:
-        rm = realize(args.n, args.limit_n)
+        rm = realize(args.n)
     except RealizationError as exc:
         report.checks.append(VerifyResult(f"realize:{args.n}", False, {"reason": str(exc)}))
         _emit(report, args.json)
@@ -238,7 +231,7 @@ def _cmd_verify(args) -> int:
     n = args.n or (w.n if w else 4)
     report = RunReport("verify", {"suite": args.suite, "n": n, "w": str(w) if w else None},
                        seed=args.seed)
-    report.checks = suite(args.suite, n, w, args.seed, args.limit_n)
+    report.checks = suite(args.suite, n, w, args.seed)
     _emit(report, args.json)
     return 0 if report.all_ok() else 1
 
@@ -324,11 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    token = LIMIT_N.set(args.limit_n)
     try:
         return args.func(args)
-    except (ValueError, EnumerationLimitError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        LIMIT_N.reset(token)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable
 
-from .dreams import DEFAULT_LIMIT_N, Box, reduced_pipe_dreams, staircase_product
+from .dreams import Box, reduced_pipe_dreams, staircase_product
 from .perms import Permutation, bruhat_leq
 from .poly import MultiPolynomial
 
@@ -136,7 +136,7 @@ def h_polynomial(C: SimplicialComplex) -> MultiPolynomial:
     return MultiPolynomial(("x",), {(i,): c for i, c in enumerate(h) if c})
 
 
-def build_pdc(w: Permutation, limit_n: int = DEFAULT_LIMIT_N) -> SimplicialComplex:
+def build_pdc(w: Permutation) -> SimplicialComplex:
     """The pipe dream complex of w: facets are the elbow sets of the
     reduced pipe dreams.
 
@@ -144,7 +144,7 @@ def build_pdc(w: Permutation, limit_n: int = DEFAULT_LIMIT_N) -> SimplicialCompl
     >>> len(C.vertices), len(C.facets)
     (6, 5)
     """
-    facets = [frozenset(P.elbows()) for P in reduced_pipe_dreams(w, limit_n)]
+    facets = [frozenset(P.elbows()) for P in reduced_pipe_dreams(w)]
     return SimplicialComplex(facets)
 
 
@@ -173,7 +173,4 @@ def interior_faces(
 def h_from_interior(C: SimplicialComplex, w: Permutation) -> MultiPolynomial:
     """Interior-face form of the h-polynomial: sum of b^codim over interior
     faces, which equals h(C, b+1) for a ball."""
-    terms: dict[tuple[int, ...], int] = {}
-    for _face, codim in interior_faces(C, w):
-        terms[(codim,)] = terms.get((codim,), 0) + 1
-    return MultiPolynomial(("b",), terms)
+    return MultiPolynomial(("b",), (((codim,), 1) for _face, codim in interior_faces(C, w)))

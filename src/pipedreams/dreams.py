@@ -12,6 +12,7 @@ product of the letters at the crosses, taken in reading order.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,8 +22,10 @@ from .poly import MultiPolynomial
 Box = tuple[int, int]
 
 # Pruned DFS over the staircase is fast at desk scale but still exponential
-# in principle; refuse ranks past this unless the caller raises the limit.
+# in principle; refuse ranks past the limit.  `cli.main` sets it from
+# `--limit-n`; a library caller sets it with `LIMIT_N.set(n)`.
 DEFAULT_LIMIT_N = 9
+LIMIT_N: ContextVar[int] = ContextVar("LIMIT_N", default=DEFAULT_LIMIT_N)
 
 
 class EnumerationLimitError(ValueError):
@@ -122,9 +125,7 @@ def xy_beta_vars(n: int) -> tuple[str, ...]:
     )
 
 
-def enumerate_pipe_dreams(
-    w: Permutation, limit_n: int = DEFAULT_LIMIT_N
-) -> list[PipeDream]:
+def enumerate_pipe_dreams(w: Permutation) -> list[PipeDream]:
     """Every cross set whose Demazure product is w, reduced and nonreduced,
     sorted by (size, cross list).
 
@@ -137,9 +138,10 @@ def enumerate_pipe_dreams(
     [3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 5]
     """
     n = w.n
-    if n > limit_n:
+    limit = LIMIT_N.get()
+    if n > limit:
         raise EnumerationLimitError(
-            f"rank {n} exceeds search limit {limit_n}; raise limit_n to override"
+            f"rank {n} exceeds search limit {limit}; raise --limit-n to override"
         )
     boxes = staircase_boxes(n)
     letters = triangular_word(n)
@@ -187,11 +189,9 @@ def enumerate_pipe_dreams(
     return dreams
 
 
-def reduced_pipe_dreams(
-    w: Permutation, limit_n: int = DEFAULT_LIMIT_N
-) -> list[PipeDream]:
+def reduced_pipe_dreams(w: Permutation) -> list[PipeDream]:
     l = w.length()
-    return [P for P in enumerate_pipe_dreams(w, limit_n) if P.size == l]
+    return [P for P in enumerate_pipe_dreams(w) if P.size == l]
 
 
 def dreams_to_jsonable(dreams: Iterable[PipeDream]) -> list[dict]:

@@ -15,12 +15,7 @@ polynomials, never sampled values.
 from __future__ import annotations
 
 from .complexes import build_pdc, h_polynomial
-from .dreams import (
-    DEFAULT_LIMIT_N,
-    enumerate_pipe_dreams,
-    weight,
-    xy_beta_vars,
-)
+from .dreams import enumerate_pipe_dreams, weight, xy_beta_vars
 from .perms import Permutation
 from .poly import MultiPolynomial, poly_diff
 from .report import VerifyResult
@@ -28,9 +23,7 @@ from .report import VerifyResult
 QT_VARS = ("q", "t", "b")
 
 
-def double_beta_grothendieck(
-    w: Permutation, limit_n: int = DEFAULT_LIMIT_N
-) -> MultiPolynomial:
+def double_beta_grothendieck(w: Permutation) -> MultiPolynomial:
     """Sum over Pipes(w) of b^codim * product of (x_i - y_j) over crosses.
 
     >>> print(double_beta_grothendieck(Permutation((2, 1))))
@@ -41,35 +34,29 @@ def double_beta_grothendieck(
     # weight(P) has no b, so b^codim sets the last exponent of each term
     return MultiPolynomial(vars, (
         (exps[:-1] + (P.size - l,), c)
-        for P in enumerate_pipe_dreams(w, limit_n)
+        for P in enumerate_pipe_dreams(w)
         for exps, c in weight(P, vars).terms.items()
     ))
 
 
-def double_grothendieck(
-    w: Permutation, limit_n: int = DEFAULT_LIMIT_N
-) -> MultiPolynomial:
+def double_grothendieck(w: Permutation) -> MultiPolynomial:
     """The b = -1 specialization, over the x, y variables only."""
     vars = xy_beta_vars(w.n)
     target = vars[:-1]
-    return double_beta_grothendieck(w, limit_n).substitute({"b": -1}, target)
+    return double_beta_grothendieck(w).substitute({"b": -1}, target)
 
 
-def specialize_qt(w: Permutation, limit_n: int = DEFAULT_LIMIT_N) -> MultiPolynomial:
-    """All x set to q, all y set to t:
-    (q-t)^l(w) * sum over Pipes(w) of [b(q-t)]^codim, expanded."""
+def specialize_qt(w: Permutation) -> MultiPolynomial:
+    """All x set to q, all y set to t: every weight collapses to
+    (q-t)^size, so this is (q-t)^l(w) * groth_beta(w) at b -> b(q-t)."""
     q = MultiPolynomial.variable("q", QT_VARS)
     t = MultiPolynomial.variable("t", QT_VARS)
     b = MultiPolynomial.variable("b", QT_VARS)
     qt = q - t
-    l = w.length()
-    total = MultiPolynomial.zero(QT_VARS)
-    for P in enumerate_pipe_dreams(w, limit_n):
-        total = total + (b * qt) ** (P.size - l)
-    return qt**l * total
+    return qt ** w.length() * groth_beta(w).substitute({"b": b * qt}, QT_VARS)
 
 
-def groth_beta(w: Permutation, limit_n: int = DEFAULT_LIMIT_N) -> MultiPolynomial:
+def groth_beta(w: Permutation) -> MultiPolynomial:
     """x = 1, y = 0 specialization: the codimension generating function
     sum over Pipes(w) of b^codim.
 
@@ -77,21 +64,17 @@ def groth_beta(w: Permutation, limit_n: int = DEFAULT_LIMIT_N) -> MultiPolynomia
     b^2 + 5*b + 5
     """
     l = w.length()
-    terms: dict[tuple[int, ...], int] = {}
-    for P in enumerate_pipe_dreams(w, limit_n):
-        key = (P.size - l,)
-        terms[key] = terms.get(key, 0) + 1
-    return MultiPolynomial(("b",), terms)
+    return MultiPolynomial(("b",), (((P.size - l,), 1) for P in enumerate_pipe_dreams(w)))
 
 
-def shifted_groth_beta(w: Permutation, limit_n: int = DEFAULT_LIMIT_N) -> MultiPolynomial:
+def shifted_groth_beta(w: Permutation) -> MultiPolynomial:
     """groth_beta with b -> b - 1 applied; equals the h-polynomial of the
     pipe dream complex in the variable b."""
     b = MultiPolynomial.variable("b", ("b",))
-    return groth_beta(w, limit_n).substitute({"b": b - 1}, ("b",))
+    return groth_beta(w).substitute({"b": b - 1}, ("b",))
 
 
-def verify_groth_h(w: Permutation, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
+def verify_groth_h(w: Permutation) -> VerifyResult:
     """Check that substituting b -> b-1, x_i -> q, y_j -> q-1 into the
     expanded double beta-Grothendieck polynomial is q-free and equals the
     h-polynomial of the pipe dream complex of w."""
@@ -103,13 +86,13 @@ def verify_groth_h(w: Permutation, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResu
     images: dict[str, MultiPolynomial] = {"b": b - 1}
     for v in vars[:-1]:
         images[v] = q if v.startswith("x") else q - 1
-    substituted = double_beta_grothendieck(w, limit_n).substitute(images, target)
+    substituted = double_beta_grothendieck(w).substitute(images, target)
     if substituted.depends_on("q"):
         return VerifyResult(name, False, {"reason": "q survives", "poly": str(substituted)})
     collapsed = MultiPolynomial(
         ("b",), {(e[1],): c for e, c in substituted.terms.items()}
     )
-    h = h_polynomial(build_pdc(w, limit_n)).rename({"x": "b"})
+    h = h_polynomial(build_pdc(w)).rename({"x": "b"})
     if collapsed != h:
         return VerifyResult(
             name, False, {"reason": "mismatch", "diff": poly_diff(collapsed, h)}

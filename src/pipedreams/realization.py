@@ -21,7 +21,7 @@ from .complexes import (
     interior_faces,
     is_face_of_pdc,
 )
-from .dreams import DEFAULT_LIMIT_N, Box, PipeDream, reduced_pipe_dreams, staircase_boxes
+from .dreams import Box, PipeDream, reduced_pipe_dreams, staircase_boxes
 from .perms import catalan_permutation
 from .polytopes import (
     AcyclicGraph,
@@ -77,12 +77,12 @@ def tree_of_pipedream(P: PipeDream) -> AcyclicGraph:
     return AcyclicGraph(n, tuple(box_edge(b, n) for b in P.elbows()))
 
 
-def verify_bijection(n: int, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
+def verify_bijection(n: int) -> VerifyResult:
     """tree_of_pipedream is injective on reduced pipe dreams of
     1 n n-1 ... 2 and its image is exactly the noncrossing alternating
     spanning trees; both sets have Catalan(n-1) elements."""
     name = f"bijection:{n}"
-    dreams = reduced_pipe_dreams(catalan_permutation(n), limit_n)
+    dreams = reduced_pipe_dreams(catalan_permutation(n))
     images = [tree_of_pipedream(P) for P in dreams]
     image_set = {T.edges for T in images}
     trees = {T.edges for T in noncrossing_alternating_trees(n)}
@@ -104,14 +104,14 @@ def verify_bijection(n: int, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
     return VerifyResult(name, True, details)
 
 
-def verify_face_map(n: int, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
+def verify_face_map(n: int) -> VerifyResult:
     """Interior faces of the complex map onto the nonempty common edge
     sets of the trees: every interior face's cross set is the union of the
     facet cross sets above it, its elbow image is the matching trees'
     common edge set, and the correspondence is a poset isomorphism."""
     name = f"face-map:{n}"
     pi = catalan_permutation(n)
-    C = build_pdc(pi, limit_n)
+    C = build_pdc(pi)
     boxes = staircase_boxes(n)
     facet_tree: dict[frozenset, frozenset] = {}
     for facet in C.facets:
@@ -195,7 +195,7 @@ class RealizationMap:
         }
 
 
-def realize(n: int, limit_n: int = DEFAULT_LIMIT_N) -> RealizationMap:
+def realize(n: int) -> RealizationMap:
     """Build the realization and check it: facet images coincide with the
     vertex-figure simplices, a box set is a face of the complex exactly
     when its image spans a face of the triangulation (tested on the
@@ -212,7 +212,7 @@ def realize(n: int, limit_n: int = DEFAULT_LIMIT_N) -> RealizationMap:
     if len(set(vmap.values())) != len(boxes):
         raise RealizationError("vertex map is not injective")
 
-    C = build_pdc(pi, limit_n)
+    C = build_pdc(pi)
     fmap = {
         PipeDream(n, tuple(b for b in boxes if b not in facet)):
             Simplex(n, tuple(vmap[b] for b in facet), with_origin=False)
@@ -245,20 +245,20 @@ def realize(n: int, limit_n: int = DEFAULT_LIMIT_N) -> RealizationMap:
     return RealizationMap(n, vmap, fmap)
 
 
-def verify_realization(n: int, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
+def verify_realization(n: int) -> VerifyResult:
     name = f"realize:{n}"
     try:
-        rm = realize(n, limit_n)
+        rm = realize(n)
     except RealizationError as exc:
         return VerifyResult(name, False, {"reason": str(exc)})
     return VerifyResult(name, True, {"boxes": len(rm.vertex_map), "facets": len(rm.facet_map)})
 
 
-def narayana_check(n: int, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
+def narayana_check(n: int) -> VerifyResult:
     """The h-vector of the complex of 1 n n-1 ... 2 is the Narayana row
     N(n-1, 1), ..., N(n-1, n-1), by the independent binomial formula."""
     name = f"narayana:{n}"
-    h = h_polynomial(build_pdc(catalan_permutation(n), limit_n)).coefficient_vector()
+    h = h_polynomial(build_pdc(catalan_permutation(n))).coefficient_vector()
     expected = tuple(narayana_number(n - 1, k) for k in range(1, n))
     if h != expected:
         return VerifyResult(name, False, {"h": list(h), "narayana": list(expected)})

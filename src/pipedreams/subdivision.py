@@ -21,7 +21,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .dreams import DEFAULT_LIMIT_N
 from .poly import MultiPolynomial
 from .report import VerifyResult
 
@@ -194,10 +193,7 @@ class ReducedForm:
 
     def beta_specialization(self) -> MultiPolynomial:
         """Set every x_ij to 1, leaving a polynomial in b."""
-        terms: dict[tuple[int, ...], int] = {}
-        for m in self.monomials:
-            terms[(m.beta,)] = terms.get((m.beta,), 0) + m.coeff
-        return MultiPolynomial(("b",), terms)
+        return MultiPolynomial(("b",), (((m.beta,), m.coeff) for m in self.monomials))
 
     def to_polynomial(self) -> MultiPolynomial:
         """Expand over named variables x_ij and b."""
@@ -373,7 +369,7 @@ def path_edges(n: int) -> tuple[Edge, ...]:
     return tuple((i, i + 1) for i in range(1, n))
 
 
-def verify_kirillov(n: int, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
+def verify_kirillov(n: int) -> VerifyResult:
     """Q_{P_n}(b) computed by rewriting equals the x=1, y=0 Grothendieck
     polynomial of 1 n n-1 ... 2 computed by pipe dream enumeration."""
     from .grothendieck import groth_beta
@@ -381,7 +377,7 @@ def verify_kirillov(n: int, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
     from .poly import poly_diff
 
     lhs = q_polynomial(n, path_edges(n))
-    rhs = groth_beta(catalan_permutation(n), limit_n)
+    rhs = groth_beta(catalan_permutation(n))
     if lhs != rhs:
         return VerifyResult(
             f"kirillov:{n}", False, {"diff": poly_diff(lhs, rhs)}

@@ -10,10 +10,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from operator import mul
+from typing import Callable
 
 from .complexes import build_pdc, h_from_interior, h_polynomial
-from .dreams import DEFAULT_LIMIT_N, reduced_pipe_dreams
+from .dreams import reduced_pipe_dreams
 from .grothendieck import (
+    QT_VARS,
     double_beta_grothendieck,
     shifted_groth_beta,
     specialize_qt,
@@ -64,83 +67,77 @@ from .subdivision import (
 )
 
 
-def check_groth_h_rank(n: int, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
+def _each_permutation(name: str, n: int,
+                      failure: Callable[[Permutation], dict | None]) -> VerifyResult:
+    """Fail with {"w": w, **details} at the first permutation w of rank n
+    for which `failure(w)` returns details, else pass."""
+    for window in all_windows(n):
+        w = Permutation(window)
+        details = failure(w)
+        if details is not None:
+            return VerifyResult(name, False, {"w": str(w), **details})
+    return VerifyResult(name, True, {"permutations": factorial(n)})
+
+
+def check_groth_h_rank(n: int) -> VerifyResult:
     """The shifted q, q-1 substitution equals the h-polynomial for
     every permutation of rank n."""
-    for window in all_windows(n):
-        r = verify_groth_h(Permutation(window), limit_n)
-        if not r:
-            return VerifyResult(f"groth-h:S{n}", False, {"w": str(Permutation(window)), **r.details})
-    return VerifyResult(f"groth-h:S{n}", True, {"permutations": factorial(n)})
+    def failure(w):
+        r = verify_groth_h(w)
+        return None if r else r.details
+    return _each_permutation(f"groth-h:S{n}", n, failure)
 
 
-def check_interior_h_rank(n: int, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
+def check_interior_h_rank(n: int) -> VerifyResult:
     """Interior-face h-polynomial agrees with the f-to-h transform after
     b -> x - 1, for every permutation of rank n."""
     x = MultiPolynomial.variable("x", ("x",))
-    for window in all_windows(n):
-        w = Permutation(window)
-        C = build_pdc(w, limit_n)
+
+    def failure(w):
+        C = build_pdc(w)
         lhs = h_from_interior(C, w).substitute({"b": x - 1}, ("x",))
         rhs = h_polynomial(C)
-        if lhs != rhs:
-            return VerifyResult(
-                f"interior-h:S{n}", False, {"w": str(w), "diff": poly_diff(lhs, rhs)}
-            )
-    return VerifyResult(f"interior-h:S{n}", True, {"permutations": factorial(n)})
+        return None if lhs == rhs else {"diff": poly_diff(lhs, rhs)}
+    return _each_permutation(f"interior-h:S{n}", n, failure)
 
 
-def check_qt_identity_rank(n: int, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
+def check_qt_identity_rank(n: int) -> VerifyResult:
     """The closed form over codimensions equals the direct x -> q, y -> t
     substitution of the double polynomial."""
-    from .grothendieck import QT_VARS
+    q, t, b = (MultiPolynomial.variable(v, QT_VARS) for v in QT_VARS)
 
-    q = MultiPolynomial.variable("q", QT_VARS)
-    t = MultiPolynomial.variable("t", QT_VARS)
-    for window in all_windows(n):
-        w = Permutation(window)
-        g = double_beta_grothendieck(w, limit_n)
-        images = {}
-        for v in g.vars[:-1]:
-            images[v] = q if v.startswith("x") else t
-        images["b"] = MultiPolynomial.variable("b", QT_VARS)
-        direct = g.substitute(images, QT_VARS)
-        if direct != specialize_qt(w, limit_n):
-            return VerifyResult(f"qt:S{n}", False, {"w": str(w)})
-    return VerifyResult(f"qt:S{n}", True, {"permutations": factorial(n)})
+    def failure(w):
+        g = double_beta_grothendieck(w)
+        images = {v: q if v.startswith("x") else t for v in g.vars[:-1]}
+        images["b"] = b
+        return None if g.substitute(images, QT_VARS) == specialize_qt(w) else {}
+    return _each_permutation(f"qt:S{n}", n, failure)
 
 
-def check_homogeneity_rank(n: int, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
+def check_homogeneity_rank(n: int) -> VerifyResult:
     """With deg x = deg y = 1 and deg b = -1, the double polynomial is
     homogeneous of degree l(w)."""
-    for window in all_windows(n):
-        w = Permutation(window)
-        g = double_beta_grothendieck(w, limit_n)
+    def failure(w):
         l = w.length()
-        for exps in g.terms:
+        for exps in double_beta_grothendieck(w).terms:
             if sum(exps[:-1]) - exps[-1] != l:
-                return VerifyResult(
-                    f"homogeneity:S{n}", False, {"w": str(w), "exps": list(exps)}
-                )
-    return VerifyResult(f"homogeneity:S{n}", True, {"permutations": factorial(n)})
+                return {"exps": list(exps)}
+        return None
+    return _each_permutation(f"homogeneity:S{n}", n, failure)
 
 
-def check_nonnegativity_rank(n: int, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
+def check_nonnegativity_rank(n: int) -> VerifyResult:
     """All coefficients of the shifted specialization are nonnegative."""
-    for window in all_windows(n):
-        w = Permutation(window)
-        shifted = shifted_groth_beta(w, limit_n)
-        if any(c < 0 for c in shifted.terms.values()):
-            return VerifyResult(
-                f"nonneg:S{n}", False, {"w": str(w), "poly": str(shifted)}
-            )
-    return VerifyResult(f"nonneg:S{n}", True, {"permutations": factorial(n)})
+    def failure(w):
+        shifted = shifted_groth_beta(w)
+        return {"poly": str(shifted)} if any(c < 0 for c in shifted.terms.values()) else None
+    return _each_permutation(f"nonneg:S{n}", n, failure)
 
 
-def check_census(n: int, limit_n: int = DEFAULT_LIMIT_N) -> VerifyResult:
+def check_census(n: int) -> VerifyResult:
     """Reduced pipe dreams of 1 n n-1 ... 2, noncrossing alternating trees,
     and the Catalan recurrence all agree."""
-    reduced = len(reduced_pipe_dreams(catalan_permutation(n), limit_n))
+    reduced = len(reduced_pipe_dreams(catalan_permutation(n)))
     trees = len(noncrossing_alternating_trees(n))
     cat = catalan_number(n - 1)
     ok = reduced == trees == cat
@@ -251,17 +248,18 @@ def check_unimodularity(n: int) -> VerifyResult:
     return VerifyResult(f"unimodular:{n}", ok, {"simplices": len(simplices)})
 
 
-def sample_polytope_point(n: int, rng: random.Random):
-    """Random rational convex combination of the path root polytope's
-    vertices with full support."""
+def path_polytope_vertices(n: int) -> list[tuple[int, ...]]:
+    """The path root polytope's vertices, sorted, as integer tuples."""
     vertices = sorted(root_polytope_vertices(AcyclicGraph.path(n)))
+    return [tuple(c.numerator for c in v) for v in vertices]
+
+
+def sample_polytope_point(vertices: list[tuple[int, ...]], rng: random.Random):
+    """Random rational convex combination of integer `vertices` with full
+    support."""
     weights = [rng.randint(1, 1000) for _ in vertices]
     total = sum(weights)
-    point = [0] * n
-    for wgt, v in zip(weights, vertices):
-        for i, c in enumerate(v):
-            point[i] += wgt * c.numerator  # vertex coordinates are integers
-    return tuple(Fraction(c, total) for c in point)
+    return tuple(Fraction(sum(map(mul, weights, coords)), total) for coords in zip(*vertices))
 
 
 def check_point_location(n: int, seed: int = 0, samples: int = 1000) -> VerifyResult:
@@ -269,10 +267,11 @@ def check_point_location(n: int, seed: int = 0, samples: int = 1000) -> VerifyRe
     simplex; a point interior to one simplex lies in no other."""
     name = f"point-location:{n}"
     rng = random.Random(seed)
+    vertices = path_polytope_vertices(n)
     simplices = canonical_triangulation(n)
     solvers = [barycentric_solver(S) for S in simplices]
     for k in range(samples):
-        x = sample_polytope_point(n, rng)
+        x = sample_polytope_point(vertices, rng)
         p, q = clear_denominators(x)
         hits = 0
         interior = 0
@@ -338,27 +337,27 @@ def _forest_rank(n: int) -> int:
 # The checks of each verify selector.  Lambdas look each check up by name
 # when they run, so a module attribute rebound later (a monkeypatch) holds.
 SUITES = {
-    "groth-h": lambda n, w, seed, limit_n: [
-        verify_groth_h(w, limit_n) if w is not None else check_groth_h_rank(n, limit_n)],
-    "kirillov": lambda n, w, seed, limit_n: [verify_kirillov(n, limit_n)],
-    "bijection": lambda n, w, seed, limit_n: [verify_bijection(n, limit_n)],
-    "realize": lambda n, w, seed, limit_n: [
-        verify_face_map(n, limit_n), verify_realization(n, limit_n)],
-    "narayana": lambda n, w, seed, limit_n: [check_census(n, limit_n), narayana_check(n, limit_n)],
-    "strategies": lambda n, w, seed, limit_n: [
+    "groth-h": lambda n, w, seed: [
+        verify_groth_h(w) if w is not None else check_groth_h_rank(n)],
+    "kirillov": lambda n, w, seed: [verify_kirillov(n)],
+    "bijection": lambda n, w, seed: [verify_bijection(n)],
+    "realize": lambda n, w, seed: [
+        verify_face_map(n), verify_realization(n)],
+    "narayana": lambda n, w, seed: [check_census(n), narayana_check(n)],
+    "strategies": lambda n, w, seed: [
         check_strategy_independence(_forest_rank(n), seed, num_graphs=20, num_strategies=20),
         check_strategy_dependence(),
     ],
-    "projection": lambda n, w, seed, limit_n: [check_projection(_forest_rank(n), seed, num_graphs=25)],
-    "all": lambda n, w, seed, limit_n: [
-        check_census(n, limit_n),
+    "projection": lambda n, w, seed: [check_projection(_forest_rank(n), seed, num_graphs=25)],
+    "all": lambda n, w, seed: [
+        check_census(n),
         check_scripted_path4(),
-        verify_kirillov(n, limit_n),
-        check_groth_h_rank(n, limit_n),
-        check_interior_h_rank(n, limit_n),
-        check_qt_identity_rank(n, limit_n),
-        check_homogeneity_rank(n, limit_n),
-        check_nonnegativity_rank(n, limit_n),
+        verify_kirillov(n),
+        check_groth_h_rank(n),
+        check_interior_h_rank(n),
+        check_qt_identity_rank(n),
+        check_homogeneity_rank(n),
+        check_nonnegativity_rank(n),
         check_strategy_independence(_forest_rank(n), seed, num_graphs=20, num_strategies=20),
         check_strategy_dependence(),
         check_dissection_census(_forest_rank(n), seed, num_graphs=15),
@@ -366,19 +365,18 @@ SUITES = {
         check_unimodularity(n),
         check_point_location(n, seed, samples=200),
         check_intersections(n, seed, pairs=10),
-        verify_bijection(n, limit_n),
-        verify_face_map(n, limit_n),
-        verify_realization(n, limit_n),
-        narayana_check(n, limit_n),
+        verify_bijection(n),
+        verify_face_map(n),
+        verify_realization(n),
+        narayana_check(n),
     ],
 }
 
 SELECTORS = tuple(SUITES)
 
 
-def suite(selector: str, n: int, w: Permutation | None, seed: int,
-          limit_n: int = DEFAULT_LIMIT_N) -> list[VerifyResult]:
+def suite(selector: str, n: int, w: Permutation | None, seed: int) -> list[VerifyResult]:
     """Assemble the checks for one CLI verify selector."""
     if selector not in SUITES:
         raise ValueError(f"unknown verify selector {selector!r}")
-    return SUITES[selector](n, w, seed, limit_n)
+    return SUITES[selector](n, w, seed)

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from pipedreams.cli import main, parse_edges
+from pipedreams.dreams import EnumerationLimitError, enumerate_pipe_dreams
+from pipedreams.perms import Permutation
 from pipedreams.poly import MultiPolynomial
 from pipedreams.subdivision import ReducedForm
 
@@ -214,6 +216,24 @@ def test_invalid_selector_exits_2():
 
 def test_limit_guard_exit(capsys):
     assert main(["groth", "1,10,9,8,7,6,5,4,3,2"]) == 2
+    assert "--limit-n" in capsys.readouterr().err
+
+
+IDENTITY_10 = "1,2,3,4,5,6,7,8,9,10"
+
+
+def test_limit_override_flag(capsys):
+    assert main(["groth", IDENTITY_10]) == 2
+    assert "--limit-n" in capsys.readouterr().err
+    code, out = run(capsys, "groth", IDENTITY_10, "--limit-n", "10")
+    assert code == 0
+    assert out == "beta: 1\n"
+
+
+def test_limit_override_does_not_outlive_main(capsys):
+    assert main(["groth", IDENTITY_10, "--limit-n", "10"]) == 0
+    with pytest.raises(EnumerationLimitError):
+        enumerate_pipe_dreams(Permutation.identity(10))
 
 
 def test_determinism(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import enumerate_pipe_dreams_bruteforce
 from pipedreams.dreams import (
+    LIMIT_N,
     EnumerationLimitError,
     PipeDream,
     enumerate_pipe_dreams,
@@ -100,7 +101,11 @@ def test_enumeration_limit_guard():
         enumerate_pipe_dreams(w)
     # override allows it (rank 10 path would be slow; use a cheap target)
     big_identity = Permutation.identity(10)
-    assert len(enumerate_pipe_dreams(big_identity, limit_n=10)) == 1
+    token = LIMIT_N.set(10)
+    try:
+        assert len(enumerate_pipe_dreams(big_identity)) == 1
+    finally:
+        LIMIT_N.reset(token)
 
 
 def test_weight_examples():

@@ -2,6 +2,7 @@
 once looped forever run in a child process with a timeout, so a hang
 fails the test instead of stalling the run."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import pipedreams
 from pipedreams.polytopes import random_acyclic_graph
-from pipedreams.suites import sample_acyclic_graphs
+from pipedreams.suites import path_polytope_vertices, sample_acyclic_graphs, sample_polytope_point
 
 
 def child(*argv: str) -> subprocess.CompletedProcess:
@@ -60,3 +61,19 @@ def test_verify_small_rank_returns(selector, n):
 def test_verify_all_rank_2_exits_2():
     proc = child("-m", "pipedreams.cli", "verify", "all", "--n", "2")
     assert proc.returncode == 2 and "realization needs n >= 3" in proc.stderr
+
+
+# SHA-256 of the points the point-location sampler drew before its vertex
+# list was hoisted out of the per-sample call: 40 points for each n = 3..6,
+# from random.Random(n), one repr per line.
+SAMPLED_POINTS_SHA256 = "769b61b617dd3ec4358415f0e631132ed4c895730188a734e584b02450694dc9"
+
+
+def test_polytope_sampler_draws_the_recorded_points():
+    h = hashlib.sha256()
+    for n in range(3, 7):
+        rng = random.Random(n)
+        vertices = path_polytope_vertices(n)
+        for _ in range(40):
+            h.update(repr(sample_polytope_point(vertices, rng)).encode() + b"\n")
+    assert h.hexdigest() == SAMPLED_POINTS_SHA256
