@@ -16,7 +16,6 @@ from .dreams import (
 )
 from .complexes import (
     SimplicialComplex,
-    FaceVector,
     build_pdc,
     f_vector,
     h_from_interior,
@@ -64,7 +63,7 @@ from .realization import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcyclicGraph", "EdgeMonomial", "FaceVector", "MultiPolynomial",
+    "AcyclicGraph", "EdgeMonomial", "MultiPolynomial",
     "Permutation", "PipeDream", "RealizationMap", "ReducedForm", "Simplex",
     "SimplicialComplex", "augment", "build_pdc", "canonical_triangulation",
     "catalan_permutation", "demazure_product", "dissect",

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .complexes import build_pdc, f_vector, h_polynomial, interior_faces
-from .dreams import DEFAULT_LIMIT_N, LIMIT_N, dreams_to_jsonable, enumerate_pipe_dreams
+from .dreams import DEFAULT_LIMIT_N, LIMIT_N, enumerate_pipe_dreams
 from .grothendieck import double_grothendieck, groth_beta, specialize_qt
 from .perms import parse_permutation
 from .polytopes import (
@@ -26,8 +26,8 @@ from .realization import realize, RealizationError
 from .report import VerifyResult, jsonable
 from .subdivision import (
     Edge,
+    EdgeMonomial,
     parse_strategy,
-    product_monomial,
     reduced_form,
     reduction_tree,
 )
@@ -83,9 +83,11 @@ def parse_edges(text: str) -> tuple[Edge, ...]:
     edges = []
     if text.startswith("("):
         for chunk in text.replace(" ", "").split("),("):
-            chunk = chunk.strip("()")
-            i, j = (int(p) for p in chunk.split(","))
-            edges.append((i, j))
+            chunk = f"({chunk.strip('()')})"
+            parts = chunk[1:-1].split(",")
+            if len(parts) != 2 or not all(p.isdigit() for p in parts):
+                raise ValueError(f"cannot parse edge {chunk!r}")
+            edges.append((int(parts[0]), int(parts[1])))
     else:
         for chunk in text.split(","):
             chunk = chunk.strip()
@@ -93,6 +95,15 @@ def parse_edges(text: str) -> tuple[Edge, ...]:
                 raise ValueError(f"cannot parse edge {chunk!r}")
             edges.append((int(chunk[0]), int(chunk[1])))
     return tuple(edges)
+
+
+def _write_svg(report: RunReport, n: int, path: str) -> None:
+    """Render the vertex figure, then write it: a refused rank leaves an
+    existing file untouched."""
+    svg = render_vertex_figure(n)
+    with open(path, "w") as fh:
+        fh.write(svg)
+    report.results["svg"] = path
 
 
 def _emit(report: RunReport, as_json: bool) -> None:
@@ -128,7 +139,7 @@ def _cmd_pdc(args) -> int:
     if args.json:
         report.results["complex"] = C.to_jsonable()
     if args.f or not (args.h or args.interior):
-        report.results["f_vector"] = list(f_vector(C).f)
+        report.results["f_vector"] = list(f_vector(C))
     if args.h or not (args.f or args.interior):
         h = h_polynomial(C)
         report.results["h"] = h.to_jsonable() if args.json else str(h)
@@ -138,7 +149,7 @@ def _cmd_pdc(args) -> int:
             for face, codim in interior_faces(C, w)
         ]
     if args.dreams:
-        report.results["dreams"] = dreams_to_jsonable(enumerate_pipe_dreams(w))
+        report.results["dreams"] = [P.to_jsonable() for P in enumerate_pipe_dreams(w)]
     _emit(report, args.json)
     return 0
 
@@ -147,7 +158,7 @@ def _cmd_reduce(args) -> int:
     edges = parse_edges(args.edges)
     n = args.n or max(j for _i, j in edges)
     strategy = parse_strategy(args.strategy, args.seed)
-    rf = reduced_form(product_monomial(n, edges), strategy)
+    rf = reduced_form(EdgeMonomial(n, edges), strategy)
     report = RunReport("reduce", {"n": n, "edges": [list(e) for e in edges],
                                   "strategy": args.strategy}, seed=args.seed)
     report.results["reduced_form"] = rf.to_jsonable() if args.json else str(rf)
@@ -155,7 +166,7 @@ def _cmd_reduce(args) -> int:
         rf.beta_specialization().to_jsonable() if args.json else str(rf.beta_specialization())
     )
     if args.tree:
-        tree = reduction_tree(product_monomial(n, edges), parse_strategy(args.strategy, args.seed))
+        tree = reduction_tree(EdgeMonomial(n, edges), parse_strategy(args.strategy, args.seed))
         report.results["tree"] = tree.to_jsonable() if args.json else tree.outline()
     _emit(report, args.json)
     return 0
@@ -197,9 +208,7 @@ def _cmd_triangulate(args) -> int:
     report.results["simplices"] = [S.to_jsonable() for S in simplices]
     report.results["vertex_figure"] = [vertex_figure(S).to_jsonable() for S in simplices]
     if args.emit_svg:
-        with open(args.emit_svg, "w") as fh:
-            fh.write(render_vertex_figure(args.n))
-        report.results["svg"] = args.emit_svg
+        _write_svg(report, args.n, args.emit_svg)
     _emit(report, args.json)
     return 0
 
@@ -219,9 +228,7 @@ def _cmd_realize(args) -> int:
         report.results["boxes"] = len(rm.vertex_map)
         report.results["facets"] = len(rm.facet_map)
     if args.emit_svg:
-        with open(args.emit_svg, "w") as fh:
-            fh.write(render_vertex_figure(args.n))
-        report.results["svg"] = args.emit_svg
+        _write_svg(report, args.n, args.emit_svg)
     _emit(report, args.json)
     return 0
 

@@ -11,7 +11,6 @@ Demazure product exactly w, i.e. the pipe dreams of w.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable
@@ -93,31 +92,17 @@ class SimplicialComplex:
         return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.facets)} facets)"
 
 
-@dataclass(frozen=True, slots=True)
-class FaceVector:
-    """Counts f = (f_{-1}, f_0, ..., f_{d-1}) with f_{-1} = 1."""
+def f_vector(C: SimplicialComplex) -> tuple[int, ...]:
+    """Count all faces by dimension, the empty face included:
+    (f_{-1}, f_0, ..., f_{d-1}) with f_{-1} = 1.
 
-    f: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.f or self.f[0] != 1 or any(c < 0 for c in self.f):
-            raise ValueError(f"bad face vector {self.f}")
-
-    @property
-    def d(self) -> int:
-        return len(self.f) - 1
-
-
-def f_vector(C: SimplicialComplex) -> FaceVector:
-    """Count all faces by dimension, the empty face included.
-
-    >>> f_vector(SimplicialComplex([("a", "b")])).f
+    >>> f_vector(SimplicialComplex([("a", "b")]))
     (1, 2, 1)
     """
     counts = [0] * (C.dim + 2)
     for face in C.faces():
         counts[len(face)] += 1
-    return FaceVector(tuple(counts))
+    return tuple(counts)
 
 
 def h_polynomial(C: SimplicialComplex) -> MultiPolynomial:
@@ -128,7 +113,7 @@ def h_polynomial(C: SimplicialComplex) -> MultiPolynomial:
     """
     if not C.is_pure():
         raise ValueError("h-polynomial computed only for pure complexes")
-    fv = f_vector(C).f
+    fv = f_vector(C)
     d = len(fv) - 1
     # fv[i] is f_{i-1}; h_k collects the x^(d-k) terms of the sum above
     h = [sum((-1) ** (k - i) * comb(d - i, k - i) * fv[i] for i in range(k + 1))

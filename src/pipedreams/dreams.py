@@ -192,7 +192,3 @@ def enumerate_pipe_dreams(w: Permutation) -> list[PipeDream]:
 def reduced_pipe_dreams(w: Permutation) -> list[PipeDream]:
     l = w.length()
     return [P for P in enumerate_pipe_dreams(w) if P.size == l]
-
-
-def dreams_to_jsonable(dreams: Iterable[PipeDream]) -> list[dict]:
-    return [P.to_jsonable() for P in dreams]

@@ -23,10 +23,6 @@ def identity_window(n: int) -> Window:
     return tuple(range(1, n + 1))
 
 
-def longest_window(n: int) -> Window:
-    return tuple(range(n, 0, -1))
-
-
 def inversions(window: Window) -> int:
     """Number of pairs i<j with window[i] > window[j].
 
@@ -106,14 +102,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.window)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(identity_window(n))
-
-    @classmethod
-    def longest(cls, n: int) -> "Permutation":
-        return cls(longest_window(n))
-
     def __call__(self, i: int) -> int:
         return self.window[i - 1]
 
@@ -121,25 +109,12 @@ class Permutation:
         """Inversion count l(w)."""
         return inversions(self.window)
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.window, start=1):
-            inv[v - 1] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return self.window == identity_window(self.n)
-
     def __str__(self):
-        return permutation_to_string(self)
-
-    # serialization: "1432" for n <= 9, comma-separated beyond
-
-    def to_string(self) -> str:
         return permutation_to_string(self)
 
 
 def permutation_to_string(w: Permutation) -> str:
+    """"1432" for n <= 9, comma-separated beyond."""
     if w.n <= 9:
         return "".join(str(v) for v in w.window)
     return ",".join(str(v) for v in w.window)

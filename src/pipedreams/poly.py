@@ -63,10 +63,6 @@ class MultiPolynomial:
         exps = tuple(1 if j == i else 0 for j in range(len(vars)))
         return cls(vars, {exps: 1})
 
-    @classmethod
-    def monomial(cls, vars: Iterable[str], exps: Iterable[int], coef: int = 1) -> "MultiPolynomial":
-        return cls(vars, {tuple(exps): coef})
-
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "MultiPolynomial") -> None:
@@ -163,16 +159,6 @@ class MultiPolynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def constant_value(self) -> int:
-        if not self.terms:
-            return 0
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return next(iter(self.terms.values()))
-
     def depends_on(self, name: str) -> bool:
         i = self.vars.index(name)
         return any(e[i] for e in self.terms)
@@ -186,20 +172,6 @@ class MultiPolynomial:
         for (e,), c in self.terms.items():
             out[e] = c
         return tuple(out)
-
-    def evaluate(self, values: Mapping[str, int]) -> int:
-        missing = [v for v in self.vars if v not in values]
-        if missing:
-            raise ValueError(f"missing values for {missing}")
-        point = [values[v] for v in self.vars]
-        total = 0
-        for exps, c in self.terms.items():
-            t = c
-            for x, e in zip(point, exps):
-                if e:
-                    t *= x**e
-            total += t
-        return total
 
     # -- substitution ------------------------------------------------------
 

@@ -22,7 +22,7 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .linalg import IntMat, IntVec, Vec, clear_denominators, det_int, inverse, matvec
-from .linalg import solve_in_span, solve_unique
+from .linalg import solve_unique
 from .subdivision import Edge, EdgeMonomial, ReductionNode, Strategy, Triple, reduction_tree
 
 Point = Vec
@@ -69,9 +69,6 @@ class AcyclicGraph:
             if i < j < k < l or j < i < l < k:
                 return False
         return True
-
-    def is_spanning_tree(self) -> bool:
-        return len(self.edges) == self.n - 1
 
     def to_jsonable(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
@@ -140,9 +137,6 @@ class AugmentedGraph:
     @property
     def sink(self) -> int:
         return self.n + 1
-
-    def to_jsonable(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
 
 def augment(G: AcyclicGraph) -> AugmentedGraph:
@@ -240,9 +234,6 @@ class Dissection:
         the beta power of the leaf monomial."""
         return [(AcyclicGraph(m.n, m.edges), m.beta) for m in self.tree.leaves()]
 
-    def full_dimensional_leaves(self) -> list[AcyclicGraph]:
-        return [g for g, beta in self.leaves() if beta == 0]
-
     def census(self) -> dict[int, int]:
         return dict(sorted(Counter(m.beta for m in self.tree.leaves()).items()))
 
@@ -289,6 +280,8 @@ def _prufer_decode(seq: Sequence[int], n: int) -> tuple[Edge, ...]:
 def spanning_trees(n: int) -> Iterator[AcyclicGraph]:
     """All labeled spanning trees of K_n, one per Prufer sequence, the
     sequences in lexicographic order."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if n == 1:
         yield AcyclicGraph(1, ())
         return
@@ -313,18 +306,17 @@ def noncrossing_alternating_trees(n: int) -> tuple[AcyclicGraph, ...]:
 OUTSIDE, BOUNDARY, INTERIOR = 0, 1, 2
 
 
-def location(c: Optional[Sequence], scale: int = 1, with_origin: bool = True) -> int:
-    """Where a point lies in a simplex, from its coefficients c / scale > 0
-    over the generators (None: outside their span).  With the origin as a
-    vertex it is c >= 0, sum(c) <= scale; without it, c >= 0, sum(c) == scale.
-    Returns at the first negative coefficient, before summing."""
+def location(c: Optional[Sequence], scale: int = 1) -> int:
+    """Where a point lies in a simplex with the origin as a vertex, from its
+    coefficients c / scale > 0 over the generators (None: outside their
+    span): inside is c >= 0, sum(c) <= scale.  Returns at the first
+    negative coefficient, before summing."""
     if c is None or any(v < 0 for v in c):
         return OUTSIDE
     total = sum(c)
-    if total > scale or (total < scale and not with_origin):
+    if total > scale:
         return OUTSIDE
-    # Without the origin, sum(c) == scale is an equation, never strict.
-    return INTERIOR if all(c) and (total < scale or not with_origin) else BOUNDARY
+    return INTERIOR if all(c) and total < scale else BOUNDARY
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,23 +337,6 @@ class Simplex:
         if self.with_origin:
             pts.append(origin(self.n))
         return tuple(sorted(pts))
-
-    @property
-    def dim(self) -> int:
-        return len(self.generators) - (0 if self.with_origin else 1)
-
-    def barycentric(self, x: Point) -> Optional[Vec]:
-        """Coefficients of x over the generators; None if x is outside
-        their span.  With the origin, membership means all coefficients
-        nonnegative and summing to at most 1."""
-        return solve_in_span(self.generators, x)
-
-    def contains(self, x: Point) -> bool:
-        return location(self.barycentric(x), with_origin=self.with_origin) != OUTSIDE
-
-    def contains_interior(self, x: Point) -> bool:
-        """Strict interior relative to the simplex's own dimension."""
-        return location(self.barycentric(x), with_origin=self.with_origin) == INTERIOR
 
     def to_jsonable(self) -> dict:
         return {

@@ -18,6 +18,7 @@ which reduce_once asserts.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -198,17 +199,11 @@ class ReducedForm:
     def to_polynomial(self) -> MultiPolynomial:
         """Expand over named variables x_ij and b."""
         names = sorted({edge_var(e) for m in self.monomials for e in m.edges})
-        vars = tuple(names) + ("b",)
-        index = {v: i for i, v in enumerate(vars)}
-        terms: dict[tuple[int, ...], int] = {}
+        terms = []
         for m in self.monomials:
-            exps = [0] * len(vars)
-            exps[-1] = m.beta
-            for e in m.edges:
-                exps[index[edge_var(e)]] += 1
-            key = tuple(exps)
-            terms[key] = terms.get(key, 0) + m.coeff
-        return MultiPolynomial(vars, terms)
+            count = Counter(map(edge_var, m.edges))
+            terms.append(([count[v] for v in names] + [m.beta], m.coeff))
+        return MultiPolynomial(tuple(names) + ("b",), terms)
 
     def __str__(self):
         return " + ".join(str(m) for m in self.monomials) if self.monomials else "0"
@@ -270,10 +265,6 @@ def reduced_form(m: EdgeMonomial, strategy: Strategy | None = None) -> ReducedFo
     return ReducedForm(m.n, monos)
 
 
-def product_monomial(n: int, edges: Iterable[Edge]) -> EdgeMonomial:
-    return EdgeMonomial(n, tuple(edges))
-
-
 _LABELS = ("G1", "G2", "G3")
 
 
@@ -315,7 +306,7 @@ class ReductionNode:
         the G1/G2/G3 label, head(monomial), and the triple when the node
         is reducible.
 
-        >>> tree = reduction_tree(product_monomial(3, [(1, 2), (2, 3)]))
+        >>> tree = reduction_tree(EdgeMonomial(3, ((1, 2), (2, 3))))
         >>> print(*tree.outline(), sep="\\n")
         x12*x23  triple (1, 2, 3)
           G1: x12*x13
@@ -337,7 +328,7 @@ def reduction_tree(m: EdgeMonomial, strategy: Strategy | None = None) -> Reducti
     leaf is alternating.  Exponential in general; for inspection and
     dissection of small inputs.
 
-    >>> tree = reduction_tree(product_monomial(3, [(1, 2), (2, 3)]))
+    >>> tree = reduction_tree(EdgeMonomial(3, ((1, 2), (2, 3))))
     >>> tree.triple, [str(m) for m in tree.leaves()]
     ((1, 2, 3), ['x12*x13', 'x13*x23', 'b*x13'])
     """
@@ -362,7 +353,7 @@ def q_polynomial(
     >>> print(q_polynomial(4, [(1, 2), (2, 3), (3, 4)]))
     b^2 + 5*b + 5
     """
-    return reduced_form(product_monomial(n, edges), strategy).beta_specialization()
+    return reduced_form(EdgeMonomial(n, edges), strategy).beta_specialization()
 
 
 def path_edges(n: int) -> tuple[Edge, ...]:

@@ -54,12 +54,12 @@ from .realization import (
 from .report import VerifyResult
 from .subdivision import (
     PATH4_SCRIPT,
+    EdgeMonomial,
     LexFirst,
     ReverseLex,
     Scripted,
     SeededRandom,
     path_edges,
-    product_monomial,
     q_polynomial,
     reduced_form,
     reducible_triples,
@@ -184,7 +184,7 @@ def check_strategy_independence(
 def check_strategy_dependence() -> VerifyResult:
     """Exhibit two strategies whose reduced forms of x12 x23 x34 differ as
     x-polynomials yet agree at x = 1."""
-    m = product_monomial(4, path_edges(4))
+    m = EdgeMonomial(4, path_edges(4))
     a = reduced_form(m, Scripted(PATH4_SCRIPT))
     b = reduced_form(m, LexFirst())
     differ = a.to_polynomial() != b.to_polynomial()
@@ -314,7 +314,7 @@ def check_intersections(n: int, seed: int = 0, pairs: int = 15) -> VerifyResult:
 def check_scripted_path4() -> VerifyResult:
     """The scripted strategy reproduces the canonical 11-term reduced form
     of x12 x23 x34 and its specialization b^2 + 5b + 5."""
-    rf = reduced_form(product_monomial(4, path_edges(4)), Scripted(PATH4_SCRIPT))
+    rf = reduced_form(EdgeMonomial(4, path_edges(4)), Scripted(PATH4_SCRIPT))
     expected = {
         (((1, 2), (1, 3), (1, 4)), 0), (((1, 3), (1, 4), (2, 4)), 0),
         (((1, 3), (1, 4)), 1), (((1, 3), (2, 3), (2, 4)), 0),

@@ -6,7 +6,7 @@ import pytest
 
 from pipedreams.cli import main, parse_edges
 from pipedreams.dreams import EnumerationLimitError, enumerate_pipe_dreams
-from pipedreams.perms import Permutation
+from pipedreams.perms import Permutation, identity_window
 from pipedreams.poly import MultiPolynomial
 from pipedreams.subdivision import ReducedForm
 
@@ -22,6 +22,15 @@ def test_parse_edges():
     assert parse_edges("(1,2),(2,10)") == ((1, 2), (2, 10))
     with pytest.raises(ValueError):
         parse_edges("123")
+    with pytest.raises(ValueError, match=r"cannot parse edge '\(1,2,3\)'"):
+        parse_edges("(1,2,3)")
+    with pytest.raises(ValueError, match=r"cannot parse edge '\(2,x\)'"):
+        parse_edges("(1,2),(2,x)")
+
+
+def test_unparsable_edge_exits_2(capsys):
+    assert main(["reduce", "(1,2,3)"]) == 2
+    assert "cannot parse edge '(1,2,3)'" in capsys.readouterr().err
 
 
 def test_groth_beta_only(capsys):
@@ -233,7 +242,7 @@ def test_limit_override_flag(capsys):
 def test_limit_override_does_not_outlive_main(capsys):
     assert main(["groth", IDENTITY_10, "--limit-n", "10"]) == 0
     with pytest.raises(EnumerationLimitError):
-        enumerate_pipe_dreams(Permutation.identity(10))
+        enumerate_pipe_dreams(Permutation(identity_window(10)))
 
 
 def test_determinism(capsys):
@@ -252,18 +261,17 @@ def test_svg_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_emitted_objects_reparse_equal(capsys):
-    """Data objects in JSON output reconstruct to equal values."""
-    from pipedreams.complexes import SimplicialComplex, build_pdc
-    from pipedreams.perms import Permutation
-    from pipedreams.polytopes import AcyclicGraph, Simplex, tree_simplex, vertex_figure_simplices
+@pytest.mark.parametrize("command", ["triangulate", "realize"])
+def test_refused_svg_keeps_existing_file(tmp_path, capsys, command):
+    target = tmp_path / "fig.svg"
+    target.write_bytes(b"earlier figure")
+    assert main([command, "--n", "5", "--emit-svg", str(target)]) == 2
+    assert "SVG output is limited" in capsys.readouterr().err
+    assert target.read_bytes() == b"earlier figure"
 
-    C = build_pdc(Permutation((1, 4, 3, 2)))
-    C2 = SimplicialComplex.from_jsonable(C.to_jsonable())
-    assert C2.vertices == C.vertices and set(C2.facets) == set(C.facets)
-    G = AcyclicGraph(5, ((1, 3), (2, 3), (3, 5)))
-    assert AcyclicGraph.from_jsonable(G.to_jsonable()) == G
-    S = tree_simplex(AcyclicGraph.path(4))
-    assert Simplex.from_jsonable(S.to_jsonable()) == S
-    V = vertex_figure_simplices(4)[2]
-    assert Simplex.from_jsonable(V.to_jsonable()) == V
+
+@pytest.mark.parametrize("argv", [["trees", "--n", "0"], ["triangulate", "--n", "0"],
+                                  ["trees", "--n", "-3"]])
+def test_rank_below_one_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "n must be at least 1" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from pipedreams.dreams import (
     weight,
     xy_beta_vars,
 )
-from pipedreams.perms import Permutation, all_windows, catalan_permutation
+from pipedreams.perms import Permutation, all_windows, catalan_permutation, identity_window
 from pipedreams.poly import MultiPolynomial
 
 W1432 = Permutation((1, 4, 3, 2))
@@ -45,10 +45,10 @@ def test_triangular_word_examples():
 
 
 def test_permutation_of_examples():
-    assert PipeDream(4, ()).permutation().is_identity()
+    assert PipeDream(4, ()).permutation().window == identity_window(4)
     assert PipeDream(4, ((1, 3), (1, 2), (2, 2))).permutation() == W1432
     full = PipeDream(4, staircase_boxes(4))
-    assert full.permutation() == Permutation.longest(4)
+    assert full.permutation() == Permutation((4, 3, 2, 1))
 
 
 def test_pipe_dream_predicates():
@@ -85,7 +85,7 @@ def test_enumeration_matches_bruteforce_exhaustively():
 
 
 def test_identity_has_single_empty_dream():
-    dreams = enumerate_pipe_dreams(Permutation.identity(3))
+    dreams = enumerate_pipe_dreams(Permutation(identity_window(3)))
     assert len(dreams) == 1 and dreams[0].crosses == ()
 
 
@@ -100,7 +100,7 @@ def test_enumeration_limit_guard():
     with pytest.raises(EnumerationLimitError):
         enumerate_pipe_dreams(w)
     # override allows it (rank 10 path would be slow; use a cheap target)
-    big_identity = Permutation.identity(10)
+    big_identity = Permutation(identity_window(10))
     token = LIMIT_N.set(10)
     try:
         assert len(enumerate_pipe_dreams(big_identity)) == 1

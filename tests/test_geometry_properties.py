@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import intersect_simplices_fraction, prufer_decode_heap, spanning_tree_edges_recursive
 
-from pipedreams.linalg import clear_denominators
+from pipedreams.linalg import clear_denominators, solve_in_span
 from pipedreams.polytopes import (
     Simplex,
     _prufer_decode,
@@ -100,4 +100,4 @@ def test_integer_location_matches_fraction_location(case):
     p, q = clear_denominators(x)
     c, scale = barycentric_solver(S)(p, q)
     assert scale > 0 and all(type(v) is int for v in c)
-    assert location(c, scale) == location(S.barycentric(x))
+    assert location(c, scale) == location(solve_in_span(S.generators, x))

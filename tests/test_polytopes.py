@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from pipedreams.linalg import clear_denominators
+from pipedreams.linalg import clear_denominators, solve_in_span
 from pipedreams.polytopes import (
     AcyclicGraph,
-    Simplex,
+    BOUNDARY,
+    INTERIOR,
+    OUTSIDE,
     augment,
     barycentric_solver,
     canonical_triangulation,
@@ -18,6 +20,7 @@ from pipedreams.polytopes import (
     intersect_tree_simplices,
     is_unimodular,
     level,
+    location,
     noncrossing_alternating_trees,
     origin,
     positive_roots_in_cone,
@@ -152,7 +155,6 @@ def test_reduction_lemma_vertex_level():
 def test_dissection_census_path4():
     d = dissect(AcyclicGraph.path(4), Scripted(PATH4_SCRIPT))
     assert d.census() == {0: 5, 1: 5, 2: 1}
-    assert len(d.full_dimensional_leaves()) == 5
 
 
 def test_dissection_leaves_alternating():
@@ -165,7 +167,7 @@ def test_dissection_trivial_cases():
     d = dissect(AcyclicGraph.path(2))
     assert d.census() == {0: 1}
     d3 = dissect(AcyclicGraph.path(3))
-    assert [g.edges for g in d3.full_dimensional_leaves()] == [
+    assert [g.edges for g, beta in d3.leaves() if beta == 0] == [
         ((1, 2), (1, 3)), ((1, 3), (2, 3))
     ]
 
@@ -175,8 +177,8 @@ def test_full_dimensional_leaf_count_is_constant_term():
     dissection; for paths this is a Catalan number."""
     for n in range(2, 7):
         G = AcyclicGraph.path(n)
-        q0 = q_polynomial(n, G.edges).evaluate({"b": 0})
-        assert q0 == len(dissect(G).full_dimensional_leaves())
+        q0 = q_polynomial(n, G.edges).terms.get((0,), 0)
+        assert q0 == dissect(G).census().get(0, 0)
         assert q0 == catalan_number(n - 1)
 
 
@@ -257,18 +259,18 @@ def test_vertex_figure_n4():
 
 def test_simplex_membership():
     S = tree_simplex(AcyclicGraph.path(3))
-    inside = tuple(F(x) for x in (0, 0, 0))
-    assert S.contains(inside)
+
+    def where(x):
+        return location(solve_in_span(S.generators, x))
+
+    assert where(tuple(F(x) for x in (0, 0, 0))) == BOUNDARY
     mid = tuple((a + b) / 2 for a, b in zip(root(3, 1, 2), root(3, 2, 3)))
-    assert S.contains(mid) and not S.contains_interior(mid)
-    assert not S.contains(tuple(F(x) for x in (-1, 1, 0)))
+    assert where(mid) == BOUNDARY
+    assert where(tuple(F(x) for x in (-1, 1, 0))) == OUTSIDE
     inner = tuple((a + b) / 4 for a, b in zip(root(3, 1, 2), root(3, 2, 3)))
-    assert S.contains_interior(inner)
+    assert where(inner) == INTERIOR
     beyond = tuple(a + b for a, b in zip(root(3, 1, 2), root(3, 2, 3)))
-    assert not S.contains(beyond)
-    facet = Simplex(3, (root(3, 1, 2), root(3, 2, 3)), with_origin=False)
-    assert facet.contains_interior(mid) and not facet.contains(inner)
-    assert facet.contains(root(3, 1, 2)) and not facet.contains_interior(root(3, 1, 2))
+    assert where(beyond) == OUTSIDE
 
 
 def test_barycentric_solver_matches_simplex():
@@ -281,7 +283,7 @@ def test_barycentric_solver_matches_simplex():
             x = x[:-1] + (-sum(x[:-1]),)  # land on the sum-zero hyperplane
             p, q = clear_denominators(x)
             c, scale = solve(p, q)
-            direct = S.barycentric(x)
+            direct = solve_in_span(S.generators, x)
             assert direct == tuple(Fraction(v, scale) for v in c)
 
 

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from pipedreams.polytopes import AcyclicGraph, dissect
 from pipedreams.subdivision import (
+    EdgeMonomial,
     LexFirst,
     ReverseLex,
     Scripted,
-    product_monomial,
     q_polynomial,
     reduced_form,
     reduction_tree,
@@ -60,7 +60,7 @@ def forests_and_strategies(draw):
 @given(forests_and_strategies())
 def test_tree_leaves_sum_to_reduced_form(case):
     G, strategy = case
-    m = product_monomial(G.n, G.edges)
+    m = EdgeMonomial(G.n, G.edges)
     summed: dict = {}
     for leaf in reduction_tree(m, strategy()).leaves():
         summed[leaf.key()] = summed.get(leaf.key(), 0) + leaf.coeff

@@ -14,7 +14,6 @@ from pipedreams.subdivision import (
     SeededRandom,
     parse_strategy,
     path_edges,
-    product_monomial,
     q_polynomial,
     reduce_once,
     reduced_form,
@@ -26,15 +25,15 @@ B = MultiPolynomial.variable("b", ("b",))
 
 
 def test_reducible_pair_examples():
-    m = product_monomial(4, [(1, 2), (2, 3), (3, 4)])
+    m = EdgeMonomial(4, [(1, 2), (2, 3), (3, 4)])
     assert LexFirst().choose(m.edges) == (1, 2, 3)
     assert ReverseLex().choose(m.edges) == (2, 3, 4)
-    assert LexFirst().choose(product_monomial(3, [(1, 2), (1, 3)]).edges) is None
-    assert LexFirst().choose(product_monomial(3, [(1, 3), (2, 3)]).edges) is None
+    assert LexFirst().choose(EdgeMonomial(3, [(1, 2), (1, 3)]).edges) is None
+    assert LexFirst().choose(EdgeMonomial(3, [(1, 3), (2, 3)]).edges) is None
 
 
 def test_reduce_once_base_relation():
-    m = product_monomial(3, [(1, 2), (2, 3)])
+    m = EdgeMonomial(3, [(1, 2), (2, 3)])
     g1, g2, g3 = reduce_once(m, (1, 2, 3))
     assert g1.edges == ((1, 2), (1, 3)) and g1.beta == 0
     assert g2.edges == ((1, 3), (2, 3)) and g2.beta == 0
@@ -42,7 +41,7 @@ def test_reduce_once_base_relation():
 
 
 def test_reduce_once_path4_first_step():
-    m = product_monomial(4, path_edges(4))
+    m = EdgeMonomial(4, path_edges(4))
     g1, g2, g3 = reduce_once(m, (2, 3, 4))
     assert g1.edges == ((1, 2), (2, 3), (2, 4))
     assert g2.edges == ((1, 2), (2, 4), (3, 4))
@@ -59,7 +58,7 @@ def test_reduce_once_multiset_semantics():
 
 def test_reduce_once_requires_pair():
     with pytest.raises(ValueError):
-        reduce_once(product_monomial(3, [(1, 2)]), (1, 2, 3))
+        reduce_once(EdgeMonomial(3, [(1, 2)]), (1, 2, 3))
 
 
 def test_potential_drops_on_every_branch():
@@ -83,7 +82,7 @@ def test_potential_drops_on_every_branch():
 def test_scripted_path4_reduced_form_verbatim():
     """The three-step scripted rewrite of x12 x23 x34 ends in the known
     11-term form, coefficients all 1."""
-    rf = reduced_form(product_monomial(4, path_edges(4)), Scripted(PATH4_SCRIPT))
+    rf = reduced_form(EdgeMonomial(4, path_edges(4)), Scripted(PATH4_SCRIPT))
     expected = {
         (((1, 2), (1, 3), (1, 4)), 0),
         (((1, 3), (1, 4), (2, 4)), 0),
@@ -102,13 +101,13 @@ def test_scripted_path4_reduced_form_verbatim():
 
 
 def test_already_reduced_monomial():
-    m = product_monomial(2, [(1, 2)])
+    m = EdgeMonomial(2, [(1, 2)])
     rf = reduced_form(m)
     assert len(rf.monomials) == 1 and rf.monomials[0].edges == ((1, 2),)
 
 
 def test_base_relation_reduced_form():
-    rf = reduced_form(product_monomial(3, [(1, 2), (2, 3)]))
+    rf = reduced_form(EdgeMonomial(3, [(1, 2), (2, 3)]))
     assert {(m.edges, m.beta) for m in rf.monomials} == {
         (((1, 2), (1, 3)), 0),
         (((1, 3), (2, 3)), 0),
@@ -138,7 +137,7 @@ def test_strategy_independence_of_specialization():
 
 
 def test_strategy_dependence_of_x_forms():
-    m = product_monomial(4, path_edges(4))
+    m = EdgeMonomial(4, path_edges(4))
     scripted = reduced_form(m, Scripted(PATH4_SCRIPT))
     lex = reduced_form(m, LexFirst())
     assert scripted.to_polynomial() != lex.to_polynomial()
@@ -161,7 +160,7 @@ def test_parse_strategy():
 
 
 def test_scripted_falls_back_to_lex():
-    m = product_monomial(3, [(1, 2), (2, 3)])
+    m = EdgeMonomial(3, [(1, 2), (2, 3)])
     assert Scripted(((3, 4, 5),)).choose(m.edges) == (1, 2, 3)
 
 
@@ -186,5 +185,5 @@ def test_monomial_str():
 def test_json_round_trip():
     from pipedreams.subdivision import ReducedForm
 
-    rf = reduced_form(product_monomial(4, path_edges(4)), LexFirst())
+    rf = reduced_form(EdgeMonomial(4, path_edges(4)), LexFirst())
     assert ReducedForm.from_jsonable(rf.to_jsonable()) == rf
