@@ -136,6 +136,29 @@ def substitute_per_term(
     return out
 
 
+def _collect(pairs: Iterable[tuple[tuple[int, ...], int]]) -> dict[tuple[int, ...], int]:
+    """Sum coefficients per exponent vector, then drop the zero sums."""
+    sums: dict[tuple[int, ...], int] = {}
+    for exps, coef in pairs:
+        sums[exps] = sums.get(exps, 0) + coef
+    return {exps: coef for exps, coef in sums.items() if coef}
+
+
+def add_terms(p: MultiPolynomial, q: MultiPolynomial) -> dict[tuple[int, ...], int]:
+    """Oracle for the terms of `p + q`: collect both term lists, then filter."""
+    return _collect([*p.terms.items(), *q.terms.items()])
+
+
+def mul_terms(p: MultiPolynomial, q: MultiPolynomial) -> dict[tuple[int, ...], int]:
+    """Oracle for the terms of `p * q`: every product of two terms,
+    collected, then filtered."""
+    return _collect(
+        (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        for e1, c1 in p.terms.items()
+        for e2, c2 in q.terms.items()
+    )
+
+
 def face_scan_matches_triangulation(
     n: int, is_face: Callable[[Iterable[Box], Permutation], bool]
 ) -> bool:

@@ -3,8 +3,8 @@ must print exactly what `tests/golden_cli.json` recorded.
 
 README examples are stored in full (stdout, exit code, and the bytes of
 any SVG they write); the reduce/dissect matrix over forests, strategies
-and output modes, and the larger geometry outputs, are stored as SHA-256
-digests of stdout.  Regenerate with
+and output modes, the larger geometry outputs and the polynomial outputs
+are stored as SHA-256 digests of stdout.  Regenerate with
 `PYTHONPATH=src python tests/test_golden_cli.py`, and only at a commit
 whose outputs are known to be right.
 """
@@ -73,6 +73,15 @@ GEOMETRY = [
     ["verify", "bijection", "--n", "7", "--json"],
 ]
 
+# Polynomial arithmetic and substitution end to end: every check at rank 5,
+# and double and q,t polynomials from S_5 and S_6.
+POLYNOMIALS = [
+    ["verify", "all", "--n", "5", "--json"],
+    ["groth", "15342", "--double", "--json"],
+    ["groth", "214365", "--double", "--json"],
+    ["groth", "165432", "--qt", "--json"],
+]
+
 
 def run_cli(argv):
     """Exit code, stdout, and the bytes of the SVG written to the working
@@ -89,7 +98,7 @@ def digest(text):
 
 
 def record():
-    data = {"readme": [], "matrix": {}, "geometry": {}}
+    data = {"readme": [], "matrix": {}, "geometry": {}, "polynomials": {}}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -102,10 +111,11 @@ def record():
                 code, out, _svg = run_cli(argv)
                 assert code == 0, argv
                 data["matrix"][" ".join(argv)] = digest(out)
-            for argv in GEOMETRY:
-                code, out, _svg = run_cli(argv)
-                assert code == 0, argv
-                data["geometry"][" ".join(argv)] = digest(out)
+            for group, commands in (("geometry", GEOMETRY), ("polynomials", POLYNOMIALS)):
+                for argv in commands:
+                    code, out, _svg = run_cli(argv)
+                    assert code == 0, argv
+                    data[group][" ".join(argv)] = digest(out)
         finally:
             os.chdir(cwd)
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
@@ -142,6 +152,13 @@ def test_geometry_output_is_byte_identical(argv):
     code, out, _svg = run_cli(argv)
     assert code == 0
     assert digest(out) == golden()["geometry"][" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", POLYNOMIALS, ids=" ".join)
+def test_polynomial_output_is_byte_identical(argv):
+    code, out, _svg = run_cli(argv)
+    assert code == 0
+    assert digest(out) == golden()["polynomials"][" ".join(argv)]
 
 
 if __name__ == "__main__":
