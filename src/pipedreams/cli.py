@@ -156,7 +156,7 @@ def _cmd_pdc(args) -> int:
 
 def _cmd_reduce(args) -> int:
     edges = parse_edges(args.edges)
-    n = args.n or max(j for _i, j in edges)
+    n = max(j for _i, j in edges) if args.n is None else args.n
     strategy = parse_strategy(args.strategy, args.seed)
     rf = reduced_form(EdgeMonomial(n, edges), strategy)
     report = RunReport("reduce", {"n": n, "edges": [list(e) for e in edges],
@@ -174,7 +174,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_dissect(args) -> int:
     edges = parse_edges(args.edges)
-    n = args.n or max(j for _i, j in edges)
+    n = max(j for _i, j in edges) if args.n is None else args.n
     G = AcyclicGraph(n, edges)
     strategy = parse_strategy(args.strategy, args.seed)
     d = dissect(G, strategy)
@@ -235,7 +235,9 @@ def _cmd_realize(args) -> int:
 
 def _cmd_verify(args) -> int:
     w = parse_permutation(args.w) if args.w else None
-    n = args.n or (w.n if w else 4)
+    n = (w.n if w else 4) if args.n is None else args.n
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
     report = RunReport("verify", {"suite": args.suite, "n": n, "w": str(w) if w else None},
                        seed=args.seed)
     report.checks = suite(args.suite, n, w, args.seed)

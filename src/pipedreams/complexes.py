@@ -53,6 +53,15 @@ class SimplicialComplex:
         self.vertices = tuple(sorted(vertices))
         self._faces: frozenset[Face] | None = None
 
+    def __eq__(self, other):
+        return (
+            isinstance(other, SimplicialComplex)
+            and (self.vertices, self.facets) == (other.vertices, other.facets)
+        )
+
+    def __hash__(self):
+        return hash((self.vertices, self.facets))
+
     @property
     def dim(self) -> int:
         return max(len(f) for f in self.facets) - 1

@@ -103,14 +103,13 @@ class PipeDream:
         return cls(data["n"], tuple((r, c) for r, c in data["crosses"]))
 
 
-def weight(P: PipeDream, vars: tuple[str, ...] | None = None) -> MultiPolynomial:
+def weight(P: PipeDream) -> MultiPolynomial:
     """Product over crosses at (i, j) of (x_i - y_j); empty product is 1.
 
-    The variable tuple defaults to (x1..x_{n-1}, y1..y_{n-1}, b) so weights
-    combine directly with powers of b in the Grothendieck sums.
+    The variables are (x1..x_{n-1}, y1..y_{n-1}, b), so weights combine
+    directly with powers of b in the Grothendieck sums.
     """
-    if vars is None:
-        vars = xy_beta_vars(P.n)
+    vars = xy_beta_vars(P.n)
     poly = MultiPolynomial.one(vars)
     for r, c in P.crosses:
         x = MultiPolynomial.variable(f"x{r}", vars)

@@ -35,7 +35,7 @@ def double_beta_grothendieck(w: Permutation) -> MultiPolynomial:
     return MultiPolynomial(vars, (
         (exps[:-1] + (P.size - l,), c)
         for P in enumerate_pipe_dreams(w)
-        for exps, c in weight(P, vars).terms.items()
+        for exps, c in weight(P).terms.items()
     ))
 
 

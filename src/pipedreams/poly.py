@@ -9,7 +9,7 @@ immutable: every operation returns a new polynomial.
 from __future__ import annotations
 
 from operator import add, itemgetter
-from typing import Iterable, Mapping, Union
+from typing import Hashable, Iterable, Mapping, Union
 
 
 class MultiPolynomial:
@@ -25,27 +25,19 @@ class MultiPolynomial:
 
     def __init__(self, vars: Iterable[str], terms: Union[Mapping, Iterable] = ()):
         self.vars = tuple(vars)
-        nv = len(self.vars)
-        clean: dict[tuple[int, ...], int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, coef in items:
-            exps = tuple(exps)
-            if len(exps) != nv:
-                raise ValueError(f"exponent vector {exps} does not match {self.vars}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            c = clean.get(exps, 0) + coef
-            if c:
-                clean[exps] = c
-            elif exps in clean:
-                del clean[exps]
-        self.terms = clean
+
+        def checked(items):
+            for exps, coef in items:
+                exps = tuple(exps)
+                if len(exps) != len(self.vars):
+                    raise ValueError(f"exponent vector {exps} does not match {self.vars}")
+                if any(e < 0 for e in exps):
+                    raise ValueError(f"negative exponent in {exps}")
+                yield exps, coef
+
+        self.terms = _merge(checked(terms.items() if isinstance(terms, Mapping) else terms))
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, vars: Iterable[str]) -> "MultiPolynomial":
-        return cls(vars)
 
     @classmethod
     def constant(cls, c: int, vars: Iterable[str]) -> "MultiPolynomial":
@@ -73,25 +65,12 @@ class MultiPolynomial:
         if isinstance(other, int):
             other = MultiPolynomial.constant(other, self.vars)
         self._check(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, 0) + c
-            if s:
-                terms[exps] = s
-            elif exps in terms:
-                del terms[exps]
-        out = MultiPolynomial.__new__(MultiPolynomial)
-        out.vars = self.vars
-        out.terms = terms
-        return out
+        return _unchecked(self.vars, _merge(other.terms.items(), dict(self.terms)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPolynomial.__new__(MultiPolynomial)
-        out.vars = self.vars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _unchecked(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -103,26 +82,14 @@ class MultiPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return MultiPolynomial.zero(self.vars)
-            out = MultiPolynomial.__new__(MultiPolynomial)
-            out.vars = self.vars
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
+            return _unchecked(self.vars, {e: c * other for e, c in self.terms.items()}
+                              if other else {})
         self._check(other)
-        terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
-        out = MultiPolynomial.__new__(MultiPolynomial)
-        out.vars = self.vars
-        out.terms = terms
-        return out
+        return _unchecked(self.vars, _merge(
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        ))
 
     __rmul__ = __mul__
 
@@ -222,56 +189,42 @@ class MultiPolynomial:
                 multis.append(img)
 
         blank = [0] * len(target)
-        acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for exps, coef in self.terms.items():
-            t = blank[:]
-            for i, shift, c in shifts:
-                e = exps[i]
-                if e:
-                    for j, k in shift:
-                        t[j] += k * e
-                    if c != 1:
-                        coef *= c**e
-            key = (tuple([exps[i] for i in pending]), tuple(t))
-            s = acc.get(key, 0) + coef
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
 
-        for img in multis:
+        def shifted():
+            for exps, coef in self.terms.items():
+                t = blank[:]
+                for i, shift, c in shifts:
+                    e = exps[i]
+                    if e:
+                        for j, k in shift:
+                            t[j] += k * e
+                        if c != 1:
+                            coef *= c**e
+                yield (tuple([exps[i] for i in pending]), tuple(t)), coef
+
+        def expanded(acc, img):
             powers: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-            nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
             for (rest, t), coef in acc.items():
                 e, rest = rest[0], rest[1:]
-                if e:
-                    if e not in powers:
-                        powers[e] = list((img**e).terms.items())
-                    moved = [((rest, tuple(map(add, t, te))), coef * c) for te, c in powers[e]]
-                else:
-                    moved = [((rest, t), coef)]
-                for key, c in moved:
-                    s = nxt.get(key, 0) + c
-                    if s:
-                        nxt[key] = s
-                    elif key in nxt:
-                        del nxt[key]
-            acc = nxt
+                if not e:
+                    yield (rest, t), coef
+                    continue
+                if e not in powers:
+                    powers[e] = list((img**e).terms.items())
+                for te, c in powers[e]:
+                    yield (rest, tuple(map(add, t, te))), coef * c
 
-        out = MultiPolynomial.__new__(MultiPolynomial)
-        out.vars = target
-        out.terms = {t: c for (_, t), c in acc.items()}
-        return out
+        acc = _merge(shifted())
+        for img in multis:
+            acc = _merge(expanded(acc, img))
+        return _unchecked(target, {t: c for (_, t), c in acc.items()})
 
     def rename(self, mapping: Mapping[str, str]) -> "MultiPolynomial":
         """Rename variables in place (the exponent data is untouched)."""
         new_vars = tuple(mapping.get(v, v) for v in self.vars)
         if len(set(new_vars)) != len(new_vars):
             raise ValueError(f"renaming collides: {new_vars}")
-        out = MultiPolynomial.__new__(MultiPolynomial)
-        out.vars = new_vars
-        out.terms = dict(self.terms)
-        return out
+        return _unchecked(new_vars, dict(self.terms))
 
     # -- presentation ------------------------------------------------------
 
@@ -320,6 +273,28 @@ class MultiPolynomial:
             tuple(data["vars"]),
             {tuple(t["exp"]): int(t["coef"]) for t in data["terms"]},
         )
+
+
+def _merge(pairs: Iterable[tuple[Hashable, int]], into: dict | None = None) -> dict:
+    """Add each (key, coefficient) pair into `into` (a new dict when None),
+    deleting a key whose sum is zero, so that no zero is ever stored."""
+    terms = {} if into is None else into
+    for key, c in pairs:
+        s = terms.get(key, 0) + c
+        if s:
+            terms[key] = s
+        elif key in terms:
+            del terms[key]
+    return terms
+
+
+def _unchecked(vars: tuple[str, ...], terms: dict) -> MultiPolynomial:
+    """A polynomial holding `terms` as given, uncopied and unchecked: right-length
+    exponent tuples, none negative, no zero coefficient."""
+    out = MultiPolynomial.__new__(MultiPolynomial)
+    out.vars = vars
+    out.terms = terms
+    return out
 
 
 def poly_diff(a: MultiPolynomial, b: MultiPolynomial) -> dict:

@@ -468,10 +468,10 @@ def intersect_tree_simplices(S1: Simplex, S2: Simplex) -> frozenset[Point]:
 
 # -- seeded random graphs for verification suites --------------------------
 
-def random_acyclic_graph(rng: random.Random, max_n: int, min_n: int = 2) -> AcyclicGraph:
-    """A random forest: a uniform Prufer tree with edges dropped at rate
-    0.3, re-rolled if it comes out empty."""
-    n = rng.randint(min_n, max_n)
+def random_acyclic_graph(rng: random.Random, max_n: int) -> AcyclicGraph:
+    """A random forest on 2..max_n vertices: a uniform Prufer tree with
+    edges dropped at rate 0.3, re-rolled if it comes out empty."""
+    n = rng.randint(2, max_n)
     while True:
         if n == 2:
             tree = AcyclicGraph(2, ((1, 2),))

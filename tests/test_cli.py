@@ -275,3 +275,17 @@ def test_refused_svg_keeps_existing_file(tmp_path, capsys, command):
 def test_rank_below_one_exits_2(capsys, argv):
     assert main(argv) == 2
     assert "n must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "all", "--n", "0"], ["verify", "kirillov", "--n", "0"],
+                                  ["verify", "bijection", "--n", "0"],
+                                  ["verify", "kirillov", "--n", "-1"]])
+def test_verify_refuses_rank_below_one(capsys, argv):
+    assert main(argv) == 2
+    assert "--n must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reduce", "dissect"])
+def test_explicit_n_zero_is_not_read_as_absent(capsys, command):
+    assert main([command, "12,23", "--n", "0"]) == 2
+    assert "invalid on [0]" in capsys.readouterr().err

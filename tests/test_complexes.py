@@ -33,6 +33,15 @@ def closure_oracle(facets):
     return faces
 
 
+def test_complexes_equal_by_facets():
+    C = SimplicialComplex([("a", "b"), ("b", "c")])
+    same = SimplicialComplex([("c", "b"), ("b", "a"), ("a", "b")])
+    assert C == same and hash(C) == hash(same)
+    assert len({C, same}) == 1
+    assert C != SimplicialComplex([("a", "b"), ("c",)])
+    assert C != C.facets
+
+
 def test_complex_validation():
     with pytest.raises(ValueError):
         SimplicialComplex([("a", "b"), ("a",)])

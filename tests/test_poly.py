@@ -20,7 +20,7 @@ def test_zero_coefficients_dropped():
     x = var("x")
     p = x - x
     assert p.terms == {} and not p
-    assert p == MultiPolynomial.zero(XY)
+    assert p == MultiPolynomial(XY)
 
 
 def test_pow_matches_repeated_multiplication():
@@ -41,7 +41,7 @@ def test_variable_mismatch_raises():
 def test_degree_and_constants():
     x, y = var("x"), var("y")
     assert (x**3 * y + y).degree() == 4
-    assert MultiPolynomial.zero(XY).degree() == -1
+    assert MultiPolynomial(XY).degree() == -1
     five = MultiPolynomial.constant(5, XY)
     assert five.degree() == 0 and five.terms == {(0, 0): 5}
     assert (x + five).degree() == 1
@@ -91,7 +91,7 @@ def test_str_formats():
     assert str(b**2 + 5 * b + 5) == "b^2 + 5*b + 5"
     x, y = var("x1", ("x1", "y1")), var("y1", ("x1", "y1"))
     assert str(x - y) == "x1 - y1"
-    assert str(MultiPolynomial.zero(XY)) == "0"
+    assert str(MultiPolynomial(XY)) == "0"
 
 
 def test_json_round_trip():

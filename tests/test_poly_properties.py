@@ -107,7 +107,7 @@ def test_absent_variable_needs_no_image(data):
 
 @pytest.mark.parametrize("image", [
     MultiPolynomial.variable("w", ("w", "b")),
-    MultiPolynomial.zero(("q",)),
+    MultiPolynomial(("q",)),
     None,
 ])
 def test_wrong_variable_image_raises_only_when_used(image):
