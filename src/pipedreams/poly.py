@@ -82,8 +82,8 @@ class MultiPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _unchecked(self.vars, {e: c * other for e, c in self.terms.items()}
-                              if other else {})
+            terms = {e: c * other for e, c in self.terms.items()} if other else {}
+            return _unchecked(self.vars, terms)
         self._check(other)
         return _unchecked(self.vars, _merge(
             (tuple(map(add, e1, e2)), c1 * c2)
@@ -289,8 +289,8 @@ def _merge(pairs: Iterable[tuple[Hashable, int]], into: dict | None = None) -> d
 
 
 def _unchecked(vars: tuple[str, ...], terms: dict) -> MultiPolynomial:
-    """A polynomial holding `terms` as given, uncopied and unchecked: right-length
-    exponent tuples, none negative, no zero coefficient."""
+    """A polynomial that holds `terms` uncopied and unchecked: the caller
+    vouches for right-length exponents, none negative, and no zero coefficient."""
     out = MultiPolynomial.__new__(MultiPolynomial)
     out.vars = vars
     out.terms = terms
