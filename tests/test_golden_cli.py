@@ -74,12 +74,16 @@ GEOMETRY = [
 ]
 
 # Polynomial arithmetic and substitution end to end: every check at rank 5,
-# and double and q,t polynomials from S_5 and S_6.
+# double and q,t polynomials from S_5 and S_6 (654321 in text mode), and
+# groth-h on one S_6 permutation.
 POLYNOMIALS = [
     ["verify", "all", "--n", "5", "--json"],
     ["groth", "15342", "--double", "--json"],
     ["groth", "214365", "--double", "--json"],
     ["groth", "165432", "--qt", "--json"],
+    ["groth", "321654", "--double", "--json"],
+    ["groth", "654321", "--double"],
+    ["verify", "groth-h", "--w", "321654", "--json"],
 ]
 
 
