@@ -12,7 +12,6 @@ from .dreams import (
     reduced_pipe_dreams,
     staircase_boxes,
     triangular_word,
-    weight,
 )
 from .complexes import (
     SimplicialComplex,
@@ -75,5 +74,5 @@ __all__ = [
     "reduced_form", "reduced_pipe_dreams", "root_polytope_vertices",
     "specialize_qt", "staircase_boxes", "tree_of_pipedream",
     "triangular_word", "verify_bijection", "verify_face_map",
-    "verify_groth_h", "verify_kirillov", "vertex_figure_simplices", "weight",
+    "verify_groth_h", "verify_kirillov", "vertex_figure_simplices",
 ]

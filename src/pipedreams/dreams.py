@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .perms import Permutation, Window, bruhat_leq, demazure_fold, identity_window
-from .poly import MultiPolynomial
 
 Box = tuple[int, int]
 
@@ -101,27 +100,6 @@ class PipeDream:
     @classmethod
     def from_jsonable(cls, data) -> "PipeDream":
         return cls(data["n"], tuple((r, c) for r, c in data["crosses"]))
-
-
-def weight(P: PipeDream) -> MultiPolynomial:
-    """Product over crosses at (i, j) of (x_i - y_j); empty product is 1.
-
-    The variables are (x1..x_{n-1}, y1..y_{n-1}, b), so weights combine
-    directly with powers of b in the Grothendieck sums.
-    """
-    vars = xy_beta_vars(P.n)
-    poly = MultiPolynomial.one(vars)
-    for r, c in P.crosses:
-        x = MultiPolynomial.variable(f"x{r}", vars)
-        y = MultiPolynomial.variable(f"y{c}", vars)
-        poly = poly * (x - y)
-    return poly
-
-
-def xy_beta_vars(n: int) -> tuple[str, ...]:
-    return tuple(
-        [f"x{i}" for i in range(1, n)] + [f"y{j}" for j in range(1, n)] + ["b"]
-    )
 
 
 def enumerate_pipe_dreams(w: Permutation) -> list[PipeDream]:

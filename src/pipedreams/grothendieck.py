@@ -2,11 +2,13 @@
 specializations.
 
 The double beta-Grothendieck polynomial of w is the sum over all pipe
-dreams P of w of b^codim(P) times the weight of P, where codim(P) is the
-number of crosses beyond l(w).  Setting b = -1 recovers the double
-Grothendieck polynomial; setting all x to q and all y to t collapses every
-weight to a power of (q - t); setting x = 1, y = 0 leaves the generating
-function of pipe dreams by codimension.
+dreams P of w of b^codim(P) times the product of (x_r - y_c) over the
+crosses (r, c) of P, where codim(P) is the number of crosses beyond l(w):
+the generating polynomial of Pipes(w) over one variable z_(r,c) per
+staircase box, expanded by one substitution z_(r,c) -> x_r - y_c.
+Setting b = -1 recovers the double Grothendieck polynomial; all x to q
+and all y to t collapses every product to a power of (q - t); x = 1,
+y = 0 leaves the generating function of pipe dreams by codimension.
 
 Everything here is an exact identity, so the checks compare expanded
 polynomials, never sampled values.
@@ -15,7 +17,7 @@ polynomials, never sampled values.
 from __future__ import annotations
 
 from .complexes import build_pdc, h_polynomial
-from .dreams import enumerate_pipe_dreams, weight, xy_beta_vars
+from .dreams import enumerate_pipe_dreams, staircase_boxes
 from .perms import Permutation
 from .poly import MultiPolynomial, poly_diff
 from .report import VerifyResult
@@ -23,20 +25,32 @@ from .report import VerifyResult
 QT_VARS = ("q", "t", "b")
 
 
+def xy_beta_vars(n: int) -> tuple[str, ...]:
+    """Variables of a rank-n double polynomial: x1.., y1.., then b last."""
+    return tuple(
+        [f"x{i}" for i in range(1, n)] + [f"y{j}" for j in range(1, n)] + ["b"]
+    )
+
+
 def double_beta_grothendieck(w: Permutation) -> MultiPolynomial:
-    """Sum over Pipes(w) of b^codim * product of (x_i - y_j) over crosses.
+    """Sum over Pipes(w) of b^codim * product of (x_r - y_c) over crosses.
 
     >>> print(double_beta_grothendieck(Permutation((2, 1))))
     x1 - y1
     """
     vars = xy_beta_vars(w.n)
+    boxes = staircase_boxes(w.n)
+    images = {
+        f"z{r},{c}": MultiPolynomial.variable(f"x{r}", vars)
+        - MultiPolynomial.variable(f"y{c}", vars)
+        for r, c in boxes
+    }
     l = w.length()
-    # weight(P) has no b, so b^codim sets the last exponent of each term
-    return MultiPolynomial(vars, (
-        (exps[:-1] + (P.size - l,), c)
+    generating = MultiPolynomial((*images, "b"), (
+        (tuple(int(box in P.crosses) for box in boxes) + (P.size - l,), 1)
         for P in enumerate_pipe_dreams(w)
-        for exps, c in weight(P).terms.items()
     ))
+    return generating.substitute(images, vars)
 
 
 def double_grothendieck(w: Permutation) -> MultiPolynomial:
@@ -47,7 +61,7 @@ def double_grothendieck(w: Permutation) -> MultiPolynomial:
 
 
 def specialize_qt(w: Permutation) -> MultiPolynomial:
-    """All x set to q, all y set to t: every weight collapses to
+    """All x set to q, all y set to t: every product collapses to
     (q-t)^size, so this is (q-t)^l(w) * groth_beta(w) at b -> b(q-t)."""
     q = MultiPolynomial.variable("q", QT_VARS)
     t = MultiPolynomial.variable("t", QT_VARS)

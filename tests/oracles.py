@@ -12,7 +12,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from pipedreams.dreams import Box, PipeDream, staircase_boxes
+from pipedreams.dreams import Box, PipeDream, enumerate_pipe_dreams, staircase_boxes
+from pipedreams.grothendieck import xy_beta_vars
 from pipedreams.linalg import inverse, solve_unique
 from pipedreams.perms import (
     Permutation,
@@ -85,6 +86,30 @@ def enumerate_pipe_dreams_bruteforce(w: Permutation) -> list[PipeDream]:
             out.append(P)
     out.sort(key=lambda p: (p.size, p.crosses))
     return out
+
+
+def pipe_dream_weight(P: PipeDream) -> MultiPolynomial:
+    """Product over crosses at (r, c) of (x_r - y_c), multiplied out one
+    cross at a time; the empty product is 1.  Over `xy_beta_vars(P.n)`,
+    with b at exponent 0."""
+    vars = xy_beta_vars(P.n)
+    poly = MultiPolynomial.one(vars)
+    for r, c in P.crosses:
+        x = MultiPolynomial.variable(f"x{r}", vars)
+        y = MultiPolynomial.variable(f"y{c}", vars)
+        poly = poly * (x - y)
+    return poly
+
+
+def double_beta_grothendieck_per_dream(w: Permutation) -> MultiPolynomial:
+    """Oracle for `grothendieck.double_beta_grothendieck`: expand each pipe
+    dream's product on its own and add it with b^codim."""
+    l = w.length()
+    return MultiPolynomial(xy_beta_vars(w.n), (
+        (exps[:-1] + (P.size - l,), c)
+        for P in enumerate_pipe_dreams(w)
+        for exps, c in pipe_dream_weight(P).terms.items()
+    ))
 
 
 def substitute_per_term(

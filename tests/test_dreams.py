@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import enumerate_pipe_dreams_bruteforce
+from oracles import enumerate_pipe_dreams_bruteforce, pipe_dream_weight
 from pipedreams.dreams import (
     LIMIT_N,
     EnumerationLimitError,
@@ -13,9 +13,8 @@ from pipedreams.dreams import (
     reduced_pipe_dreams,
     staircase_boxes,
     triangular_word,
-    weight,
-    xy_beta_vars,
 )
+from pipedreams.grothendieck import xy_beta_vars
 from pipedreams.perms import Permutation, all_windows, catalan_permutation, identity_window
 from pipedreams.poly import MultiPolynomial
 
@@ -110,15 +109,15 @@ def test_enumeration_limit_guard():
 
 def test_weight_examples():
     vars = xy_beta_vars(4)
-    assert weight(PipeDream(4, ())) == MultiPolynomial.one(vars)
+    assert pipe_dream_weight(PipeDream(4, ())) == MultiPolynomial.one(vars)
     x1 = MultiPolynomial.variable("x1", vars)
     y1 = MultiPolynomial.variable("y1", vars)
-    assert weight(PipeDream(4, ((1, 1),))) == x1 - y1
+    assert pipe_dream_weight(PipeDream(4, ((1, 1),))) == x1 - y1
     x2 = MultiPolynomial.variable("x2", vars)
     y2 = MultiPolynomial.variable("y2", vars)
     y3 = MultiPolynomial.variable("y3", vars)
     P = PipeDream(4, ((1, 3), (1, 2), (2, 2)))
-    assert weight(P) == (x1 - y3) * (x1 - y2) * (x2 - y2)
+    assert pipe_dream_weight(P) == (x1 - y3) * (x1 - y2) * (x2 - y2)
 
 
 def test_minimal_dreams_are_the_reduced_ones():

@@ -1,5 +1,8 @@
 """Grothendieck polynomials and their specializations."""
 
+import pytest
+
+from oracles import double_beta_grothendieck_per_dream
 from pipedreams.complexes import build_pdc, h_polynomial
 from pipedreams.grothendieck import (
     QT_VARS,
@@ -9,9 +12,15 @@ from pipedreams.grothendieck import (
     shifted_groth_beta,
     specialize_qt,
     verify_groth_h,
+    xy_beta_vars,
 )
-from pipedreams.dreams import xy_beta_vars
-from pipedreams.perms import Permutation, all_windows, catalan_permutation, identity_window
+from pipedreams.perms import (
+    Permutation,
+    all_windows,
+    catalan_permutation,
+    identity_window,
+    parse_permutation,
+)
 from pipedreams.poly import MultiPolynomial
 
 W1432 = Permutation((1, 4, 3, 2))
@@ -36,6 +45,34 @@ def test_simple_transposition():
     assert double_beta_grothendieck(w) == x1 - y1
     assert double_grothendieck(w) == (x1 - y1).substitute({}, vars[:-1])
     assert specialize_qt(w) == qt("q") - qt("t")
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_double_beta_matches_per_dream_expansion_on_all_of_rank(n):
+    for window in all_windows(n):
+        w = Permutation(window)
+        assert double_beta_grothendieck(w) == double_beta_grothendieck_per_dream(w)
+
+
+@pytest.mark.parametrize("text", ["654321", "321654", "132465"])
+def test_double_beta_matches_per_dream_expansion_at_rank_6(text):
+    w = parse_permutation(text)
+    assert double_beta_grothendieck(w) == double_beta_grothendieck_per_dream(w)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_longest_element_is_the_staircase_product(n):
+    """The full staircase is the only pipe dream of w0, so its polynomial
+    is the product of (x_r - y_c) over r + c <= n, with no b."""
+    vars = xy_beta_vars(n)
+    expected = MultiPolynomial.one(vars)
+    for r in range(1, n):
+        for c in range(1, n + 1 - r):
+            expected = expected * (
+                MultiPolynomial.variable(f"x{r}", vars) - MultiPolynomial.variable(f"y{c}", vars)
+            )
+    w0 = Permutation(tuple(range(n, 0, -1)))
+    assert double_beta_grothendieck(w0) == expected
 
 
 def test_double_beta_1432_at_y0():
