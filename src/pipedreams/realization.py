@@ -195,17 +195,20 @@ class RealizationMap:
         }
 
 
+def require_realizable(n: int) -> None:
+    """For n < 3 the complex is the degenerate case and is not realized."""
+    if n < 3:
+        raise ValueError("realization needs n >= 3")
+
+
 def realize(n: int) -> RealizationMap:
     """Build the realization and check it: facet images coincide with the
     vertex-figure simplices, a box set is a face of the complex exactly
     when its image spans a face of the triangulation (tested on the
     triangulation's faces and on each face plus one box), and boundary
     matches boundary.  Raises RealizationError at the first failure.
-
-    For n = 2 the complex is the degenerate case and is not realized.
     """
-    if n < 3:
-        raise ValueError("realization needs n >= 3")
+    require_realizable(n)
     pi = catalan_permutation(n)
     boxes = staircase_boxes(n)
     vmap = {b: vertex_figure_point(n, *box_edge(b, n)) for b in boxes}

@@ -47,6 +47,7 @@ from .polytopes import (
 from .realization import (
     catalan_number,
     narayana_check,
+    require_realizable,
     verify_bijection,
     verify_face_map,
     verify_realization,
@@ -379,4 +380,6 @@ def suite(selector: str, n: int, w: Permutation | None, seed: int) -> list[Verif
     """Assemble the checks for one CLI verify selector."""
     if selector not in SUITES:
         raise ValueError(f"unknown verify selector {selector!r}")
+    if selector in ("realize", "all"):
+        require_realizable(n)
     return SUITES[selector](n, w, seed)

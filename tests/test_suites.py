@@ -12,8 +12,14 @@ from pathlib import Path
 import pytest
 
 import pipedreams
+from pipedreams import suites
 from pipedreams.polytopes import random_acyclic_graph
-from pipedreams.suites import path_polytope_vertices, sample_acyclic_graphs, sample_polytope_point
+from pipedreams.suites import (
+    path_polytope_vertices,
+    sample_acyclic_graphs,
+    sample_polytope_point,
+    suite,
+)
 
 
 def child(*argv: str) -> subprocess.CompletedProcess:
@@ -61,6 +67,16 @@ def test_verify_small_rank_returns(selector, n):
 def test_verify_all_rank_2_exits_2():
     proc = child("-m", "pipedreams.cli", "verify", "all", "--n", "2")
     assert proc.returncode == 2 and "realization needs n >= 3" in proc.stderr
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_all_refuses_low_rank_before_any_check(n, monkeypatch):
+    def called(n):
+        raise AssertionError("a check ran before the rank was refused")
+
+    monkeypatch.setattr(suites, "check_census", called)
+    with pytest.raises(ValueError, match="realization needs n >= 3"):
+        suite("all", n, None, 0)
 
 
 # SHA-256 of the points the point-location sampler drew before its vertex
