@@ -70,13 +70,15 @@ def test_verify_all_rank_2_exits_2():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_verify_all_refuses_low_rank_before_any_check(n, monkeypatch):
+@pytest.mark.parametrize("selector,first_check", [
+    ("all", "check_census"), ("realize", "verify_face_map")])
+def test_realizing_selectors_refuse_low_rank_before_any_check(selector, first_check, n, monkeypatch):
     def called(n):
         raise AssertionError("a check ran before the rank was refused")
 
-    monkeypatch.setattr(suites, "check_census", called)
+    monkeypatch.setattr(suites, first_check, called)
     with pytest.raises(ValueError, match="realization needs n >= 3"):
-        suite("all", n, None, 0)
+        suite(selector, n, None, 0)
 
 
 # SHA-256 of the points the point-location sampler drew before its vertex
