@@ -74,10 +74,11 @@ GEOMETRY = [
 ]
 
 # Polynomial arithmetic and substitution end to end: every check at rank 5,
-# double and q,t polynomials from S_5 and S_6 (654321 in text mode), and
-# groth-h on one S_6 permutation.
+# groth-h on all of S_5, double and q,t polynomials from S_5 and S_6
+# (654321 in text mode), and groth-h on one S_6 permutation.
 POLYNOMIALS = [
     ["verify", "all", "--n", "5", "--json"],
+    ["verify", "groth-h", "--n", "5", "--json"],
     ["groth", "15342", "--double", "--json"],
     ["groth", "214365", "--double", "--json"],
     ["groth", "165432", "--qt", "--json"],

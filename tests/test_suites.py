@@ -12,7 +12,10 @@ from pathlib import Path
 import pytest
 
 import pipedreams
-from pipedreams import suites
+from pipedreams import grothendieck, suites
+from pipedreams.grothendieck import QT_VARS
+from pipedreams.perms import parse_permutation
+from pipedreams.poly import MultiPolynomial
 from pipedreams.polytopes import random_acyclic_graph
 from pipedreams.suites import (
     path_polytope_vertices,
@@ -95,3 +98,43 @@ def test_polytope_sampler_draws_the_recorded_points():
         for _ in range(40):
             h.update(repr(sample_polytope_point(vertices, rng)).encode() + b"\n")
     assert h.hexdigest() == SAMPLED_POINTS_SHA256
+
+
+# The five S_4 permutation checks of `verify all --n 4` when kernel outputs
+# are corrupted at chosen permutations.  The double polynomial is corrupted
+# at two permutations, so each check that reads it must report the first.
+CORRUPTED_S4 = [
+    {"name": "groth-h:S4", "ok": False,
+     "details": {"w": "2143", "reason": "q survives", "poly": "b^2 + q + b + 1"}},
+    {"name": "interior-h:S4", "ok": False,
+     "details": {"w": "1432", "diff": {"mismatched_terms": {"(0,)": {"left": "2", "right": "1"}}}}},
+    {"name": "qt:S4", "ok": False, "details": {"w": "1342"}},
+    {"name": "homogeneity:S4", "ok": False, "details": {"w": "2143", "exps": [1, 0, 0, 0, 0, 0, 0]}},
+    {"name": "nonneg:S4", "ok": False, "details": {"w": "3142", "poly": "b - 6"}},
+]
+
+
+def corrupt_at(fn, words, change):
+    """`fn` with `change` applied to its output at the permutations `words`."""
+    at = {parse_permutation(word) for word in words}
+
+    def corrupted(*args):
+        out = fn(*args)
+        return change(out) if args[-1] in at else out
+    return corrupted
+
+
+def test_permutation_checks_report_the_first_failure(monkeypatch):
+    double = corrupt_at(grothendieck.double_beta_grothendieck, ("2143", "3412"),
+                        lambda g: g + MultiPolynomial.variable("x1", g.vars))
+    for module in (grothendieck, suites):
+        monkeypatch.setattr(module, "double_beta_grothendieck", double)
+    q = MultiPolynomial.variable("q", QT_VARS)
+    monkeypatch.setattr(suites, "specialize_qt",
+                        corrupt_at(suites.specialize_qt, ("1342",), lambda p: p + q))
+    monkeypatch.setattr(suites, "shifted_groth_beta",
+                        corrupt_at(suites.shifted_groth_beta, ("3142",), lambda p: p - 7))
+    monkeypatch.setattr(suites, "h_from_interior",
+                        corrupt_at(suites.h_from_interior, ("1432",), lambda p: p + 1))
+    results = [r.to_jsonable() for r in suite("all", 4, None, 0) if r.name.endswith(":S4")]
+    assert results == CORRUPTED_S4
