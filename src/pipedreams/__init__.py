@@ -26,7 +26,6 @@ from .grothendieck import (
     double_grothendieck,
     groth_beta,
     specialize_qt,
-    verify_groth_h,
 )
 from .poly import MultiPolynomial
 from .subdivision import (
@@ -35,7 +34,6 @@ from .subdivision import (
     q_polynomial,
     reduce_once,
     reduced_form,
-    verify_kirillov,
 )
 from .polytopes import (
     AcyclicGraph,
@@ -58,6 +56,7 @@ from .realization import (
     verify_bijection,
     verify_face_map,
 )
+from .suites import verify_groth_h, verify_kirillov
 
 __version__ = "0.1.0"
 

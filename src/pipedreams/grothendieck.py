@@ -9,18 +9,13 @@ staircase box, expanded by one substitution z_(r,c) -> x_r - y_c.
 Setting b = -1 recovers the double Grothendieck polynomial; all x to q
 and all y to t collapses every product to a power of (q - t); x = 1,
 y = 0 leaves the generating function of pipe dreams by codimension.
-
-Everything here is an exact identity, so the checks compare expanded
-polynomials, never sampled values.
 """
 
 from __future__ import annotations
 
-from .complexes import build_pdc, h_polynomial
 from .dreams import enumerate_pipe_dreams, staircase_boxes
 from .perms import Permutation
-from .poly import MultiPolynomial, poly_diff
-from .report import VerifyResult
+from .poly import MultiPolynomial
 
 QT_VARS = ("q", "t", "b")
 
@@ -86,29 +81,3 @@ def shifted_groth_beta(w: Permutation) -> MultiPolynomial:
     pipe dream complex in the variable b."""
     b = MultiPolynomial.variable("b", ("b",))
     return groth_beta(w).substitute({"b": b - 1}, ("b",))
-
-
-def verify_groth_h(w: Permutation) -> VerifyResult:
-    """Check that substituting b -> b-1, x_i -> q, y_j -> q-1 into the
-    expanded double beta-Grothendieck polynomial is q-free and equals the
-    h-polynomial of the pipe dream complex of w."""
-    name = f"groth-h:{w}"
-    vars = xy_beta_vars(w.n)
-    target = ("q", "b")
-    q = MultiPolynomial.variable("q", target)
-    b = MultiPolynomial.variable("b", target)
-    images: dict[str, MultiPolynomial] = {"b": b - 1}
-    for v in vars[:-1]:
-        images[v] = q if v.startswith("x") else q - 1
-    substituted = double_beta_grothendieck(w).substitute(images, target)
-    if substituted.depends_on("q"):
-        return VerifyResult(name, False, {"reason": "q survives", "poly": str(substituted)})
-    collapsed = MultiPolynomial(
-        ("b",), {(e[1],): c for e, c in substituted.terms.items()}
-    )
-    h = h_polynomial(build_pdc(w)).rename({"x": "b"})
-    if collapsed != h:
-        return VerifyResult(
-            name, False, {"reason": "mismatch", "diff": poly_diff(collapsed, h)}
-        )
-    return VerifyResult(name, True, {"h": str(h)})

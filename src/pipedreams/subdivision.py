@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .poly import MultiPolynomial
-from .report import VerifyResult
 
 Edge = tuple[int, int]
 Triple = tuple[int, int, int]
@@ -358,19 +357,3 @@ def q_polynomial(
 
 def path_edges(n: int) -> tuple[Edge, ...]:
     return tuple((i, i + 1) for i in range(1, n))
-
-
-def verify_kirillov(n: int) -> VerifyResult:
-    """Q_{P_n}(b) computed by rewriting equals the x=1, y=0 Grothendieck
-    polynomial of 1 n n-1 ... 2 computed by pipe dream enumeration."""
-    from .grothendieck import groth_beta
-    from .perms import catalan_permutation
-    from .poly import poly_diff
-
-    lhs = q_polynomial(n, path_edges(n))
-    rhs = groth_beta(catalan_permutation(n))
-    if lhs != rhs:
-        return VerifyResult(
-            f"kirillov:{n}", False, {"diff": poly_diff(lhs, rhs)}
-        )
-    return VerifyResult(f"kirillov:{n}", True, {"q": str(lhs)})

@@ -18,9 +18,9 @@ from .dreams import reduced_pipe_dreams
 from .grothendieck import (
     QT_VARS,
     double_beta_grothendieck,
+    groth_beta,
     shifted_groth_beta,
     specialize_qt,
-    verify_groth_h,
 )
 from .linalg import clear_denominators
 from .perms import Permutation, all_windows, catalan_permutation
@@ -64,75 +64,121 @@ from .subdivision import (
     q_polynomial,
     reduced_form,
     reducible_triples,
-    verify_kirillov,
 )
 
 
-def _each_permutation(name: str, n: int,
-                      failure: Callable[[Permutation], dict | None]) -> VerifyResult:
-    """Fail with {"w": w, **details} at the first permutation w of rank n
-    for which `failure(w)` returns details, else pass."""
-    for window in all_windows(n):
-        w = Permutation(window)
-        details = failure(w)
-        if details is not None:
-            return VerifyResult(name, False, {"w": str(w), **details})
-    return VerifyResult(name, True, {"permutations": factorial(n)})
+def _groth_h(w, g, C) -> dict | None:
+    """b -> b-1, x_i -> q, y_j -> q-1 turns the double polynomial into a
+    q-free polynomial equal to the h-polynomial of the complex."""
+    target = ("q", "b")
+    q = MultiPolynomial.variable("q", target)
+    b = MultiPolynomial.variable("b", target)
+    images: dict[str, MultiPolynomial] = {"b": b - 1}
+    for v in g.vars[:-1]:
+        images[v] = q if v.startswith("x") else q - 1
+    substituted = g.substitute(images, target)
+    if substituted.depends_on("q"):
+        return {"reason": "q survives", "poly": str(substituted)}
+    collapsed = MultiPolynomial(
+        ("b",), {(e[1],): c for e, c in substituted.terms.items()}
+    )
+    h = h_polynomial(C).rename({"x": "b"})
+    if collapsed != h:
+        return {"reason": "mismatch", "diff": poly_diff(collapsed, h)}
+    return None
 
 
-def check_groth_h_rank(n: int) -> VerifyResult:
-    """The shifted q, q-1 substitution equals the h-polynomial for
-    every permutation of rank n."""
-    def failure(w):
-        r = verify_groth_h(w)
-        return None if r else r.details
-    return _each_permutation(f"groth-h:S{n}", n, failure)
-
-
-def check_interior_h_rank(n: int) -> VerifyResult:
-    """Interior-face h-polynomial agrees with the f-to-h transform after
-    b -> x - 1, for every permutation of rank n."""
+def _interior_h(w, g, C) -> dict | None:
+    """The interior-face h-polynomial agrees with the f-to-h transform
+    after b -> x - 1."""
     x = MultiPolynomial.variable("x", ("x",))
-
-    def failure(w):
-        C = build_pdc(w)
-        lhs = h_from_interior(C, w).substitute({"b": x - 1}, ("x",))
-        rhs = h_polynomial(C)
-        return None if lhs == rhs else {"diff": poly_diff(lhs, rhs)}
-    return _each_permutation(f"interior-h:S{n}", n, failure)
+    lhs = h_from_interior(C, w).substitute({"b": x - 1}, ("x",))
+    rhs = h_polynomial(C)
+    return None if lhs == rhs else {"diff": poly_diff(lhs, rhs)}
 
 
-def check_qt_identity_rank(n: int) -> VerifyResult:
+def _qt(w, g, C) -> dict | None:
     """The closed form over codimensions equals the direct x -> q, y -> t
     substitution of the double polynomial."""
     q, t, b = (MultiPolynomial.variable(v, QT_VARS) for v in QT_VARS)
-
-    def failure(w):
-        g = double_beta_grothendieck(w)
-        images = {v: q if v.startswith("x") else t for v in g.vars[:-1]}
-        images["b"] = b
-        return None if g.substitute(images, QT_VARS) == specialize_qt(w) else {}
-    return _each_permutation(f"qt:S{n}", n, failure)
+    images = {v: q if v.startswith("x") else t for v in g.vars[:-1]}
+    images["b"] = b
+    return None if g.substitute(images, QT_VARS) == specialize_qt(w) else {}
 
 
-def check_homogeneity_rank(n: int) -> VerifyResult:
+def _homogeneity(w, g, C) -> dict | None:
     """With deg x = deg y = 1 and deg b = -1, the double polynomial is
     homogeneous of degree l(w)."""
-    def failure(w):
-        l = w.length()
-        for exps in double_beta_grothendieck(w).terms:
-            if sum(exps[:-1]) - exps[-1] != l:
-                return {"exps": list(exps)}
-        return None
-    return _each_permutation(f"homogeneity:S{n}", n, failure)
+    l = w.length()
+    for exps in g.terms:
+        if sum(exps[:-1]) - exps[-1] != l:
+            return {"exps": list(exps)}
+    return None
 
 
-def check_nonnegativity_rank(n: int) -> VerifyResult:
+def _nonnegativity(w, g, C) -> dict | None:
     """All coefficients of the shifted specialization are nonnegative."""
-    def failure(w):
-        shifted = shifted_groth_beta(w)
-        return {"poly": str(shifted)} if any(c < 0 for c in shifted.terms.values()) else None
-    return _each_permutation(f"nonneg:S{n}", n, failure)
+    shifted = shifted_groth_beta(w)
+    return {"poly": str(shifted)} if any(c < 0 for c in shifted.terms.values()) else None
+
+
+# The identities checked on every permutation of a rank, in report order.
+# Each takes w, its double polynomial g and its pipe dream complex C, and
+# returns failure details or None.
+PERMUTATION_CHECKS = (
+    ("groth-h", _groth_h),
+    ("interior-h", _interior_h),
+    ("qt", _qt),
+    ("homogeneity", _homogeneity),
+    ("nonneg", _nonnegativity),
+)
+
+
+def check_permutations(n: int, identities: tuple[tuple[str, Callable], ...]) -> list[VerifyResult]:
+    """One result `name:Sn` per (name, identity) of `identities`, checked on
+    every permutation w of rank n with the double polynomial and the
+    complex of w built once.  An identity fails with {"w": w, **details}
+    at the first w where it returns details, and is not evaluated again."""
+    failures: dict[str, dict] = {}
+    for window in all_windows(n):
+        w = Permutation(window)
+        g = double_beta_grothendieck(w)
+        C = build_pdc(w)
+        for name, identity in identities:
+            if name not in failures:
+                details = identity(w, g, C)
+                if details is not None:
+                    failures[name] = {"w": str(w), **details}
+    return [
+        VerifyResult(f"{name}:S{n}", name not in failures,
+                     failures.get(name, {"permutations": factorial(n)}))
+        for name, _ in identities
+    ]
+
+
+def verify_groth_h(w: Permutation) -> VerifyResult:
+    """Check that substituting b -> b-1, x_i -> q, y_j -> q-1 into the
+    expanded double beta-Grothendieck polynomial is q-free and equals the
+    h-polynomial of the pipe dream complex of w."""
+    name = f"groth-h:{w}"
+    g = double_beta_grothendieck(w)
+    C = build_pdc(w)
+    details = _groth_h(w, g, C)
+    if details is not None:
+        return VerifyResult(name, False, details)
+    return VerifyResult(name, True, {"h": str(h_polynomial(C).rename({"x": "b"}))})
+
+
+def verify_kirillov(n: int) -> VerifyResult:
+    """Q_{P_n}(b) computed by rewriting equals the x=1, y=0 Grothendieck
+    polynomial of 1 n n-1 ... 2 computed by pipe dream enumeration."""
+    lhs = q_polynomial(n, path_edges(n))
+    rhs = groth_beta(catalan_permutation(n))
+    if lhs != rhs:
+        return VerifyResult(
+            f"kirillov:{n}", False, {"diff": poly_diff(lhs, rhs)}
+        )
+    return VerifyResult(f"kirillov:{n}", True, {"q": str(lhs)})
 
 
 def check_census(n: int) -> VerifyResult:
@@ -338,8 +384,8 @@ def _forest_rank(n: int) -> int:
 # The checks of each verify selector.  Lambdas look each check up by name
 # when they run, so a module attribute rebound later (a monkeypatch) holds.
 SUITES = {
-    "groth-h": lambda n, w, seed: [
-        verify_groth_h(w) if w is not None else check_groth_h_rank(n)],
+    "groth-h": lambda n, w, seed: (
+        [verify_groth_h(w)] if w is not None else check_permutations(n, PERMUTATION_CHECKS[:1])),
     "kirillov": lambda n, w, seed: [verify_kirillov(n)],
     "bijection": lambda n, w, seed: [verify_bijection(n)],
     "realize": lambda n, w, seed: [
@@ -354,11 +400,7 @@ SUITES = {
         check_census(n),
         check_scripted_path4(),
         verify_kirillov(n),
-        check_groth_h_rank(n),
-        check_interior_h_rank(n),
-        check_qt_identity_rank(n),
-        check_homogeneity_rank(n),
-        check_nonnegativity_rank(n),
+        *check_permutations(n, PERMUTATION_CHECKS),
         check_strategy_independence(_forest_rank(n), seed, num_graphs=20, num_strategies=20),
         check_strategy_dependence(),
         check_dissection_census(_forest_rank(n), seed, num_graphs=15),

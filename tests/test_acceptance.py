@@ -6,7 +6,7 @@ import time
 
 from pipedreams.complexes import build_pdc, h_from_interior, h_polynomial
 from pipedreams.dreams import enumerate_pipe_dreams, reduced_pipe_dreams
-from pipedreams.grothendieck import shifted_groth_beta, verify_groth_h
+from pipedreams.grothendieck import shifted_groth_beta
 from pipedreams.perms import Permutation, all_windows, catalan_permutation
 from pipedreams.poly import MultiPolynomial
 from pipedreams.polytopes import canonical_triangulation, is_unimodular
@@ -17,13 +17,14 @@ from pipedreams.realization import (
     verify_face_map,
     verify_realization,
 )
-from pipedreams.subdivision import verify_kirillov
 from pipedreams.suites import (
     check_scripted_path4,
     check_intersections,
     check_point_location,
     check_projection,
     check_strategy_independence,
+    verify_groth_h,
+    verify_kirillov,
 )
 
 

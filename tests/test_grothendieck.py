@@ -11,7 +11,6 @@ from pipedreams.grothendieck import (
     groth_beta,
     shifted_groth_beta,
     specialize_qt,
-    verify_groth_h,
     xy_beta_vars,
 )
 from pipedreams.perms import (
@@ -22,6 +21,7 @@ from pipedreams.perms import (
     parse_permutation,
 )
 from pipedreams.poly import MultiPolynomial
+from pipedreams.suites import verify_groth_h
 
 W1432 = Permutation((1, 4, 3, 2))
 

@@ -18,8 +18,8 @@ from pipedreams.subdivision import (
     reduce_once,
     reduced_form,
     reducible_triples,
-    verify_kirillov,
 )
+from pipedreams.suites import verify_kirillov
 
 B = MultiPolynomial.variable("b", ("b",))
 
