@@ -60,16 +60,6 @@ class AcyclicGraph:
     def path(cls, n: int) -> "AcyclicGraph":
         return cls(n, tuple((i, i + 1) for i in range(1, n)))
 
-    def is_alternating(self) -> bool:
-        """No reducible pair (i, j), (j, k): no vertex ends one edge and starts another."""
-        return {j for _, j in self.edges}.isdisjoint(i for i, _ in self.edges)
-
-    def is_noncrossing(self) -> bool:
-        for (i, k), (j, l) in combinations(self.edges, 2):
-            if i < j < k < l or j < i < l < k:
-                return False
-        return True
-
     def to_jsonable(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
@@ -277,16 +267,28 @@ def _prufer_decode(seq: Sequence[int], n: int) -> tuple[Edge, ...]:
     return tuple(sorted(edges))
 
 
-def spanning_trees(n: int) -> Iterator[AcyclicGraph]:
-    """All labeled spanning trees of K_n, one per Prufer sequence, the
-    sequences in lexicographic order."""
+def spanning_trees(n: int) -> Iterator[tuple[Edge, ...]]:
+    """The sorted edge tuples of all labeled spanning trees of K_n, one per
+    Prufer sequence, the sequences in lexicographic order."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if n == 1:
-        yield AcyclicGraph(1, ())
+        yield ()
         return
     for seq in product(range(1, n + 1), repeat=n - 2):
-        yield AcyclicGraph(n, _prufer_decode(seq, n))
+        yield _prufer_decode(seq, n)
+
+
+def is_alternating(edges: tuple[Edge, ...]) -> bool:
+    """No reducible pair (i, j), (j, k): no vertex ends one edge and starts another."""
+    return {j for _, j in edges}.isdisjoint(i for i, _ in edges)
+
+
+def is_noncrossing(edges: tuple[Edge, ...]) -> bool:
+    for (i, k), (j, l) in combinations(edges, 2):
+        if i < j < k < l or j < i < l < k:
+            return False
+    return True
 
 
 def noncrossing_alternating_trees(n: int) -> tuple[AcyclicGraph, ...]:
@@ -296,11 +298,8 @@ def noncrossing_alternating_trees(n: int) -> tuple[AcyclicGraph, ...]:
     >>> [t.edges for t in noncrossing_alternating_trees(3)]
     [((1, 2), (1, 3)), ((1, 3), (2, 3))]
     """
-    out = [
-        T for T in spanning_trees(n) if T.is_alternating() and T.is_noncrossing()
-    ]
-    out.sort(key=lambda T: T.edges)
-    return tuple(out)
+    kept = sorted(e for e in spanning_trees(n) if is_alternating(e) and is_noncrossing(e))
+    return tuple(AcyclicGraph(n, e) for e in kept)
 
 
 OUTSIDE, BOUNDARY, INTERIOR = 0, 1, 2

@@ -10,10 +10,12 @@ from oracles import intersect_simplices_fraction, prufer_decode_heap, spanning_t
 
 from pipedreams.linalg import clear_denominators, solve_in_span
 from pipedreams.polytopes import (
+    AcyclicGraph,
     Simplex,
     _prufer_decode,
     barycentric_solver,
     intersect_tree_simplices,
+    is_alternating,
     location,
     random_acyclic_graph,
     spanning_trees,
@@ -22,7 +24,7 @@ from pipedreams.polytopes import (
 from pipedreams.subdivision import reducible_triples
 
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
-TREES = {n: tuple(spanning_trees(n)) for n in range(1, 7)}
+TREES = {n: tuple(AcyclicGraph(n, edges) for edges in spanning_trees(n)) for n in range(1, 7)}
 
 
 @st.composite
@@ -48,13 +50,13 @@ def test_spanning_trees_follow_the_oracle_order():
 @given(st.integers(0, 10**6))
 def test_is_alternating_on_random_forests(seed):
     G = random_acyclic_graph(random.Random(seed), 8)
-    assert G.is_alternating() == (not reducible_triples(G.edges))
+    assert is_alternating(G.edges) == (not reducible_triples(G.edges))
 
 
 def test_is_alternating_on_every_spanning_tree():
     for trees in TREES.values():
         for T in trees:
-            assert T.is_alternating() == (not reducible_triples(T.edges))
+            assert is_alternating(T.edges) == (not reducible_triples(T.edges))
 
 
 def scaled_tree_simplices(n):
