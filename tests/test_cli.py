@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+from pipedreams import cli, suites
 from pipedreams.cli import main, parse_edges
 from pipedreams.dreams import EnumerationLimitError, enumerate_pipe_dreams
 from pipedreams.perms import Permutation, identity_window
 from pipedreams.poly import MultiPolynomial
+from pipedreams.realization import RealizationError
+from pipedreams.report import VerifyResult
 from pipedreams.subdivision import ReducedForm
 
 
@@ -201,6 +204,37 @@ def test_verify_all_n4(capsys):
 def test_verify_groth_h_single_w(capsys):
     code, out = run(capsys, "verify", "groth-h", "--w", "4321")
     assert code == 0
+
+
+def test_failing_check_exits_1_and_reports_it(capsys, monkeypatch):
+    monkeypatch.setattr(suites, "verify_kirillov",
+                        lambda n: VerifyResult(f"kirillov:{n}", False, {"diff": {"(0,)": 1}}))
+    code, out = run(capsys, "verify", "kirillov", "--n", "5")
+    assert code == 1
+    assert out == 'check kirillov:5: FAIL\n  details: {"diff": {"(0,)": 1}}\n'
+    code, out = run(capsys, "verify", "kirillov", "--n", "5", "--json")
+    assert code == 1
+    assert '"ok": false' in out
+    assert json.loads(out)["checks"] == [
+        {"name": "kirillov:5", "ok": False, "details": {"diff": {"(0,)": 1}}}]
+
+
+def test_realization_error_exits_1_and_reports_it(tmp_path, capsys, monkeypatch):
+    def fail(n):
+        raise RealizationError("vertex map is not injective")
+
+    monkeypatch.setattr(cli, "realize", fail)
+    target = tmp_path / "vf.svg"
+    code, out = run(capsys, "realize", "--n", "4", "--emit-svg", str(target))
+    assert code == 1
+    assert out == 'check realize:4: FAIL\n  details: {"reason": "vertex map is not injective"}\n'
+    assert not target.exists()
+    code, out = run(capsys, "realize", "--n", "4", "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["results"] == {}
+    assert data["checks"] == [
+        {"name": "realize:4", "ok": False, "details": {"reason": "vertex map is not injective"}}]
 
 
 def test_invalid_permutation_exits_2(capsys):

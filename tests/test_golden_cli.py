@@ -3,12 +3,13 @@ must print exactly what `tests/golden_cli.json` recorded.
 
 README examples are stored in full (stdout, exit code, and the bytes of
 any SVG they write); the reduce/dissect matrix over forests, strategies
-and output modes, the larger geometry outputs and the polynomial outputs
-are stored as SHA-256 digests of stdout.  Regenerate with
+and output modes, the larger geometry outputs, the polynomial outputs and
+the pipe dream complex outputs are stored as SHA-256 digests of stdout.  Regenerate with
 `PYTHONPATH=src python tests/test_golden_cli.py`, and only at a commit
 whose outputs are known to be right.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from pipedreams.cli import main
+from pipedreams.cli import build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 SVG = "figure.svg"
@@ -74,17 +75,28 @@ GEOMETRY = [
 ]
 
 # Polynomial arithmetic and substitution end to end: every check at rank 5,
-# groth-h on all of S_5, double and q,t polynomials from S_5 and S_6
-# (654321 in text mode), and groth-h on one S_6 permutation.
+# groth-h on all of S_5, the default beta polynomial in JSON, double and q,t
+# polynomials from S_5 and S_6 (654321 in text mode), and groth-h on one
+# S_6 permutation.
 POLYNOMIALS = [
     ["verify", "all", "--n", "5", "--json"],
     ["verify", "groth-h", "--n", "5", "--json"],
+    ["groth", "1432", "--json"],
     ["groth", "15342", "--double", "--json"],
     ["groth", "214365", "--double", "--json"],
     ["groth", "165432", "--qt", "--json"],
     ["groth", "321654", "--double", "--json"],
     ["groth", "654321", "--double"],
     ["verify", "groth-h", "--w", "321654", "--json"],
+]
+
+# The pipe dream complex in its default output and in JSON, where it also
+# carries the complex itself.
+COMPLEXES = [
+    ["pdc", "1432"],
+    ["pdc", "1432", "--json"],
+    ["pdc", "1432", "--h", "--json"],
+    ["pdc", "1432", "--f", "--interior", "--json"],
 ]
 
 
@@ -103,7 +115,7 @@ def digest(text):
 
 
 def record():
-    data = {"readme": [], "matrix": {}, "geometry": {}, "polynomials": {}}
+    data = {"readme": [], "matrix": {}, "geometry": {}, "polynomials": {}, "complexes": {}}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -116,7 +128,8 @@ def record():
                 code, out, _svg = run_cli(argv)
                 assert code == 0, argv
                 data["matrix"][" ".join(argv)] = digest(out)
-            for group, commands in (("geometry", GEOMETRY), ("polynomials", POLYNOMIALS)):
+            for group, commands in (("geometry", GEOMETRY), ("polynomials", POLYNOMIALS),
+                                    ("complexes", COMPLEXES)):
                 for argv in commands:
                     code, out, _svg = run_cli(argv)
                     assert code == 0, argv
@@ -164,6 +177,55 @@ def test_polynomial_output_is_byte_identical(argv):
     code, out, _svg = run_cli(argv)
     assert code == 0
     assert digest(out) == golden()["polynomials"][" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", COMPLEXES, ids=" ".join)
+def test_complex_output_is_byte_identical(argv):
+    code, out, _svg = run_cli(argv)
+    assert code == 0
+    assert digest(out) == golden()["complexes"][" ".join(argv)]
+
+
+def uncovered(parser: argparse.ArgumentParser, argvs: list[list[str]]) -> list[str]:
+    """What the argvs leave unexercised: each subcommand with no argv in
+    text mode or none with `--json`, and each other store_true flag of a
+    subcommand that none of its argvs passes."""
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    gaps = []
+    for name, sub in subcommands.choices.items():
+        own = [argv for argv in argvs if argv[0] == name]
+        if all("--json" in argv for argv in own):
+            gaps.append(f"{name} (text)")
+        if not any("--json" in argv for argv in own):
+            gaps.append(f"{name} --json")
+        for action in sub._actions:
+            flags = set(action.option_strings) - {"--json"}
+            if isinstance(action, argparse._StoreTrueAction) and flags and not any(
+                    flags & set(argv) for argv in own):
+                gaps.append(f"{name} {max(flags, key=len)}")
+    return gaps
+
+
+def test_goldens_cover_every_subcommand_and_output_flag():
+    """A new subcommand or output flag cannot skip the byte-identical check."""
+    data = golden()
+    argvs = [case["argv"] for case in data.pop("readme")]
+    argvs += [key.split(" ") for group in data.values() for key in group]
+    assert uncovered(build_parser(), argvs) == []
+
+
+def test_detects_an_uncovered_subcommand_or_flag():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    for name in ("a", "b"):
+        p = sub.add_parser(name)
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--deep", action="store_true")
+        p.add_argument("--n", type=int)
+    assert uncovered(parser, [["a", "--deep"], ["a", "--json", "--n", "3"], ["b", "--json"]]) == [
+        "b (text)", "b --deep"]
+    assert uncovered(parser, [["a", "--deep"], ["b", "--deep", "--json"]]) == [
+        "a --json", "b (text)"]
 
 
 if __name__ == "__main__":
