@@ -1,7 +1,8 @@
 """Command-line surface: polynomials, complexes, reduced forms,
 dissections, triangulations, the realization, and verification runs.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Each subcommand fills one `RunReport`, which `main` alone renders.
+Exit codes: 0 success, 1 a reported check failed, 2 input error.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .svgout import render_vertex_figure
 @dataclass
 class RunReport:
     command: str
-    inputs: dict
+    inputs: dict = field(default_factory=dict)
     results: dict = field(default_factory=dict)
     checks: list[VerifyResult] = field(default_factory=list)
     seed: int = 0
@@ -46,25 +47,19 @@ class RunReport:
     def all_ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": jsonable(self.inputs),
-            "results": jsonable(self.results),
-            "checks": [c.to_jsonable() for c in self.checks],
-            "seed": self.seed,
-        }
-
-    def render_text(self) -> str:
-        """One `key: value` line per result, a list as one indented line
-        per item, and each dict (a result or a list item) as sorted JSON."""
+    def render(self, as_json: bool) -> str:
+        """Every field as sorted, indented JSON; or one `key: value` line
+        per result, a list or tuple as one indented line per item, each dict
+        (a result or an item) as sorted JSON, then one line per check."""
+        if as_json:
+            return json.dumps(jsonable(vars(self)), sort_keys=True, indent=2)
 
         def text(v) -> str:
             return json.dumps(jsonable(v), sort_keys=True) if isinstance(v, dict) else str(v)
 
         lines = []
         for key, value in self.results.items():
-            if isinstance(value, list):
+            if isinstance(value, (list, tuple)):
                 lines.append(f"{key}:")
                 lines.extend(f"  {text(v)}" for v in value)
             else:
@@ -106,43 +101,29 @@ def _write_svg(report: RunReport, n: int, path: str) -> None:
     report.results["svg"] = path
 
 
-def _emit(report: RunReport, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report.to_jsonable(), sort_keys=True, indent=2))
-    else:
-        print(report.render_text())
-
-
-def _cmd_groth(args) -> int:
+def _cmd_groth(args, report: RunReport) -> None:
     w = parse_permutation(args.permutation)
-    report = RunReport("groth", {"w": str(w)}, seed=args.seed)
+    report.inputs = {"w": w}
     if args.double:
-        poly = double_grothendieck(w)
-        key = "double"
+        report.results["double"] = double_grothendieck(w)
     elif args.qt:
-        poly = specialize_qt(w)
-        key = "qt"
+        report.results["qt"] = specialize_qt(w)
     else:
-        poly = groth_beta(w)
-        key = "beta"
-    report.results[key] = poly.to_jsonable() if args.json else str(poly)
-    _emit(report, args.json)
-    return 0
+        report.results["beta"] = groth_beta(w)
 
 
-def _cmd_pdc(args) -> int:
+def _cmd_pdc(args, report: RunReport) -> None:
     w = parse_permutation(args.permutation)
     C = build_pdc(w)
-    report = RunReport("pdc", {"w": str(w)}, seed=args.seed)
+    report.inputs = {"w": w}
     report.results["vertices"] = len(C.vertices)
     report.results["facets"] = len(C.facets)
     if args.json:
-        report.results["complex"] = C.to_jsonable()
+        report.results["complex"] = C
     if args.f or not (args.h or args.interior):
-        report.results["f_vector"] = list(f_vector(C))
+        report.results["f_vector"] = f_vector(C)
     if args.h or not (args.f or args.interior):
-        h = h_polynomial(C)
-        report.results["h"] = h.to_jsonable() if args.json else str(h)
+        report.results["h"] = h_polynomial(C)
     if args.interior:
         report.results["interior"] = [
             {"face": sorted(map(list, face)), "codim": codim}
@@ -150,99 +131,74 @@ def _cmd_pdc(args) -> int:
         ]
     if args.dreams:
         report.results["dreams"] = [P.to_jsonable() for P in enumerate_pipe_dreams(w)]
-    _emit(report, args.json)
-    return 0
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args, report: RunReport) -> None:
     edges = parse_edges(args.edges)
     n = max(j for _i, j in edges) if args.n is None else args.n
     strategy = parse_strategy(args.strategy, args.seed)
     rf = reduced_form(EdgeMonomial(n, edges), strategy)
-    report = RunReport("reduce", {"n": n, "edges": [list(e) for e in edges],
-                                  "strategy": args.strategy}, seed=args.seed)
-    report.results["reduced_form"] = rf.to_jsonable() if args.json else str(rf)
-    report.results["q"] = (
-        rf.beta_specialization().to_jsonable() if args.json else str(rf.beta_specialization())
-    )
+    report.inputs = {"n": n, "edges": edges, "strategy": args.strategy}
+    report.results["reduced_form"] = rf
+    report.results["q"] = rf.beta_specialization()
     if args.tree:
         tree = reduction_tree(EdgeMonomial(n, edges), parse_strategy(args.strategy, args.seed))
-        report.results["tree"] = tree.to_jsonable() if args.json else tree.outline()
-    _emit(report, args.json)
-    return 0
+        report.results["tree"] = tree if args.json else tree.outline()
 
 
-def _cmd_dissect(args) -> int:
+def _cmd_dissect(args, report: RunReport) -> None:
     edges = parse_edges(args.edges)
     n = max(j for _i, j in edges) if args.n is None else args.n
     G = AcyclicGraph(n, edges)
-    strategy = parse_strategy(args.strategy, args.seed)
-    d = dissect(G, strategy)
-    report = RunReport("dissect", {"graph": G.to_jsonable(), "strategy": args.strategy},
-                       seed=args.seed)
-    report.results["census"] = {str(k): v for k, v in d.census().items()}
+    d = dissect(G, parse_strategy(args.strategy, args.seed))
+    report.inputs = {"graph": G, "strategy": args.strategy}
+    report.results["census"] = d.census()
     if args.tree:
-        report.results["tree"] = d.to_jsonable() if args.json else d.outline()
+        report.results["tree"] = d if args.json else d.outline()
     else:
-        report.results["leaves"] = [
-            {"edges": [list(e) for e in g.edges], "beta": beta} for g, beta in d.leaves()
-        ]
-    _emit(report, args.json)
-    return 0
+        report.results["leaves"] = [{"edges": g.edges, "beta": beta} for g, beta in d.leaves()]
 
 
-def _cmd_trees(args) -> int:
+def _cmd_trees(args, report: RunReport) -> None:
     trees = noncrossing_alternating_trees(args.n)
-    report = RunReport("trees", {"n": args.n}, seed=args.seed)
+    report.inputs = {"n": args.n}
     report.results["count"] = len(trees)
-    report.results["trees"] = (
-        [T.to_jsonable() for T in trees] if args.json else [str(T) for T in trees]
-    )
-    _emit(report, args.json)
-    return 0
+    report.results["trees"] = trees
 
 
-def _cmd_triangulate(args) -> int:
-    report = RunReport("triangulate", {"n": args.n}, seed=args.seed)
+def _cmd_triangulate(args, report: RunReport) -> None:
+    report.inputs = {"n": args.n}
     simplices = canonical_triangulation(args.n)
     report.results["simplices"] = [S.to_jsonable() for S in simplices]
     report.results["vertex_figure"] = [vertex_figure(S).to_jsonable() for S in simplices]
     if args.emit_svg:
         _write_svg(report, args.n, args.emit_svg)
-    _emit(report, args.json)
-    return 0
 
 
-def _cmd_realize(args) -> int:
-    report = RunReport("realize", {"n": args.n}, seed=args.seed)
+def _cmd_realize(args, report: RunReport) -> None:
+    report.inputs = {"n": args.n}
     try:
         rm = realize(args.n)
     except RealizationError as exc:
         report.checks.append(VerifyResult(f"realize:{args.n}", False, {"reason": str(exc)}))
-        _emit(report, args.json)
-        return 1
+        return
     report.checks.append(VerifyResult(f"realize:{args.n}", True))
     if args.json:
-        report.results["realization"] = rm.to_jsonable()
+        report.results["realization"] = rm
     else:
         report.results["boxes"] = len(rm.vertex_map)
         report.results["facets"] = len(rm.facet_map)
     if args.emit_svg:
         _write_svg(report, args.n, args.emit_svg)
-    _emit(report, args.json)
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, report: RunReport) -> None:
     w = parse_permutation(args.w) if args.w else None
     n = (w.n if w else 4) if args.n is None else args.n
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
-    report = RunReport("verify", {"suite": args.suite, "n": n, "w": str(w) if w else None},
-                       seed=args.seed)
+    report.inputs = {"suite": args.suite, "n": n, "w": w}
     report.checks = suite(args.suite, n, w, args.seed)
-    _emit(report, args.json)
-    return 0 if report.all_ok() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,16 +280,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    report = RunReport(args.command, seed=args.seed)
     token = LIMIT_N.set(args.limit_n)
     try:
-        return args.func(args)
+        args.func(args, report)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         LIMIT_N.reset(token)
+    print(report.render(args.json))
+    return 0 if report.all_ok() else 1
 
 
 if __name__ == "__main__":

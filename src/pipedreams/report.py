@@ -28,6 +28,10 @@ class VerifyResult:
 
 
 def jsonable(value):
+    """JSON-ready data: a value with `to_jsonable` through that method,
+    containers item by item, any other value as its string."""
+    if hasattr(value, "to_jsonable"):
+        return value.to_jsonable()
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
