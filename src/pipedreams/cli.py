@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -75,20 +76,18 @@ class RunReport:
 def parse_edges(text: str) -> tuple[Edge, ...]:
     """Accept "12,23,34" for one-digit vertices or "(1,2),(2,3)"."""
     text = text.strip()
-    edges = []
     if text.startswith("("):
-        for chunk in text.replace(" ", "").split("),("):
-            chunk = f"({chunk.strip('()')})"
-            parts = chunk[1:-1].split(",")
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
-                raise ValueError(f"cannot parse edge {chunk!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+        chunks = re.split(r"(?<=\)),(?=\()", text.replace(" ", ""))
+        pattern = r"\(([0-9]+),([0-9]+)\)"
     else:
-        for chunk in text.split(","):
-            chunk = chunk.strip()
-            if len(chunk) != 2 or not chunk.isdigit():
-                raise ValueError(f"cannot parse edge {chunk!r}")
-            edges.append((int(chunk[0]), int(chunk[1])))
+        chunks = [chunk.strip() for chunk in text.split(",")]
+        pattern = r"([0-9])([0-9])"
+    edges = []
+    for chunk in chunks:
+        match = re.fullmatch(pattern, chunk)
+        if match is None:
+            raise ValueError(f"cannot parse edge {chunk!r}")
+        edges.append((int(match[1]), int(match[2])))
     return tuple(edges)
 
 
@@ -194,6 +193,10 @@ def _cmd_realize(args, report: RunReport) -> None:
 
 def _cmd_verify(args, report: RunReport) -> None:
     w = parse_permutation(args.w) if args.w else None
+    if w and args.suite != "groth-h":
+        raise ValueError(f"--w applies to groth-h only, not {args.suite}")
+    if w and args.n not in (None, w.n):
+        raise ValueError(f"--n {args.n} is not the rank {w.n} of --w {w}")
     n = (w.n if w else 4) if args.n is None else args.n
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")

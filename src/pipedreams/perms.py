@@ -122,12 +122,15 @@ def permutation_to_string(w: Permutation) -> str:
 
 def parse_permutation(text: str) -> Permutation:
     text = text.strip()
-    if "," in text:
-        window = tuple(int(p) for p in text.split(","))
-    else:
-        if not text.isdigit():
-            raise ValueError(f"cannot parse permutation {text!r}")
-        window = tuple(int(ch) for ch in text)
+    try:
+        if "," in text:
+            window = tuple(int(p) for p in text.split(","))
+        elif text.isdigit():
+            window = tuple(int(ch) for ch in text)
+        else:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"cannot parse permutation {text!r}") from None
     return Permutation(window)
 
 

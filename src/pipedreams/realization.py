@@ -201,6 +201,12 @@ def require_realizable(n: int) -> None:
         raise ValueError("realization needs n >= 3")
 
 
+def require_narayana(n: int) -> None:
+    """For n < 2 the Narayana row N(n-1, 1..n-1) is empty."""
+    if n < 2:
+        raise ValueError("the Narayana check needs n >= 2")
+
+
 def realize(n: int) -> RealizationMap:
     """Build the realization and check it: facet images coincide with the
     vertex-figure simplices, a box set is a face of the complex exactly
@@ -260,6 +266,7 @@ def verify_realization(n: int) -> VerifyResult:
 def narayana_check(n: int) -> VerifyResult:
     """The h-vector of the complex of 1 n n-1 ... 2 is the Narayana row
     N(n-1, 1), ..., N(n-1, n-1), by the independent binomial formula."""
+    require_narayana(n)
     name = f"narayana:{n}"
     h = h_polynomial(build_pdc(catalan_permutation(n))).coefficient_vector()
     expected = tuple(narayana_number(n - 1, k) for k in range(1, n))

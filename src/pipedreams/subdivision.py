@@ -145,7 +145,10 @@ def parse_strategy(text: str, seed: int = 0) -> Strategy:
         body = text[len("script:"):]
         triples = []
         for chunk in body.split(";"):
-            parts = [int(p) for p in chunk.split(",")]
+            try:
+                parts = [int(p) for p in chunk.split(",")]
+            except ValueError:
+                parts = []
             if len(parts) != 3 or not parts[0] < parts[1] < parts[2]:
                 raise ValueError(f"bad script triple {chunk!r}: want i,j,k with i < j < k")
             triples.append(tuple(parts))

@@ -47,6 +47,7 @@ from .polytopes import (
 from .realization import (
     catalan_number,
     narayana_check,
+    require_narayana,
     require_realizable,
     verify_bijection,
     verify_face_map,
@@ -424,4 +425,6 @@ def suite(selector: str, n: int, w: Permutation | None, seed: int) -> list[Verif
         raise ValueError(f"unknown verify selector {selector!r}")
     if selector in ("realize", "all"):
         require_realizable(n)
+    if selector == "narayana":
+        require_narayana(n)
     return SUITES[selector](n, w, seed)

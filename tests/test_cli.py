@@ -1,6 +1,7 @@
 """The command-line surface: output shapes, exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -29,6 +30,25 @@ def test_parse_edges():
         parse_edges("(1,2,3)")
     with pytest.raises(ValueError, match=r"cannot parse edge '\(2,x\)'"):
         parse_edges("(1,2),(2,x)")
+
+
+@pytest.mark.parametrize("text, chunk", [("(1,2),(2,3", "(2,3"), ("((1,2),(2,3))", "((1,2)"),
+                                         ("(1,2)(2,3)", "(1,2)(2,3)")])
+def test_parse_edges_takes_one_pair_of_parentheses_per_edge(capsys, text, chunk):
+    with pytest.raises(ValueError, match=f"cannot parse edge {re.escape(repr(chunk))}"):
+        parse_edges(text)
+    assert main(["reduce", text]) == 2
+    assert f"cannot parse edge {chunk!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "12", "--strategy", "script:"], "bad script triple ''"),
+    (["reduce", "12,23", "--strategy", "script:1,2,x"], "bad script triple '1,2,x'"),
+    (["groth", ",1"], "cannot parse permutation ',1'"),
+])
+def test_unparsable_text_is_named(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_unparsable_edge_exits_2(capsys):
@@ -235,6 +255,36 @@ def test_realization_error_exits_1_and_reports_it(tmp_path, capsys, monkeypatch)
     assert data["results"] == {}
     assert data["checks"] == [
         {"name": "realize:4", "ok": False, "details": {"reason": "vertex map is not injective"}}]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "kirillov", "--w", "1432"], "--w applies to groth-h only"),
+    (["verify", "all", "--w", "132", "--n", "3"], "--w applies to groth-h only"),
+    (["verify", "groth-h", "--w", "21", "--n", "5"], "--n 5 is not the rank 2 of --w 21"),
+])
+def test_verify_refuses_a_w_it_would_ignore(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_groth_h_w_with_its_own_rank(capsys):
+    code, out = run(capsys, "verify", "groth-h", "--w", "21", "--n", "2", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["inputs"] == {"suite": "groth-h", "n": 2, "w": "21"}
+    assert [c["name"] for c in data["checks"]] == ["groth-h:21"]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_verify_narayana_refuses_rank_one_before_any_check(capsys, monkeypatch, json_flag):
+    def unreachable(n):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(suites, "check_census", unreachable)
+    assert main(["verify", "narayana", "--n", "1", *json_flag]) == 2
+    captured = capsys.readouterr()
+    assert "n >= 2" in captured.err
+    assert captured.out == ""
 
 
 def test_invalid_permutation_exits_2(capsys):

@@ -208,6 +208,13 @@ def test_narayana_check(n):
     assert r.ok, r.details
 
 
+def test_narayana_check_needs_rank_two():
+    """S_1 has no Narayana row to compare: N(0, k) for k = 1..0 is empty."""
+    assert narayana_check(2).ok
+    with pytest.raises(ValueError, match="n >= 2"):
+        narayana_check(1)
+
+
 def test_h_of_triangulation_equals_h_of_complex():
     for n in range(3, 8):
         h_tri = h_polynomial(triangulation_complex(n))
