@@ -149,7 +149,8 @@ def _cmd_dissect(args, report: RunReport) -> None:
     edges = parse_edges(args.edges)
     n = max(j for _i, j in edges) if args.n is None else args.n
     G = AcyclicGraph(n, edges)
-    d = dissect(G, parse_strategy(args.strategy, args.seed))
+    strategy = parse_strategy(args.strategy, args.seed)
+    d = dissect(G, strategy)
     report.inputs = {"graph": G, "strategy": args.strategy}
     report.results["census"] = d.census()
     if args.tree:
@@ -283,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     report = RunReport(args.command, seed=args.seed)
     token = LIMIT_N.set(args.limit_n)
     try:
