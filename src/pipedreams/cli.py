@@ -93,10 +93,13 @@ def parse_edges(text: str) -> tuple[Edge, ...]:
 
 def _write_svg(report: RunReport, n: int, path: str) -> None:
     """Render the vertex figure, then write it: a refused rank leaves an
-    existing file untouched."""
+    existing file untouched, and an unwritable path is an input error."""
     svg = render_vertex_figure(n)
-    with open(path, "w") as fh:
-        fh.write(svg)
+    try:
+        with open(path, "w") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
     report.results["svg"] = path
 
 

@@ -34,18 +34,18 @@ def _downward_closure(faces: Iterable[Face]) -> frozenset[Face]:
 
 
 class SimplicialComplex:
-    """A complex given by its facets over a finite, sortable vertex set."""
+    """A pure complex given by its facets, which have one size and so are
+    never nested, over a finite, sortable vertex set."""
 
     __slots__ = ("vertices", "facets", "_faces")
 
     def __init__(self, facets: Iterable[Iterable[Hashable]]):
         facet_sets = sorted({frozenset(f) for f in facets}, key=sorted)
-        for a in facet_sets:
-            for b in facet_sets:
-                if a < b:
-                    raise ValueError(f"facet {sorted(a)} is contained in {sorted(b)}")
         if not facet_sets:
             raise ValueError("a complex needs at least one facet (possibly empty)")
+        sizes = {len(f) for f in facet_sets}
+        if len(sizes) > 1:
+            raise ValueError(f"facets of a pure complex have one size, got sizes {sorted(sizes)}")
         self.facets: tuple[Face, ...] = tuple(facet_sets)
         vertices: set = set()
         for f in self.facets:
@@ -64,10 +64,7 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max(len(f) for f in self.facets) - 1
-
-    def is_pure(self) -> bool:
-        return len({len(f) for f in self.facets}) == 1
+        return len(self.facets[0]) - 1
 
     def faces(self) -> frozenset[Face]:
         """Downward closure of the facets, including the empty face."""
@@ -77,9 +74,7 @@ class SimplicialComplex:
 
     def boundary_faces(self) -> frozenset[Face]:
         """Topological boundary: the closure of the codimension-1 faces
-        lying in exactly one facet.  Meaningful for pure complexes."""
-        if not self.is_pure():
-            raise ValueError("boundary computation expects a pure complex")
+        lying in exactly one facet."""
         ridges = Counter(
             frozenset(r) for facet in self.facets for r in combinations(sorted(facet), self.dim)
         )
@@ -117,11 +112,9 @@ def f_vector(C: SimplicialComplex) -> tuple[int, ...]:
 def h_polynomial(C: SimplicialComplex) -> MultiPolynomial:
     """h-polynomial sum h_i x^i via the standard f-to-h transform.
 
-    Requires a pure complex so that d below is the common facet size:
+    With d the common facet size:
     sum_i f_{i-1} (x-1)^{d-i} = sum_i h_i x^{d-i}.
     """
-    if not C.is_pure():
-        raise ValueError("h-polynomial computed only for pure complexes")
     fv = f_vector(C)
     d = len(fv) - 1
     # fv[i] is f_{i-1}; h_k collects the x^(d-k) terms of the sum above
@@ -155,7 +148,7 @@ def interior_faces(
 ) -> list[tuple[Face, int]]:
     """Faces whose complementary cross set is a pipe dream for w, with
     their codimensions.  These are exactly the faces labeled by Pipes(w)."""
-    d = max(len(f) for f in C.facets)
+    d = C.dim + 1
     out = []
     for face in C.faces():
         if staircase_product(w.n, face) == w.window:

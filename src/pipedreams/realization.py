@@ -15,7 +15,6 @@ from math import comb
 
 from .complexes import (
     SimplicialComplex,
-    _downward_closure,
     build_pdc,
     h_polynomial,
     interior_faces,
@@ -237,7 +236,7 @@ def realize(n: int) -> RealizationMap:
     # is a subword complex), so they agree on every box set iff they agree
     # on the triangulation's faces and on each such face plus one box.
     box_of = {p: b for b, p in vmap.items()}
-    faces = _downward_closure(frozenset(box_of[p] for p in pts) for pts in tri.facets)
+    faces = SimplicialComplex([box_of[p] for p in pts] for pts in tri.facets).faces()
     for face in faces:
         if not is_face_of_pdc(face, pi):
             raise RealizationError(f"face mismatch at boxes {sorted(face)}")

@@ -172,9 +172,10 @@ def verify_groth_h(w: Permutation) -> VerifyResult:
 
 def verify_kirillov(n: int) -> VerifyResult:
     """Q_{P_n}(b) computed by rewriting equals the x=1, y=0 Grothendieck
-    polynomial of 1 n n-1 ... 2 computed by pipe dream enumeration."""
-    lhs = q_polynomial(n, path_edges(n))
+    polynomial of 1 n n-1 ... 2 computed by pipe dream enumeration.  The
+    enumeration runs first, so the search limit refuses before rewriting."""
     rhs = groth_beta(catalan_permutation(n))
+    lhs = q_polynomial(n, path_edges(n))
     if lhs != rhs:
         return VerifyResult(
             f"kirillov:{n}", False, {"diff": poly_diff(lhs, rhs)}
@@ -291,7 +292,10 @@ def check_projection(
 
 
 def check_unimodularity(n: int) -> VerifyResult:
-    simplices = canonical_triangulation(n)
+    """Every noncrossing alternating tree's simplex is unimodular, tested
+    on the tree simplices themselves: canonical_triangulation refuses a
+    non-unimodular one, so it could not report the failure."""
+    simplices = [tree_simplex(T) for T in noncrossing_alternating_trees(n)]
     ok = all(is_unimodular(S) for S in simplices)
     return VerifyResult(f"unimodular:{n}", ok, {"simplices": len(simplices)})
 

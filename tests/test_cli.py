@@ -287,6 +287,29 @@ def test_verify_narayana_refuses_rank_one_before_any_check(capsys, monkeypatch, 
     assert captured.out == ""
 
 
+def test_verify_kirillov_refuses_before_rewriting(capsys, monkeypatch):
+    """Past the search limit, verify kirillov exits 2 naming --limit-n
+    without rewriting the path first."""
+    def unreachable(*args):
+        raise AssertionError("rewriting ran")
+
+    monkeypatch.setattr(suites, "q_polynomial", unreachable)
+    assert main(["verify", "kirillov", "--n", "10"]) == 2
+    captured = capsys.readouterr()
+    assert "--limit-n" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["realize", "triangulate"])
+def test_unwritable_svg_path_exits_2(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "fig.svg"
+    assert main([command, "--n", "3", "--emit-svg", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot write {target}" in captured.err
+    assert captured.out == ""
+    assert not target.parent.exists()
+
+
 def test_invalid_permutation_exits_2(capsys):
     assert main(["groth", "notaperm"]) == 2
 

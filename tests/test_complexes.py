@@ -1,5 +1,6 @@
 """Pipe dream complexes, face vectors, h-polynomials, interior faces."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -38,7 +39,7 @@ def test_complexes_equal_by_facets():
     same = SimplicialComplex([("c", "b"), ("b", "a"), ("a", "b")])
     assert C == same and hash(C) == hash(same)
     assert len({C, same}) == 1
-    assert C != SimplicialComplex([("a", "b"), ("c",)])
+    assert C != SimplicialComplex([("a", "b"), ("a", "c")])
     assert C != C.facets
 
 
@@ -49,12 +50,35 @@ def test_complex_validation():
     assert C.vertices == ("a", "b", "c")
 
 
+@pytest.mark.parametrize("facets", [[("a", "b"), ("c",)], [("a", "b"), ("a",)], [(), ("a",)]])
+def test_mixed_facet_sizes_are_refused(facets):
+    """A complex is pure: facets of different sizes raise, whether given
+    directly or read back from JSON, and the message names the sizes."""
+    sizes = sorted({len(f) for f in facets})
+    with pytest.raises(ValueError, match=re.escape(f"got sizes {sizes}")):
+        SimplicialComplex(facets)
+    data = {"vertices": ["a", "b", "c"],
+            "facets": [["abc".index(v) for v in f] for f in facets]}
+    with pytest.raises(ValueError, match=re.escape(f"got sizes {sizes}")):
+        SimplicialComplex.from_jsonable(data)
+
+
+def test_pipe_dream_complexes_are_pure():
+    """Each facet of the complex of w holds |staircase| - l(w) elbow boxes,
+    for every w in S_1..S_6."""
+    for n in range(1, 7):
+        boxes = len(staircase_boxes(n))
+        for window in all_windows(n):
+            w = Permutation(window)
+            assert {len(f) for f in build_pdc(w).facets} == {boxes - w.length()}
+
+
 def test_build_pdc_1432():
     C = build_pdc(W1432)
     assert len(C.vertices) == 6
     assert len(C.facets) == 5
     assert all(len(f) == 3 for f in C.facets)
-    assert C.is_pure() and C.dim == 2
+    assert C.dim == 2
 
 
 def test_build_pdc_degenerate_sphere():

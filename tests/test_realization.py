@@ -188,10 +188,14 @@ def test_vertex_map_hits_every_scaled_root():
 
 
 def test_dimensions_agree():
+    """Both complexes build as pure complexes for n = 3..7: Catalan(n-1)
+    facets of n-1 vertices each."""
     for n in range(3, 8):
         C = build_pdc(catalan_permutation(n))
         assert C.dim == n - 2
-        assert triangulation_complex(n).dim == n - 2
+        T = triangulation_complex(n)
+        assert T.dim == n - 2
+        assert len(T.facets) == len(C.facets) == catalan_number(n - 1)
 
 
 def test_crosses_plus_elbows_fill_staircase():

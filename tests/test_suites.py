@@ -12,12 +12,13 @@ from pathlib import Path
 import pytest
 
 import pipedreams
-from pipedreams import grothendieck, suites
+from pipedreams import grothendieck, polytopes, suites
 from pipedreams.grothendieck import QT_VARS
 from pipedreams.perms import parse_permutation
 from pipedreams.poly import MultiPolynomial
 from pipedreams.polytopes import random_acyclic_graph
 from pipedreams.suites import (
+    check_unimodularity,
     path_polytope_vertices,
     sample_acyclic_graphs,
     sample_polytope_point,
@@ -138,3 +139,13 @@ def test_permutation_checks_report_the_first_failure(monkeypatch):
                         corrupt_at(suites.h_from_interior, ("1432",), lambda p: p + 1))
     results = [r.to_jsonable() for r in suite("all", 4, None, 0) if r.name.endswith(":S4")]
     assert results == CORRUPTED_S4
+
+
+def test_unimodularity_check_can_fail(monkeypatch):
+    """A simplex that is not unimodular is a failed check, not an input
+    error, though canonical_triangulation would refuse it."""
+    for module in (polytopes, suites):
+        monkeypatch.setattr(module, "is_unimodular", lambda S: False)
+    result = check_unimodularity(4)
+    assert not result.ok
+    assert result.details == {"simplices": 5}
