@@ -2,6 +2,9 @@
 dissections, triangulations, the realization, and verification runs.
 
 Each subcommand fills one `RunReport`, which `main` alone renders.
+The parser is built once, at import.  `--seed` goes only to `reduce`,
+`dissect` and `verify`, `--limit-n` only to `groth`, `pdc`, `realize` and
+`verify`; elsewhere either flag is refused.
 Exit codes: 0 success, 1 a reported check failed, 2 input error.
 """
 
@@ -91,10 +94,10 @@ def parse_edges(text: str) -> tuple[Edge, ...]:
     return tuple(edges)
 
 
-def _write_svg(report: RunReport, n: int, path: str) -> None:
-    """Render the vertex figure, then write it: a refused rank leaves an
-    existing file untouched, and an unwritable path is an input error."""
-    svg = render_vertex_figure(n)
+def _write_svg(report: RunReport, svg: str, path: str) -> None:
+    """Write the vertex figure, rendered before any computation so that a
+    refused rank costs nothing and leaves an existing file untouched; an
+    unwritable path is an input error."""
     try:
         with open(path, "w") as fh:
             fh.write(svg)
@@ -171,15 +174,17 @@ def _cmd_trees(args, report: RunReport) -> None:
 
 def _cmd_triangulate(args, report: RunReport) -> None:
     report.inputs = {"n": args.n}
+    svg = render_vertex_figure(args.n) if args.emit_svg else None
     simplices = canonical_triangulation(args.n)
     report.results["simplices"] = [S.to_jsonable() for S in simplices]
     report.results["vertex_figure"] = [vertex_figure(S).to_jsonable() for S in simplices]
-    if args.emit_svg:
-        _write_svg(report, args.n, args.emit_svg)
+    if svg:
+        _write_svg(report, svg, args.emit_svg)
 
 
 def _cmd_realize(args, report: RunReport) -> None:
     report.inputs = {"n": args.n}
+    svg = render_vertex_figure(args.n) if args.emit_svg else None
     try:
         rm = realize(args.n)
     except RealizationError as exc:
@@ -191,8 +196,8 @@ def _cmd_realize(args, report: RunReport) -> None:
     else:
         report.results["boxes"] = len(rm.vertex_map)
         report.results["facets"] = len(rm.facet_map)
-    if args.emit_svg:
-        _write_svg(report, args.n, args.emit_svg)
+    if svg:
+        _write_svg(report, svg, args.emit_svg)
 
 
 def _cmd_verify(args, report: RunReport) -> None:
@@ -209,86 +214,71 @@ def _cmd_verify(args, report: RunReport) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser.  Each shared argument is declared once, in a parent
+    given only to the subcommands it acts on; the top level supplies `seed`
+    and `limit_n` to the others."""
     parser = argparse.ArgumentParser(
         prog="pipedreams",
         description="Exact pipe dream, Grothendieck, subdivision algebra, "
                     "and root polytope computations.",
     )
+    parser.set_defaults(seed=0, limit_n=DEFAULT_LIMIT_N)
+    out, seed, limit, perm, forest, rank, figure = (
+        argparse.ArgumentParser(add_help=False) for _ in range(7))
+    out.add_argument("--json", action="store_true", help="machine-readable output")
+    seed.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                      help="seed of the random strategy and the samplers")
+    limit.add_argument("--limit-n", type=int, default=argparse.SUPPRESS,
+                       help="override the pipe dream enumeration guard")
+    perm.add_argument("permutation")
+    forest.add_argument("edges", help='e.g. "12,23,34" or "(1,2),(2,3),(3,4)"')
+    forest.add_argument("--n", type=int, default=None)
+    forest.add_argument("--strategy", default="lex",
+                        help="lex | rlex | random | script:i,j,k;i,j,k;...")
+    forest.add_argument("--tree", action="store_true",
+                        help="emit the full rewrite tree with G1/G2/G3 children")
+    rank.add_argument("--n", type=int, required=True)
+    figure.add_argument("--emit-svg", default=None, metavar="PATH")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--limit-n", type=int, default=DEFAULT_LIMIT_N,
-                       help="override the pipe dream enumeration guard")
+    def add(name, func, about, *parents):
+        p = sub.add_parser(name, help=about, parents=[out, *parents])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("groth", help="Grothendieck polynomials of a permutation")
-    p.add_argument("permutation")
+    p = add("groth", _cmd_groth, "Grothendieck polynomials of a permutation", perm, limit)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--beta-only", action="store_true", help="x=1, y=0 polynomial in b (default)")
     mode.add_argument("--double", action="store_true", help="double polynomial at b=-1")
     mode.add_argument("--qt", action="store_true", help="x=q, y=t specialization")
-    common(p)
-    p.set_defaults(func=_cmd_groth)
 
-    p = sub.add_parser("pdc", help="pipe dream complex of a permutation")
-    p.add_argument("permutation")
+    p = add("pdc", _cmd_pdc, "pipe dream complex of a permutation", perm, limit)
     p.add_argument("--h", action="store_true", help="h-polynomial")
     p.add_argument("--f", action="store_true", help="f-vector")
     p.add_argument("--interior", action="store_true", help="interior faces with codimensions")
     p.add_argument("--dreams", action="store_true",
                    help="enumerate all pipe dreams, sorted by (size, crosses)")
-    common(p)
-    p.set_defaults(func=_cmd_pdc)
 
-    p = sub.add_parser("reduce", help="reduced form of an edge monomial")
-    p.add_argument("edges", help='e.g. "12,23,34" or "(1,2),(2,3),(3,4)"')
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--strategy", default="lex",
-                   help="lex | rlex | random | script:i,j,k;i,j,k;...")
-    p.add_argument("--tree", action="store_true",
-                   help="emit the full rewrite tree with G1/G2/G3 children")
-    common(p)
-    p.set_defaults(func=_cmd_reduce)
+    add("reduce", _cmd_reduce, "reduced form of an edge monomial", forest, seed)
+    add("dissect", _cmd_dissect, "reduction tree of an acyclic graph", forest, seed)
+    add("trees", _cmd_trees, "noncrossing alternating spanning trees", rank)
+    add("triangulate", _cmd_triangulate, "canonical triangulation and vertex figure",
+        rank, figure)
+    add("realize", _cmd_realize, "realize the pipe dream complex geometrically",
+        rank, figure, limit)
 
-    p = sub.add_parser("dissect", help="reduction tree of an acyclic graph")
-    p.add_argument("edges")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--strategy", default="lex")
-    p.add_argument("--tree", action="store_true", help="emit the full reduction tree")
-    common(p)
-    p.set_defaults(func=_cmd_dissect)
-
-    p = sub.add_parser("trees", help="noncrossing alternating spanning trees")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_trees)
-
-    p = sub.add_parser("triangulate", help="canonical triangulation and vertex figure")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--emit-svg", default=None, metavar="PATH")
-    common(p)
-    p.set_defaults(func=_cmd_triangulate)
-
-    p = sub.add_parser("realize", help="realize the pipe dream complex geometrically")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--emit-svg", default=None, metavar="PATH")
-    common(p)
-    p.set_defaults(func=_cmd_realize)
-
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = add("verify", _cmd_verify, "run a verification suite", seed, limit)
     p.add_argument("suite", choices=SELECTORS)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--w", default=None, help="permutation for groth-h")
-    common(p)
-    p.set_defaults(func=_cmd_verify)
-
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     report = RunReport(args.command, seed=args.seed)
     token = LIMIT_N.set(args.limit_n)
     try:

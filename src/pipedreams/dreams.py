@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 from .perms import Permutation, Window, bruhat_leq, demazure_fold, identity_window
@@ -31,6 +32,7 @@ class EnumerationLimitError(ValueError):
     """Rank exceeds the configured pipe dream search limit."""
 
 
+@cache
 def staircase_boxes(n: int) -> tuple[Box, ...]:
     """All staircase boxes for rank n, in reading order.
 
@@ -45,6 +47,7 @@ def box_letter(box: Box) -> int:
     return r + c - 1
 
 
+@cache
 def triangular_word(n: int) -> tuple[int, ...]:
     """Letters of the staircase in reading order.
 
@@ -63,7 +66,7 @@ def staircase_product(n: int, elbows: Iterable[Box]) -> Window:
     (1, 4, 3, 2)
     """
     skip = set(elbows)
-    letters = [box_letter(b) for b in staircase_boxes(n) if b not in skip]
+    letters = [a for b, a in zip(staircase_boxes(n), triangular_word(n)) if b not in skip]
     return demazure_fold(identity_window(n), letters)
 
 

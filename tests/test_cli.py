@@ -396,3 +396,68 @@ def test_verify_refuses_rank_below_one(capsys, argv):
 def test_explicit_n_zero_is_not_read_as_absent(capsys, command):
     assert main([command, "12,23", "--n", "0"]) == 2
     assert "invalid on [0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["triangulate", "realize"])
+def test_svg_rank_is_refused_before_any_computation(tmp_path, capsys, monkeypatch, command):
+    def unreachable(n):
+        raise AssertionError("computed before the SVG rank was checked")
+
+    monkeypatch.setattr(cli, "canonical_triangulation", unreachable)
+    monkeypatch.setattr(cli, "realize", unreachable)
+    target = tmp_path / "fig.svg"
+    assert main([command, "--n", "5", "--emit-svg", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "n=3, n=4" in captured.err
+    assert captured.out == ""
+    assert not target.exists()
+
+
+# Each flag a subcommand would ignore: nothing it runs is random (--seed) or
+# searches pipe dreams (--limit-n).
+DEAD_FLAGS = [
+    ["groth", "1432", "--seed", "1"],
+    ["pdc", "1432", "--seed", "1"],
+    ["trees", "--n", "3", "--seed", "1"],
+    ["triangulate", "--n", "3", "--seed", "1"],
+    ["realize", "--n", "3", "--seed", "1"],
+    ["reduce", "12,23", "--limit-n", "5"],
+    ["dissect", "12,23", "--limit-n", "5"],
+    ["trees", "--n", "3", "--limit-n", "5"],
+    ["triangulate", "--n", "3", "--limit-n", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", DEAD_FLAGS, ids=" ".join)
+def test_a_flag_the_subcommand_ignores_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+    assert captured.out == ""
+
+
+def test_seed_and_limit_reach_the_subcommands_that_use_them(capsys):
+    for argv, seed in ((["verify", "projection", "--n", "4", "--seed", "3"], 3),
+                       (["reduce", "12,23,34", "--strategy", "random", "--seed", "5"], 5),
+                       (["dissect", "12,23,34", "--strategy", "random", "--seed", "5"], 5),
+                       (["trees", "--n", "3"], 0), (["realize", "--n", "3", "--limit-n", "3"], 0),
+                       (["groth", "1432", "--limit-n", "10"], 0)):
+        code, out = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        assert json.loads(out)["seed"] == seed
+    for argv in (["groth", "1432"], ["pdc", "1432"], ["realize", "--n", "4"],
+                 ["verify", "kirillov", "--n", "4"]):
+        assert main([*argv, "--limit-n", "3"]) == 2, argv
+        assert "search limit 3; raise --limit-n" in capsys.readouterr().err
+
+
+def test_main_does_not_rebuild_the_parser(capsys, monkeypatch):
+    def unreachable():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "build_parser", unreachable)
+    code, out = run(capsys, "groth", "1432")
+    assert code == 0
+    assert out == "beta: b^2 + 5*b + 5\n"
