@@ -112,7 +112,7 @@ def _cmd_groth(args, report: RunReport) -> None:
     if args.double:
         report.results["double"] = double_grothendieck(w)
     elif args.qt:
-        report.results["qt"] = specialize_qt(w)
+        report.results["qt"] = specialize_qt(w, groth_beta(w))
     else:
         report.results["beta"] = groth_beta(w)
 
@@ -125,10 +125,11 @@ def _cmd_pdc(args, report: RunReport) -> None:
     report.results["facets"] = len(C.facets)
     if args.json:
         report.results["complex"] = C
+    h = h_polynomial(C, w)
     if args.f or not (args.h or args.interior):
-        report.results["f_vector"] = f_vector(C)
+        report.results["f_vector"] = f_vector(h, C.dim + 1)
     if args.h or not (args.f or args.interior):
-        report.results["h"] = h_polynomial(C)
+        report.results["h"] = h
     if args.interior:
         report.results["interior"] = [
             {"face": sorted(map(list, face)), "codim": codim}

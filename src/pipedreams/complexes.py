@@ -15,8 +15,8 @@ from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable
 
-from .dreams import Box, reduced_pipe_dreams, staircase_product
-from .perms import Permutation, bruhat_leq
+from .dreams import Box, reduced_pipe_dreams, staircase_boxes, staircase_product, triangular_word
+from .perms import Permutation, bruhat_leq, demazure_fold, identity_window
 from .poly import MultiPolynomial
 
 Face = frozenset
@@ -96,31 +96,50 @@ class SimplicialComplex:
         return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.facets)} facets)"
 
 
-def f_vector(C: SimplicialComplex) -> tuple[int, ...]:
-    """Count all faces by dimension, the empty face included:
-    (f_{-1}, f_0, ..., f_{d-1}) with f_{-1} = 1.
+def h_polynomial(C: SimplicialComplex, w: Permutation) -> MultiPolynomial:
+    """h-polynomial sum h_k x^k of the pipe dream complex C of w, by flips.
 
-    >>> f_vector(SimplicialComplex([("a", "b")]))
+    C is the subword complex of the triangular word and w, which is
+    shellable; h_k counts its facets with k increasing flips (Knutson-Miller
+    2004; Ceballos-Labbe-Stump 2014).  An elbow i of a facet, with letter
+    s_a and u the product of the crosses before i, is an increasing flip
+    when the Demazure product of the crosses with i added is still w (the
+    ridge without i is interior) and u s_a > u (the cross that leaves in
+    the flip comes after i).
+
+    >>> w = Permutation((1, 4, 3, 2))
+    >>> print(h_polynomial(build_pdc(w), w))
+    x^2 + 3*x + 1
+    """
+    n = w.n
+    reading = tuple(zip(staircase_boxes(n), triangular_word(n)))
+    h = [0] * (C.dim + 2)
+    for facet in C.facets:
+        crosses = [a for b, a in reading if b not in facet]
+        u = identity_window(n)
+        seen = flips = 0
+        for b, a in reading:
+            if b not in facet:
+                u = demazure_fold(u, (a,))
+                seen += 1
+            elif u[a - 1] < u[a] and demazure_fold(u, (a, *crosses[seen:])) == w.window:
+                flips += 1
+        h[flips] += 1
+    return MultiPolynomial(("x",), {(k,): c for k, c in enumerate(h) if c})
+
+
+def f_vector(h: MultiPolynomial, d: int) -> tuple[int, ...]:
+    """Face counts (f_{-1}, f_0, ..., f_{d-1}), the empty face included, of
+    a pure complex with facets of size d and h-polynomial h: the inverse of
+    the f-to-h transform, f_{i-1} = sum_k h_k C(d-k, i-k).
+
+    >>> f_vector(MultiPolynomial.one(("x",)), 2)
     (1, 2, 1)
     """
-    counts = [0] * (C.dim + 2)
-    for face in C.faces():
-        counts[len(face)] += 1
-    return tuple(counts)
-
-
-def h_polynomial(C: SimplicialComplex) -> MultiPolynomial:
-    """h-polynomial sum h_i x^i via the standard f-to-h transform.
-
-    With d the common facet size:
-    sum_i f_{i-1} (x-1)^{d-i} = sum_i h_i x^{d-i}.
-    """
-    fv = f_vector(C)
-    d = len(fv) - 1
-    # fv[i] is f_{i-1}; h_k collects the x^(d-k) terms of the sum above
-    h = [sum((-1) ** (k - i) * comb(d - i, k - i) * fv[i] for i in range(k + 1))
-         for k in range(d + 1)]
-    return MultiPolynomial(("x",), {(i,): c for i, c in enumerate(h) if c})
+    return tuple(
+        sum(c * comb(d - k, i - k) for (k,), c in h.terms.items() if k <= i)
+        for i in range(d + 1)
+    )
 
 
 def build_pdc(w: Permutation) -> SimplicialComplex:

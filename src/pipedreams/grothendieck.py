@@ -55,14 +55,15 @@ def double_grothendieck(w: Permutation) -> MultiPolynomial:
     return double_beta_grothendieck(w).substitute({"b": -1}, target)
 
 
-def specialize_qt(w: Permutation) -> MultiPolynomial:
+def specialize_qt(w: Permutation, beta: MultiPolynomial) -> MultiPolynomial:
     """All x set to q, all y set to t: every product collapses to
-    (q-t)^size, so this is (q-t)^l(w) * groth_beta(w) at b -> b(q-t)."""
+    (q-t)^size, so this is (q-t)^l(w) * beta at b -> b(q-t), with
+    beta = groth_beta(w)."""
     q = MultiPolynomial.variable("q", QT_VARS)
     t = MultiPolynomial.variable("t", QT_VARS)
     b = MultiPolynomial.variable("b", QT_VARS)
     qt = q - t
-    return qt ** w.length() * groth_beta(w).substitute({"b": b * qt}, QT_VARS)
+    return qt ** w.length() * beta.substitute({"b": b * qt}, QT_VARS)
 
 
 def groth_beta(w: Permutation) -> MultiPolynomial:
@@ -76,8 +77,8 @@ def groth_beta(w: Permutation) -> MultiPolynomial:
     return MultiPolynomial(("b",), (((P.size - l,), 1) for P in enumerate_pipe_dreams(w)))
 
 
-def shifted_groth_beta(w: Permutation) -> MultiPolynomial:
-    """groth_beta with b -> b - 1 applied; equals the h-polynomial of the
-    pipe dream complex in the variable b."""
+def shifted_groth_beta(beta: MultiPolynomial) -> MultiPolynomial:
+    """beta = groth_beta(w) with b -> b - 1 applied; equals the
+    h-polynomial of the pipe dream complex of w in the variable b."""
     b = MultiPolynomial.variable("b", ("b",))
-    return groth_beta(w).substitute({"b": b - 1}, ("b",))
+    return beta.substitute({"b": b - 1}, ("b",))

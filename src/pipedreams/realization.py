@@ -267,7 +267,8 @@ def narayana_check(n: int) -> VerifyResult:
     N(n-1, 1), ..., N(n-1, n-1), by the independent binomial formula."""
     require_narayana(n)
     name = f"narayana:{n}"
-    h = h_polynomial(build_pdc(catalan_permutation(n))).coefficient_vector()
+    pi = catalan_permutation(n)
+    h = h_polynomial(build_pdc(pi), pi).coefficient_vector()
     expected = tuple(narayana_number(n - 1, k) for k in range(1, n))
     if h != expected:
         return VerifyResult(name, False, {"h": list(h), "narayana": list(expected)})

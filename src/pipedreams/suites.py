@@ -68,9 +68,9 @@ from .subdivision import (
 )
 
 
-def _groth_h(w, g, C) -> dict | None:
-    """b -> b-1, x_i -> q, y_j -> q-1 turns the double polynomial into a
-    q-free polynomial equal to the h-polynomial of the complex."""
+def _groth_h_against(g, h) -> dict | None:
+    """Failure details unless b -> b-1, x_i -> q, y_j -> q-1 turns the
+    double polynomial g into a q-free polynomial equal to h."""
     target = ("q", "b")
     q = MultiPolynomial.variable("q", target)
     b = MultiPolynomial.variable("b", target)
@@ -83,31 +83,36 @@ def _groth_h(w, g, C) -> dict | None:
     collapsed = MultiPolynomial(
         ("b",), {(e[1],): c for e, c in substituted.terms.items()}
     )
-    h = h_polynomial(C).rename({"x": "b"})
     if collapsed != h:
         return {"reason": "mismatch", "diff": poly_diff(collapsed, h)}
     return None
 
 
-def _interior_h(w, g, C) -> dict | None:
-    """The interior-face h-polynomial agrees with the f-to-h transform
-    after b -> x - 1."""
+def _groth_h(w, g, C, beta) -> dict | None:
+    """The specialized double polynomial equals the h-polynomial of the
+    complex, counted by flips."""
+    return _groth_h_against(g, h_polynomial(C, w).rename({"x": "b"}))
+
+
+def _interior_h(w, g, C, beta) -> dict | None:
+    """The interior-face h-polynomial agrees with the flip count after
+    b -> x - 1."""
     x = MultiPolynomial.variable("x", ("x",))
     lhs = h_from_interior(C, w).substitute({"b": x - 1}, ("x",))
-    rhs = h_polynomial(C)
+    rhs = h_polynomial(C, w)
     return None if lhs == rhs else {"diff": poly_diff(lhs, rhs)}
 
 
-def _qt(w, g, C) -> dict | None:
+def _qt(w, g, C, beta) -> dict | None:
     """The closed form over codimensions equals the direct x -> q, y -> t
     substitution of the double polynomial."""
     q, t, b = (MultiPolynomial.variable(v, QT_VARS) for v in QT_VARS)
     images = {v: q if v.startswith("x") else t for v in g.vars[:-1]}
     images["b"] = b
-    return None if g.substitute(images, QT_VARS) == specialize_qt(w) else {}
+    return None if g.substitute(images, QT_VARS) == specialize_qt(w, beta) else {}
 
 
-def _homogeneity(w, g, C) -> dict | None:
+def _homogeneity(w, g, C, beta) -> dict | None:
     """With deg x = deg y = 1 and deg b = -1, the double polynomial is
     homogeneous of degree l(w)."""
     l = w.length()
@@ -117,15 +122,16 @@ def _homogeneity(w, g, C) -> dict | None:
     return None
 
 
-def _nonnegativity(w, g, C) -> dict | None:
+def _nonnegativity(w, g, C, beta) -> dict | None:
     """All coefficients of the shifted specialization are nonnegative."""
-    shifted = shifted_groth_beta(w)
+    shifted = shifted_groth_beta(beta)
     return {"poly": str(shifted)} if any(c < 0 for c in shifted.terms.values()) else None
 
 
 # The identities checked on every permutation of a rank, in report order.
-# Each takes w, its double polynomial g and its pipe dream complex C, and
-# returns failure details or None.
+# Each takes w, its double polynomial g, its pipe dream complex C and its
+# codimension polynomial beta = groth_beta(w), and returns failure details
+# or None.
 PERMUTATION_CHECKS = (
     ("groth-h", _groth_h),
     ("interior-h", _interior_h),
@@ -137,17 +143,18 @@ PERMUTATION_CHECKS = (
 
 def check_permutations(n: int, identities: tuple[tuple[str, Callable], ...]) -> list[VerifyResult]:
     """One result `name:Sn` per (name, identity) of `identities`, checked on
-    every permutation w of rank n with the double polynomial and the
-    complex of w built once.  An identity fails with {"w": w, **details}
+    every permutation w of rank n with the double polynomial, the complex
+    and beta of w built once.  An identity fails with {"w": w, **details}
     at the first w where it returns details, and is not evaluated again."""
     failures: dict[str, dict] = {}
     for window in all_windows(n):
         w = Permutation(window)
         g = double_beta_grothendieck(w)
         C = build_pdc(w)
+        beta = groth_beta(w)
         for name, identity in identities:
             if name not in failures:
-                details = identity(w, g, C)
+                details = identity(w, g, C, beta)
                 if details is not None:
                     failures[name] = {"w": str(w), **details}
     return [
@@ -162,12 +169,11 @@ def verify_groth_h(w: Permutation) -> VerifyResult:
     expanded double beta-Grothendieck polynomial is q-free and equals the
     h-polynomial of the pipe dream complex of w."""
     name = f"groth-h:{w}"
-    g = double_beta_grothendieck(w)
-    C = build_pdc(w)
-    details = _groth_h(w, g, C)
+    h = h_polynomial(build_pdc(w), w).rename({"x": "b"})
+    details = _groth_h_against(double_beta_grothendieck(w), h)
     if details is not None:
         return VerifyResult(name, False, details)
-    return VerifyResult(name, True, {"h": str(h_polynomial(C).rename({"x": "b"}))})
+    return VerifyResult(name, True, {"h": str(h)})
 
 
 def verify_kirillov(n: int) -> VerifyResult:

@@ -10,8 +10,10 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
+from pipedreams.complexes import SimplicialComplex
 from pipedreams.dreams import Box, PipeDream, enumerate_pipe_dreams, staircase_boxes
 from pipedreams.grothendieck import xy_beta_vars
 from pipedreams.linalg import inverse, solve_unique
@@ -182,6 +184,29 @@ def mul_terms(p: MultiPolynomial, q: MultiPolynomial) -> dict[tuple[int, ...], i
         for e1, c1 in p.terms.items()
         for e2, c2 in q.terms.items()
     )
+
+
+def face_f_vector(C: SimplicialComplex) -> tuple[int, ...]:
+    """Oracle for `complexes.f_vector`: count the faces of the downward
+    closure `C.faces()` by dimension, the empty face included,
+    (f_{-1}, f_0, ..., f_{d-1}).  Exponential in the facet size."""
+    counts = [0] * (C.dim + 2)
+    for face in C.faces():
+        counts[len(face)] += 1
+    return tuple(counts)
+
+
+def face_h_polynomial(C: SimplicialComplex) -> MultiPolynomial:
+    """Oracle for `complexes.h_polynomial`: the f-to-h transform of the
+    face counts.  With d the common facet size,
+    sum_i f_{i-1} (x-1)^{d-i} = sum_i h_i x^{d-i}.  Holds for any pure
+    complex, so it also serves complexes that are not pipe dream complexes."""
+    fv = face_f_vector(C)
+    d = len(fv) - 1
+    # fv[i] is f_{i-1}; h_k collects the x^(d-k) terms of the sum above
+    h = [sum((-1) ** (k - i) * comb(d - i, k - i) * fv[i] for i in range(k + 1))
+         for k in range(d + 1)]
+    return MultiPolynomial(("x",), {(i,): c for i, c in enumerate(h) if c})
 
 
 def face_scan_matches_triangulation(

@@ -2,11 +2,14 @@
 
 import json
 import re
+import time
+from math import comb
 
 import pytest
 
 from pipedreams import cli, suites
 from pipedreams.cli import main, parse_edges
+from pipedreams.complexes import SimplicialComplex
 from pipedreams.dreams import EnumerationLimitError, enumerate_pipe_dreams
 from pipedreams.perms import Permutation, identity_window
 from pipedreams.poly import MultiPolynomial
@@ -88,6 +91,25 @@ def test_pdc_h(capsys):
     assert code == 0
     assert "x^2 + 3*x + 1" in out
     assert "facets: 5" in out
+
+
+def test_pdc_f_and_h_build_no_face_closure(capsys, monkeypatch):
+    """f and h of a pipe dream complex come from flips, not from the face
+    closure: the identities of S_7 and S_8, one facet on 21 and on 28 boxes,
+    report h = 1 and the f-vector of a simplex in under a second each."""
+    def no_closure(self):
+        raise RuntimeError("the face closure was built")
+    monkeypatch.setattr(SimplicialComplex, "faces", no_closure)
+    t0 = time.perf_counter()
+    code, out = run(capsys, "pdc", "1234567", "--h")
+    assert code == 0 and out.endswith("h: 1\n")
+    assert time.perf_counter() - t0 < 1
+    t0 = time.perf_counter()
+    code, out = run(capsys, "pdc", "12345678", "--json")
+    assert code == 0 and time.perf_counter() - t0 < 1
+    results = json.loads(out)["results"]
+    assert results["f_vector"] == [comb(28, k) for k in range(29)]
+    assert MultiPolynomial.from_jsonable(results["h"]) == MultiPolynomial.one(("x",))
 
 
 def test_pdc_dreams_enumeration(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import demazure_bruteforce, word_contains_bruteforce
+from oracles import demazure_bruteforce, face_f_vector, face_h_polynomial, word_contains_bruteforce
 from pipedreams.complexes import (
     SimplicialComplex,
     build_pdc,
@@ -17,8 +17,20 @@ from pipedreams.complexes import (
     interior_faces,
     is_face_of_pdc,
 )
-from pipedreams.dreams import PipeDream, box_letter, enumerate_pipe_dreams, staircase_boxes
-from pipedreams.perms import Permutation, all_windows, identity_window
+from pipedreams.dreams import (
+    PipeDream,
+    box_letter,
+    enumerate_pipe_dreams,
+    staircase_boxes,
+    triangular_word,
+)
+from pipedreams.perms import (
+    Permutation,
+    all_windows,
+    catalan_permutation,
+    demazure_fold,
+    identity_window,
+)
 from pipedreams.poly import MultiPolynomial
 
 W1432 = Permutation((1, 4, 3, 2))
@@ -81,43 +93,99 @@ def test_build_pdc_1432():
     assert C.dim == 2
 
 
+def pdc_vectors(w):
+    """The f-vector and h-polynomial of the complex of w, f taken from h."""
+    C = build_pdc(w)
+    h = h_polynomial(C, w)
+    return f_vector(h, C.dim + 1), h
+
+
 def test_build_pdc_degenerate_sphere():
     C = build_pdc(Permutation((2, 1)))
     assert C.facets == (frozenset(),)
-    assert f_vector(C) == (1,)
-    assert h_polynomial(C) == MultiPolynomial.one(("x",))
+    assert pdc_vectors(Permutation((2, 1))) == ((1,), MultiPolynomial.one(("x",)))
 
 
 def test_build_pdc_identity_is_full_simplex():
-    C = build_pdc(Permutation(identity_window(3)))
-    assert len(C.facets) == 1
-    assert f_vector(C) == (1, 3, 3, 1)
-    assert h_polynomial(C) == MultiPolynomial.one(("x",))
+    w = Permutation(identity_window(3))
+    assert len(build_pdc(w).facets) == 1
+    assert pdc_vectors(w) == ((1, 3, 3, 1), MultiPolynomial.one(("x",)))
 
 
 def test_f_vector_examples():
-    assert f_vector(build_pdc(W1432)) == (1, 6, 10, 5)
-    single = SimplicialComplex([("a", "b")])
-    assert f_vector(single) == (1, 2, 1)
+    assert pdc_vectors(W1432)[0] == (1, 6, 10, 5)
+    x = MultiPolynomial.variable("x", ("x",))
+    # the boundary of a triangle: three vertices, three edges
+    assert f_vector(1 + x + x**2, 2) == (1, 3, 3)
 
 
 def test_f_vector_against_closure_oracle():
-    for window in all_windows(4):
-        C = build_pdc(Permutation(window))
-        faces = closure_oracle(C.facets)
-        counts = {}
-        for face in faces:
-            counts[len(face)] = counts.get(len(face), 0) + 1
-        assert f_vector(C) == tuple(counts.get(k, 0) for k in range(max(counts) + 1))
+    """f from h by the inverse transform equals the face count of the
+    downward closure on S_1..S_5, and that closure equals an independent
+    one on S_1..S_4."""
+    for n in range(1, 6):
+        for window in all_windows(n):
+            w = Permutation(window)
+            C = build_pdc(w)
+            assert f_vector(h_polynomial(C, w), C.dim + 1) == face_f_vector(C)
+            if n <= 4:
+                assert C.faces() == closure_oracle(C.facets)
 
 
 def test_h_polynomial_1432():
-    assert h_polynomial(build_pdc(W1432)).coefficient_vector() == (1, 3, 1)
+    assert h_polynomial(build_pdc(W1432), W1432).coefficient_vector() == (1, 3, 1)
 
 
 def test_h_polynomial_15432():
-    C = build_pdc(Permutation((1, 5, 4, 3, 2)))
-    assert h_polynomial(C).coefficient_vector() == (1, 6, 6, 1)
+    w = Permutation((1, 5, 4, 3, 2))
+    assert h_polynomial(build_pdc(w), w).coefficient_vector() == (1, 6, 6, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flip_h_equals_face_closure_oracle(n):
+    """The flip count equals the f-to-h transform of the face closure on
+    every permutation of rank n."""
+    for window in all_windows(n):
+        w = Permutation(window)
+        C = build_pdc(w)
+        assert h_polynomial(C, w) == face_h_polynomial(C), w
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_flip_h_equals_face_closure_oracle_on_catalan(n):
+    """The same on 1 n n-1 ... 2, whose h is a Narayana row."""
+    w = catalan_permutation(n)
+    C = build_pdc(w)
+    assert h_polynomial(C, w) == face_h_polynomial(C)
+
+
+def decreasing_flip_h(C, w):
+    """h counted by decreasing flips: elbows whose cross leaving in the
+    flip comes before them, u s_a < u with u the product of the crosses
+    before the elbow.  Such a ridge is always interior, since the Demazure
+    product ignores a letter that does not lengthen."""
+    reading = tuple(zip(staircase_boxes(w.n), triangular_word(w.n)))
+    counts = {}
+    for facet in C.facets:
+        u = identity_window(w.n)
+        flips = 0
+        for b, a in reading:
+            if b not in facet:
+                u = demazure_fold(u, (a,))
+            elif u[a - 1] > u[a]:
+                flips += 1
+        counts[flips] = counts.get(flips, 0) + 1
+    return MultiPolynomial(("x",), {(k,): c for k, c in counts.items()})
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.permutations(range(1, 8)))
+def test_decreasing_flips_give_the_same_h(window):
+    """The complex of w reversed is the complex of the reversed word and
+    w^-1, so counting decreasing flips gives h too; no face closure needed."""
+    w = Permutation(tuple(window))
+    C = build_pdc(w)
+    assert h_polynomial(C, w) == decreasing_flip_h(C, w)
 
 
 def test_interior_faces_1432():
@@ -173,7 +241,7 @@ def test_interior_formula_matches_f_to_h_transform():
     for window in all_windows(4):
         w = Permutation(window)
         C = build_pdc(w)
-        assert h_from_interior(C, w).substitute({"b": x - 1}, ("x",)) == h_polynomial(C)
+        assert h_from_interior(C, w).substitute({"b": x - 1}, ("x",)) == h_polynomial(C, w)
 
 
 def test_boundary_and_interior_partition_faces():
@@ -203,7 +271,8 @@ def test_facets_biject_with_reduced_pipe_dreams():
 
 def test_h_nonnegative_on_rank_4():
     for window in all_windows(4):
-        h = h_polynomial(build_pdc(Permutation(window)))
+        w = Permutation(window)
+        h = h_polynomial(build_pdc(w), w)
         assert all(c >= 0 for c in h.terms.values())
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import face_scan_matches_triangulation
+from oracles import face_h_polynomial, face_scan_matches_triangulation
 from pipedreams.complexes import SimplicialComplex, build_pdc, h_polynomial, is_face_of_pdc
 from pipedreams.dreams import PipeDream, reduced_pipe_dreams, staircase_boxes
 from pipedreams.perms import Permutation, catalan_permutation
@@ -221,8 +221,9 @@ def test_narayana_check_needs_rank_two():
 
 def test_h_of_triangulation_equals_h_of_complex():
     for n in range(3, 8):
-        h_tri = h_polynomial(triangulation_complex(n))
-        h_pdc = h_polynomial(build_pdc(catalan_permutation(n)))
+        pi = catalan_permutation(n)
+        h_tri = face_h_polynomial(triangulation_complex(n))
+        h_pdc = h_polynomial(build_pdc(pi), pi)
         assert h_tri == h_pdc
 
 
@@ -231,7 +232,7 @@ def test_q_polynomial_equals_triangulation_h_shifted():
     triangulation evaluated at b+1, through rank 7."""
     b = MultiPolynomial.variable("b", ("b",))
     for n in range(2, 8):
-        h = h_polynomial(triangulation_complex(n)) if n > 2 else None
+        h = face_h_polynomial(triangulation_complex(n)) if n > 2 else None
         q = q_polynomial(n, path_edges(n))
         if n == 2:
             assert q == MultiPolynomial.one(("b",))

@@ -116,12 +116,13 @@ CORRUPTED_S4 = [
 
 
 def corrupt_at(fn, words, change):
-    """`fn` with `change` applied to its output at the permutations `words`."""
+    """`fn` with `change` applied to its output when one of its arguments is
+    one of the permutations `words`."""
     at = {parse_permutation(word) for word in words}
 
     def corrupted(*args):
         out = fn(*args)
-        return change(out) if args[-1] in at else out
+        return change(out) if at.intersection(args) else out
     return corrupted
 
 
@@ -133,8 +134,10 @@ def test_permutation_checks_report_the_first_failure(monkeypatch):
     q = MultiPolynomial.variable("q", QT_VARS)
     monkeypatch.setattr(suites, "specialize_qt",
                         corrupt_at(suites.specialize_qt, ("1342",), lambda p: p + q))
-    monkeypatch.setattr(suites, "shifted_groth_beta",
-                        corrupt_at(suites.shifted_groth_beta, ("3142",), lambda p: p - 7))
+    # beta - 7 at 3142 shifts to (b + 1) - 7; qt, which reads beta too, has
+    # already failed at 1342
+    monkeypatch.setattr(suites, "groth_beta",
+                        corrupt_at(suites.groth_beta, ("3142",), lambda p: p - 7))
     monkeypatch.setattr(suites, "h_from_interior",
                         corrupt_at(suites.h_from_interior, ("1432",), lambda p: p + 1))
     results = [r.to_jsonable() for r in suite("all", 4, None, 0) if r.name.endswith(":S4")]
