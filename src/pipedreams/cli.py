@@ -174,6 +174,9 @@ def _cmd_trees(args, report: RunReport) -> None:
 
 
 def _cmd_triangulate(args, report: RunReport) -> None:
+    if args.n < 2:
+        raise ValueError(f"triangulate needs n >= 2 (n must be at least 1 for a root polytope, "
+                         f"and at n = 1 it is a point with no vertex figure), got {args.n}")
     report.inputs = {"n": args.n}
     svg = render_vertex_figure(args.n) if args.emit_svg else None
     simplices = canonical_triangulation(args.n)

@@ -10,7 +10,6 @@ Demazure product exactly w, i.e. the pipe dreams of w.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable
@@ -71,14 +70,6 @@ class SimplicialComplex:
         if self._faces is None:
             self._faces = _downward_closure(self.facets)
         return self._faces
-
-    def boundary_faces(self) -> frozenset[Face]:
-        """Topological boundary: the closure of the codimension-1 faces
-        lying in exactly one facet."""
-        ridges = Counter(
-            frozenset(r) for facet in self.facets for r in combinations(sorted(facet), self.dim)
-        )
-        return _downward_closure(ridge for ridge, count in ridges.items() if count == 1)
 
     def to_jsonable(self) -> dict:
         index = {v: i for i, v in enumerate(self.vertices)}

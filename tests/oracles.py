@@ -8,6 +8,7 @@ this module.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -207,6 +208,22 @@ def face_h_polynomial(C: SimplicialComplex) -> MultiPolynomial:
     h = [sum((-1) ** (k - i) * comb(d - i, k - i) * fv[i] for i in range(k + 1))
          for k in range(d + 1)]
     return MultiPolynomial(("x",), {(i,): c for i, c in enumerate(h) if c})
+
+
+def boundary_faces(C: SimplicialComplex) -> frozenset[frozenset]:
+    """Topological boundary of a pure complex: every subset of each
+    codimension-1 face that lies in exactly one facet.  The tests state the
+    realization's boundary correspondence and the boundary/interior
+    partition of the faces with it."""
+    ridges = Counter(
+        frozenset(r) for facet in C.facets for r in combinations(sorted(facet), C.dim)
+    )
+    return frozenset(
+        frozenset(sub)
+        for ridge, count in ridges.items() if count == 1
+        for k in range(len(ridge) + 1)
+        for sub in combinations(sorted(ridge), k)
+    )
 
 
 def face_scan_matches_triangulation(

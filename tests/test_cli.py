@@ -221,6 +221,20 @@ def test_triangulate_json(capsys):
     assert len(data["results"]["vertex_figure"]) == 2
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_triangulate_refuses_rank_one_before_any_computation(capsys, monkeypatch, json_flag):
+    """At n = 1 the root polytope is a point: there is no vertex figure to
+    emit, so nothing is printed that could not be read back."""
+    def unreachable(n):
+        raise AssertionError("computed before the rank was checked")
+
+    monkeypatch.setattr(cli, "canonical_triangulation", unreachable)
+    assert main(["triangulate", "--n", "1", *json_flag]) == 2
+    captured = capsys.readouterr()
+    assert "n >= 2" in captured.err
+    assert captured.out == ""
+
+
 def test_realize_with_svg(tmp_path, capsys):
     target = tmp_path / "vf.svg"
     code, out = run(capsys, "realize", "--n", "4", "--emit-svg", str(target))

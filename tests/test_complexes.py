@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import demazure_bruteforce, face_f_vector, face_h_polynomial, word_contains_bruteforce
+from oracles import (
+    boundary_faces,
+    demazure_bruteforce,
+    face_f_vector,
+    face_h_polynomial,
+    word_contains_bruteforce,
+)
 from pipedreams.complexes import (
     SimplicialComplex,
     build_pdc,
@@ -251,7 +257,7 @@ def test_boundary_and_interior_partition_faces():
         if w == w0:
             continue  # the (-1)-sphere case has no ball boundary
         C = build_pdc(w)
-        boundary = C.boundary_faces()
+        boundary = boundary_faces(C)
         interior = {f for f, _c in interior_faces(C, w)}
         assert boundary.isdisjoint(interior)
         assert boundary | interior == C.faces()

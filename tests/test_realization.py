@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import face_h_polynomial, face_scan_matches_triangulation
-from pipedreams.complexes import SimplicialComplex, build_pdc, h_polynomial, is_face_of_pdc
+from oracles import boundary_faces, face_h_polynomial, face_scan_matches_triangulation
+from pipedreams import realization
+from pipedreams.complexes import (
+    SimplicialComplex,
+    build_pdc,
+    h_polynomial,
+    interior_faces,
+    is_face_of_pdc,
+)
 from pipedreams.dreams import PipeDream, reduced_pipe_dreams, staircase_boxes
 from pipedreams.perms import Permutation, catalan_permutation
 from pipedreams.poly import MultiPolynomial
@@ -88,6 +95,34 @@ def test_verify_face_map(n):
     assert verify_face_map(n).ok
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_face_map_fails_on_each_corrupted_interior_face(n, monkeypatch):
+    """Drop each interior face, or add each non-interior face of the
+    complex: verify_face_map fails on every one."""
+    pi = catalan_permutation(n)
+    C = build_pdc(pi)
+    true = interior_faces(C, pi)
+    interior = {face for face, _codim in true}
+    d = C.dim + 1
+    corrupted = [[t for t in true if t[0] != face] for face in interior]
+    corrupted += [true + [(face, d - len(face))] for face in C.faces() - interior]
+    assert len(corrupted) == len(C.faces())
+    for faces in corrupted:
+        monkeypatch.setattr(realization, "interior_faces", lambda C, w, faces=faces: faces)
+        assert not verify_face_map(n).ok
+
+
+def test_face_map_refuses_a_box_labelling_that_is_not_injective(monkeypatch):
+    """The image comparison says nothing about faces unless equal images
+    mean equal box sets, so a merged pair of boxes is refused first."""
+    def merged(box, n):
+        return box_edge((2, 1) if box == (1, 1) else box, n)
+
+    monkeypatch.setattr(realization, "box_edge", merged)
+    r = verify_face_map(4)
+    assert (r.ok, r.details) == (False, {"reason": "box_edge is not injective"})
+
+
 def test_face_map_codim2_face_is_long_edge():
     # the unique 5-cross pipe dream for 1432 has a single elbow at (1,1),
     # whose edge is (1,4): the common edge of all five trees
@@ -117,6 +152,16 @@ def test_realize_rejects_degenerate_rank():
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_verify_realization(n):
     assert verify_realization(n).ok
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_vertex_map_carries_boundary_onto_boundary(n):
+    """The boundary statement, which realize does not test on its own
+    because its facet check implies it."""
+    vmap = realize(n).vertex_map
+    pdc_boundary = boundary_faces(build_pdc(catalan_permutation(n)))
+    assert {frozenset(vmap[b] for b in face) for face in pdc_boundary} == boundary_faces(
+        triangulation_complex(n))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
