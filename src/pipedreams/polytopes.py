@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .linalg import IntMat, IntVec, Vec, clear_denominators, det_int, inverse, matvec
 from .linalg import solve_unique
 from .subdivision import Edge, EdgeMonomial, ReductionNode, Strategy, Triple, reduction_tree
+from .subdivision import is_alternating
 
 Point = Vec
 
@@ -279,11 +280,6 @@ def spanning_trees(n: int) -> Iterator[tuple[Edge, ...]]:
         yield _prufer_decode(seq, n)
 
 
-def is_alternating(edges: tuple[Edge, ...]) -> bool:
-    """No reducible pair (i, j), (j, k): no vertex ends one edge and starts another."""
-    return {j for _, j in edges}.isdisjoint(i for i, _ in edges)
-
-
 def is_noncrossing(edges: tuple[Edge, ...]) -> bool:
     for (i, k), (j, l) in combinations(edges, 2):
         if i < j < k < l or j < i < l < k:
@@ -346,6 +342,8 @@ class Simplex:
     @classmethod
     def from_jsonable(cls, data) -> "Simplex":
         points = [tuple(Fraction(c) for c in p) for p in data["vertices"]]
+        if not points:
+            raise ValueError("a simplex needs vertices: the vertex list is empty")
         n = len(points[0])
         if data["with_origin"]:
             points = [p for p in points if any(p)]

@@ -13,13 +13,21 @@ one copy of each of the two edges involved.
 Termination: the potential |edges|*(n-1) - sum(j-i over edges) is a
 nonnegative integer and strictly drops along every branch of the rewrite,
 which reduce_once asserts.
+
+Invariant: every rewrite step keeps |edges| + (power of b) fixed, so in
+the expansion of one monomial an edge multiset occurs with one power of b
+only.  reduced_form therefore keys its terms by the sorted edge tuple alone
+and reads the power of b off the tuple's length.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import starmap
+from operator import sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .poly import MultiPolynomial
@@ -46,11 +54,8 @@ class EdgeMonomial:
             raise ValueError("negative beta power")
         object.__setattr__(self, "edges", edges)
 
-    def key(self) -> tuple[tuple[Edge, ...], int]:
-        return (self.edges, self.beta)
-
     def potential(self) -> int:
-        return len(self.edges) * (self.n - 1) - sum(j - i for i, j in self.edges)
+        return len(self.edges) * (self.n - 1) + sum(starmap(sub, self.edges))  # sum of i - j
 
     def __str__(self):
         parts = []
@@ -71,19 +76,31 @@ def edge_var(e: Edge) -> str:
 
 def reducible_triples(edges: Sequence[Edge]) -> list[Triple]:
     """All i < j < k with (i, j) and (j, k) in the multiset, sorted."""
-    present = set(edges)
-    out = set()
-    for i, j in present:
-        for j2, k in present:
-            if j2 == j:
-                out.add((i, j, k))
-    return sorted(out)
+    ends: dict[int, list[int]] = {}
+    for i, j in sorted(set(edges)):
+        ends.setdefault(i, []).append(j)
+    return [(i, j, k) for i in ends for j in ends[i] if j in ends for k in ends[j]]
+
+
+def is_alternating(edges: Sequence[Edge]) -> bool:
+    """No reducible pair (i, j), (j, k): no vertex ends one edge and starts another."""
+    return {j for _, j in edges}.isdisjoint(i for i, _ in edges)
+
+
+def _first_triple(edges: Sequence[Edge]) -> Optional[Triple]:
+    """The lex-first reducible triple of a sorted edge tuple, or None."""
+    least_end = {i: j for i, j in reversed(edges)}
+    for i, j in edges:
+        if j in least_end:
+            return (i, j, least_end[j])
+    return None
 
 
 # -- pair-choice strategies --------------------------------------------------
 
 class Strategy:
-    """Picks the reduction triple for a monomial; None when alternating."""
+    """Picks the reduction triple for a sorted edge tuple (as EdgeMonomial
+    keeps it); None when alternating."""
 
     def choose(self, edges: Sequence[Edge]) -> Optional[Triple]:
         raise NotImplementedError
@@ -91,14 +108,16 @@ class Strategy:
 
 class LexFirst(Strategy):
     def choose(self, edges):
-        triples = reducible_triples(edges)
-        return triples[0] if triples else None
+        return _first_triple(edges)
 
 
 class ReverseLex(Strategy):
     def choose(self, edges):
-        triples = reducible_triples(edges)
-        return triples[-1] if triples else None
+        greatest_end = {i: j for i, j in edges}
+        for i, j in reversed(edges):
+            if j in greatest_end:
+                return (i, j, greatest_end[j])
+        return None
 
 
 class SeededRandom(Strategy):
@@ -126,8 +145,7 @@ class Scripted(Strategy):
         for i, j, k in self.script:
             if (i, j) in present and (j, k) in present:
                 return (i, j, k)
-        triples = reducible_triples(edges)
-        return triples[0] if triples else None
+        return _first_triple(edges)
 
 
 PATH4_SCRIPT: tuple[Triple, ...] = ((2, 3, 4), (1, 2, 3), (1, 2, 4))
@@ -156,22 +174,40 @@ def parse_strategy(text: str, seed: int = 0) -> Strategy:
     raise ValueError(f"unknown strategy {text!r}")
 
 
-def _remove_one(edges: tuple[Edge, ...], e: Edge) -> list[Edge]:
-    out = list(edges)
-    out.remove(e)
+def _unchecked(n: int, edges: tuple[Edge, ...], beta: int, coeff: int) -> EdgeMonomial:
+    """An EdgeMonomial that skips validation: the caller vouches that `edges`
+    is a sorted tuple of edges on [n] and that beta is nonnegative."""
+    out = object.__new__(EdgeMonomial)
+    object.__setattr__(out, "n", n)
+    object.__setattr__(out, "edges", edges)
+    object.__setattr__(out, "beta", beta)
+    object.__setattr__(out, "coeff", coeff)
     return out
 
 
 def reduce_once(m: EdgeMonomial, triple: Triple) -> tuple[EdgeMonomial, EdgeMonomial, EdgeMonomial]:
-    """Apply x_ij x_jk -> x_ik (x_ij + x_jk + b) at one occurrence."""
+    """Apply x_ij x_jk -> x_ik (x_ij + x_jk + b) at one occurrence.
+
+    Each child is m's sorted edge tuple less one copy of (j, k), of (i, j)
+    or of both, with (i, k) inserted in order.  A child differs from m only
+    by that new edge, which is checked here, so the children skip the
+    EdgeMonomial validation."""
     i, j, k = triple
-    if (i, j) not in m.edges or (j, k) not in m.edges:
-        raise ValueError(f"pair ({i},{j}),({j},{k}) not in {m.edges}")
-    g1 = EdgeMonomial(m.n, _remove_one(m.edges, (j, k)) + [(i, k)], m.beta, m.coeff)
-    g2 = EdgeMonomial(m.n, _remove_one(m.edges, (i, j)) + [(i, k)], m.beta, m.coeff)
-    both = _remove_one(m.edges, (i, j))
-    both.remove((j, k))
-    g3 = EdgeMonomial(m.n, both + [(i, k)], m.beta + 1, m.coeff)
+    edges = m.edges
+    a = bisect_left(edges, (i, j))
+    c = bisect_left(edges, (j, k))
+    if edges[a:a + 1] != ((i, j),) or edges[c:c + 1] != ((j, k),):
+        raise ValueError(f"pair ({i},{j}),({j},{k}) not in {edges}")
+    if not 1 <= i < k <= m.n:
+        raise ValueError(f"edge {(i, k)} invalid on [{m.n}]")
+    p = bisect_left(edges, (i, k), a, c)  # (i, j) < (i, k) < (j, k)
+    left, right = edges[:p], edges[p:]
+    left_less = left[:a] + left[a + 1:]
+    right_less = right[:c - p] + right[c - p + 1:]
+    new = ((i, k),)
+    g1 = _unchecked(m.n, left + new + right_less, m.beta, m.coeff)
+    g2 = _unchecked(m.n, left_less + new + right, m.beta, m.coeff)
+    g3 = _unchecked(m.n, left_less + new + right_less, m.beta + 1, m.coeff)
     phi = m.potential()
     assert all(g.potential() < phi for g in (g1, g2, g3)), "potential must drop"
     return g1, g2, g3
@@ -190,7 +226,7 @@ class ReducedForm:
         for m in monos:
             if m.coeff == 0:
                 raise ValueError("zero coefficient stored")
-            if reducible_triples(m.edges):
+            if not is_alternating(m.edges):
                 raise ValueError(f"monomial {m} still reducible")
         object.__setattr__(self, "monomials", monos)
 
@@ -238,33 +274,35 @@ class ReducedForm:
 def reduced_form(m: EdgeMonomial, strategy: Strategy | None = None) -> ReducedForm:
     """Rewrite until every monomial is alternating, merging like terms
     after each layer.  Monomials are processed in sorted order so scripted
-    and seeded strategies are reproducible."""
+    and seeded strategies are reproducible.
+
+    Pending and finished terms are keyed by their sorted edge tuple alone:
+    |edges| + beta is the same for every term of the expansion, so beta is
+    that sum less the number of edges."""
     if strategy is None:
         strategy = LexFirst()
-    pending: dict[tuple, int] = {m.key(): m.coeff}
-    done: dict[tuple, int] = {}
+    n, size = m.n, len(m.edges) + m.beta
+    pending: dict[tuple[Edge, ...], int] = {m.edges: m.coeff}
+    done: dict[tuple[Edge, ...], int] = {}
     while pending:
-        nxt: dict[tuple, int] = {}
-        for key in sorted(pending):
-            coeff = pending[key]
+        nxt: dict[tuple[Edge, ...], int] = {}
+        for edges in sorted(pending):
+            coeff = pending[edges]
             if coeff == 0:
                 continue
-            edges, beta = key
             triple = strategy.choose(edges)
             if triple is None:
-                done[key] = done.get(key, 0) + coeff
+                done[edges] = done.get(edges, 0) + coeff
                 continue
-            mono = EdgeMonomial(m.n, edges, beta, coeff)
-            for child in reduce_once(mono, triple):
-                ck = child.key()
-                nxt[ck] = nxt.get(ck, 0) + child.coeff
+            for child in reduce_once(_unchecked(n, edges, size - len(edges), coeff), triple):
+                nxt[child.edges] = nxt.get(child.edges, 0) + coeff
         pending = nxt
     monos = tuple(
-        EdgeMonomial(m.n, edges, beta, coeff)
-        for (edges, beta), coeff in done.items()
+        EdgeMonomial(n, edges, size - len(edges), coeff)
+        for edges, coeff in done.items()
         if coeff
     )
-    return ReducedForm(m.n, monos)
+    return ReducedForm(n, monos)
 
 
 _LABELS = ("G1", "G2", "G3")

@@ -8,6 +8,7 @@ this module.
 from __future__ import annotations
 
 import heapq
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -29,6 +30,7 @@ from pipedreams.perms import (
 from pipedreams.poly import MultiPolynomial
 from pipedreams.polytopes import Point, Simplex, vertex_figure_point, vertex_figure_simplices
 from pipedreams.realization import box_edge
+from pipedreams.subdivision import EdgeMonomial
 
 
 def apply_s(window: Window, a: int) -> Window:
@@ -319,3 +321,82 @@ def intersect_simplices_fraction(S1: Simplex, S2: Simplex) -> frozenset[Point]:
         if all(sum(a * x for a, x in zip(row, z)) <= rhs for row, rhs in ineqs):
             verts.add(tuple(z) + (-sum(z),))
     return frozenset(verts)
+
+
+def reducible_triples_pairwise(edges: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """Oracle for `subdivision.reducible_triples`: compare every two edges
+    present, keep (i, j, k) for each (i, j), (j, k), and sort."""
+    present = set(edges)
+    out = set()
+    for i, j in present:
+        for j2, k in present:
+            if j2 == j:
+                out.add((i, j, k))
+    return sorted(out)
+
+
+def _reduce_once_validated(m: EdgeMonomial, triple: tuple[int, int, int]) -> list[EdgeMonomial]:
+    """The rewrite x_ij x_jk -> x_ik (x_ij + x_jk + b) with each child built
+    and validated (sorted, edges checked) by the EdgeMonomial constructor."""
+    i, j, k = triple
+    without_jk = list(m.edges)
+    without_jk.remove((j, k))
+    without_ij = list(m.edges)
+    without_ij.remove((i, j))
+    both = list(without_ij)
+    both.remove((j, k))
+    children = [
+        EdgeMonomial(m.n, tuple(without_jk) + ((i, k),), m.beta, m.coeff),
+        EdgeMonomial(m.n, tuple(without_ij) + ((i, k),), m.beta, m.coeff),
+        EdgeMonomial(m.n, tuple(both) + ((i, k),), m.beta + 1, m.coeff),
+    ]
+    phi = m.potential()
+    assert all(g.potential() < phi for g in children), "potential must drop"
+    return children
+
+
+def reduced_form_pairwise(n: int, edges: Iterable[tuple[int, int]], strategy: str,
+                          seed: int = 0) -> dict:
+    """Oracle for `subdivision.reduced_form`, returned as its `to_jsonable()`
+    dict.  Terms are keyed by (sorted edges, power of b), each step lists all
+    reducible triples pairwise and builds validated children.  `strategy`
+    is "lex", "rlex", "random" (with `seed`) or "script:i,j,k;...", chosen
+    over the pairwise triple list as `subdivision.parse_strategy` describes."""
+    rng = random.Random(seed)
+    script = ([tuple(int(v) for v in t.split(",")) for t in strategy[7:].split(";")]
+              if strategy.startswith("script:") else [])
+
+    def choose(edges, triples):
+        if strategy == "rlex":
+            return triples[-1]
+        if strategy == "random":
+            return rng.choice(triples)
+        for i, j, k in script:
+            if (i, j) in edges and (j, k) in edges:
+                return (i, j, k)
+        return triples[0]
+
+    m = EdgeMonomial(n, tuple(edges))
+    pending = {(m.edges, m.beta): m.coeff}
+    done: dict = {}
+    while pending:
+        nxt: dict = {}
+        for edges, beta in sorted(pending):
+            coeff = pending[(edges, beta)]
+            triples = reducible_triples_pairwise(edges)
+            if not triples:
+                done[(edges, beta)] = done.get((edges, beta), 0) + coeff
+                continue
+            mono = EdgeMonomial(n, edges, beta, coeff)
+            for child in _reduce_once_validated(mono, choose(edges, triples)):
+                key = (child.edges, child.beta)
+                nxt[key] = nxt.get(key, 0) + child.coeff
+        pending = nxt
+    return {
+        "n": n,
+        "monomials": [
+            {"edges": [list(e) for e in edges], "beta": beta, "coeff": coeff}
+            for (edges, beta), coeff in sorted(done.items(), key=lambda t: (t[0][1], t[0][0]))
+            if coeff
+        ],
+    }

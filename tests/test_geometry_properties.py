@@ -15,13 +15,12 @@ from pipedreams.polytopes import (
     _prufer_decode,
     barycentric_solver,
     intersect_tree_simplices,
-    is_alternating,
     location,
     random_acyclic_graph,
     spanning_trees,
     tree_simplex,
 )
-from pipedreams.subdivision import reducible_triples
+from pipedreams.subdivision import is_alternating, reducible_triples
 
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 TREES = {n: tuple(AcyclicGraph(n, edges) for edges in spanning_trees(n)) for n in range(1, 7)}

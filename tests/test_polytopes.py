@@ -11,6 +11,7 @@ from pipedreams.polytopes import (
     BOUNDARY,
     INTERIOR,
     OUTSIDE,
+    Simplex,
     augment,
     barycentric_solver,
     canonical_triangulation,
@@ -18,7 +19,6 @@ from pipedreams.polytopes import (
     flow_vertices,
     graph_reduce,
     intersect_tree_simplices,
-    is_alternating,
     is_noncrossing,
     is_unimodular,
     level,
@@ -41,6 +41,7 @@ from pipedreams.subdivision import (
     LexFirst,
     Scripted,
     SeededRandom,
+    is_alternating,
     q_polynomial,
     reducible_triples,
 )
@@ -303,3 +304,9 @@ def test_simplex_json():
     assert ["0", "0", "0"] in data["vertices"]
     vf = vertex_figure_simplices(3)[0]
     assert ["1/2", "0", "-1/2"] in vf.to_jsonable()["vertices"]
+
+
+@pytest.mark.parametrize("with_origin", [False, True])
+def test_simplex_json_with_no_vertices_is_refused(with_origin):
+    with pytest.raises(ValueError, match="vertex list is empty"):
+        Simplex.from_jsonable({"vertices": [], "with_origin": with_origin})

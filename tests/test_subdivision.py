@@ -1,9 +1,11 @@
 """The subdivision algebra rewriting engine."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from pipedreams import subdivision
 from pipedreams.poly import MultiPolynomial
 from pipedreams.subdivision import (
     PATH4_SCRIPT,
@@ -73,10 +75,49 @@ def test_potential_drops_on_every_branch():
         m = EdgeMonomial(n, tuple(edges))
         phi = m.potential()
         assert phi >= 0
-        triples = reducible_triples(m.edges)
-        if triples:
-            for child in reduce_once(m, triples[0]):
+        for triple in reducible_triples(m.edges):
+            for child in reduce_once(m, triple):
                 assert child.potential() < phi
+                # built unchecked, the child is what validation would make of it
+                assert child == EdgeMonomial(n, child.edges, child.beta, child.coeff)
+
+
+def test_reduce_once_checks_the_edge_it_adds():
+    """Children skip validation, so reduce_once checks the one edge it adds;
+    a parent with an edge off [n] is caught there."""
+    bad = subdivision._unchecked(3, ((1, 2), (2, 4)), 0, 1)
+    with pytest.raises(ValueError, match=r"edge \(1, 4\) invalid on \[3\]"):
+        reduce_once(bad, (1, 2, 4))
+
+
+# Little Schroeder numbers: Q(1) for the path on n vertices, the leaf count
+# of its rewrite tree.
+PATH_Q_AT_1 = {3: 3, 4: 11, 5: 45, 6: 197, 7: 903, 8: 4279}
+
+
+@pytest.mark.parametrize("strategy", [LexFirst, ReverseLex])
+def test_rewrite_work_on_the_path(monkeypatch, strategy):
+    """The counts a traced run reports: on the path no two pending terms
+    merge, so reduced_form rewrites once per inner node of the rewrite tree,
+    (Q(1) - 1)/2 times, and chooses once per node, Q(1) + (Q(1) - 1)/2 times
+    (10,396 and 31,189 at n = 9).  Every leaf has |edges| + beta = n - 1."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(subdivision, "reduce_once", counted("reduce_once", reduce_once))
+    monkeypatch.setattr(strategy, "choose", counted("choose", strategy.choose))
+    for n, q1 in PATH_Q_AT_1.items():
+        calls.clear()
+        rf = reduced_form(EdgeMonomial(n, path_edges(n)), strategy())
+        assert sum(m.coeff for m in rf.monomials) == q1
+        assert calls["reduce_once"] == (q1 - 1) // 2
+        assert calls["choose"] == q1 + (q1 - 1) // 2
+        assert all(len(m.edges) + m.beta == n - 1 for m in rf.monomials)
 
 
 def test_scripted_path4_reduced_form_verbatim():
