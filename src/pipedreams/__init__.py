@@ -22,6 +22,7 @@ from .complexes import (
     interior_faces,
 )
 from .grothendieck import (
+    beta_grothendieck,
     double_beta_grothendieck,
     double_grothendieck,
     groth_beta,
@@ -63,8 +64,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AcyclicGraph", "EdgeMonomial", "MultiPolynomial",
     "Permutation", "PipeDream", "RealizationMap", "ReducedForm", "Simplex",
-    "SimplicialComplex", "augment", "build_pdc", "canonical_triangulation",
-    "catalan_permutation", "demazure_product", "dissect",
+    "SimplicialComplex", "augment", "beta_grothendieck", "build_pdc",
+    "canonical_triangulation", "catalan_permutation", "demazure_product", "dissect",
     "double_beta_grothendieck", "double_grothendieck",
     "enumerate_pipe_dreams", "f_vector", "flow_vertices", "graph_reduce",
     "groth_beta", "h_from_interior", "h_polynomial", "interior_faces",

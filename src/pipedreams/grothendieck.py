@@ -1,21 +1,29 @@
-"""Double beta-Grothendieck polynomials from pipe dreams and their
-specializations.
+"""Beta-Grothendieck polynomials: double ones from pipe dreams, single
+ones from isobaric divided differences, and their specializations.
 
-The double beta-Grothendieck polynomial of w is the sum over all pipe
-dreams P of w of b^codim(P) times the product of (x_r - y_c) over the
-crosses (r, c) of P, where codim(P) is the number of crosses beyond l(w):
-the generating polynomial of Pipes(w) over one variable z_(r,c) per
-staircase box, expanded by one substitution z_(r,c) -> x_r - y_c.
-Setting b = -1 recovers the double Grothendieck polynomial; all x to q
-and all y to t collapses every product to a power of (q - t); x = 1,
-y = 0 leaves the generating function of pipe dreams by codimension.
+The double polynomial computed here is the sum over all pipe dreams P of
+w of b^codim(P) times the product of (x_r - y_c) over the crosses (r, c)
+of P, where codim(P) is the number of crosses beyond l(w): the generating
+polynomial of Pipes(w) over one variable z_(r,c) per staircase box,
+expanded by one substitution z_(r,c) -> x_r - y_c.  It is not
+Fomin-Kirillov's double beta-Grothendieck polynomial, whose factors are
+x_r + y_c + b*x_r*y_c.  Setting b = -1 gives the double Grothendieck
+polynomial; all x to q and all y to t collapses every product to a power
+of (q - t); x = 1, y = 0 leaves the generating function of pipe dreams by
+codimension.
+
+The single polynomial G^b_w comes from the algebraic definition, with no
+pipe dream: G^b_w0 = x1^(n-1) x2^(n-2) ... x(n-1), and whenever
+w(i) > w(i+1), G^b_(w s_i) = pi_i G^b_w with the isobaric divided
+difference pi_i f = d_i((1 + b*x(i+1)) f) (Lascoux-Schutzenberger 1982;
+Fomin-Kirillov 1994).  It equals the double polynomial at y = 0.
 """
 
 from __future__ import annotations
 
 from .dreams import enumerate_pipe_dreams, staircase_boxes
 from .perms import Permutation
-from .poly import MultiPolynomial
+from .poly import MultiPolynomial, _merge, _unchecked
 
 QT_VARS = ("q", "t", "b")
 
@@ -64,6 +72,53 @@ def specialize_qt(w: Permutation, beta: MultiPolynomial) -> MultiPolynomial:
     b = MultiPolynomial.variable("b", QT_VARS)
     qt = q - t
     return qt ** w.length() * beta.substitute({"b": b * qt}, QT_VARS)
+
+
+def _isobaric(terms: dict, i: int) -> dict:
+    """pi_i f = d_i((1 + b*x(i+1)) f) on the exponent dict of f over
+    (x1, ..., xn, b).  The divided difference d_i sends
+    x_i^p x(i+1)^q to the sum of x_i^(p-1-k) x(i+1)^(q+k) over
+    0 <= k < p - q when p > q, to minus that sum with p and q swapped
+    when p < q, and to 0 when p = q."""
+    j = i - 1  # the exponent of x_i; x(i+1)'s follows, b's is last
+
+    def divided():
+        for e, c in terms.items():
+            head, p, q, mid, beta = e[:j], e[j], e[j + 1], e[j + 2:-1], e[-1]
+            for q, beta in ((q, beta), (q + 1, beta + 1)):
+                if p == q:
+                    continue
+                lo, hi, sign = (q, p, c) if p > q else (p, q, -c)
+                tail = mid + (beta,)
+                for k in range(hi - lo):
+                    yield head + (hi - 1 - k, lo + k) + tail, sign
+
+    return _merge(divided())
+
+
+def beta_grothendieck(w: Permutation) -> MultiPolynomial:
+    """G^b_w over (x1, ..., x(n-1), b), by l(w0) - l(w) isobaric divided
+    differences down from G^b_w0 = x1^(n-1) ... x(n-1).  The descent
+    works over x1..xn; no G^b_w contains xn, and none is returned that
+    does.
+
+    >>> print(beta_grothendieck(Permutation((1, 3, 2))))
+    x1*x2*b + x1 + x2
+    """
+    n = w.n
+    ascents = []
+    u = list(w.window)
+    while (i := next((a for a in range(1, n) if u[a - 1] < u[a]), 0)):
+        u[i - 1], u[i] = u[i], u[i - 1]
+        ascents.append(i)
+    # w s_a1 ... s_ak = w0, so w = w0 s_ak ... s_a1: apply pi_ak first
+    terms = {tuple(range(n - 1, -1, -1)) + (0,): 1}
+    for i in reversed(ascents):
+        terms = _isobaric(terms, i)
+    if any(e[n - 1] for e in terms):
+        raise ArithmeticError(f"G^b_{w} came out with a term in x{n}")
+    vars = tuple([f"x{i}" for i in range(1, n)] + ["b"])
+    return _unchecked(vars, {e[:n - 1] + e[n:]: c for e, c in terms.items()})
 
 
 def groth_beta(w: Permutation) -> MultiPolynomial:

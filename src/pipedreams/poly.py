@@ -126,10 +126,6 @@ class MultiPolynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def depends_on(self, name: str) -> bool:
-        i = self.vars.index(name)
-        return any(e[i] for e in self.terms)
-
     def coefficient_vector(self) -> tuple[int, ...]:
         """Coefficients (c_0, c_1, ..., c_d) of a univariate polynomial."""
         if len(self.vars) != 1:

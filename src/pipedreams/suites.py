@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import factorial
 from operator import mul
 from typing import Callable
 
-from .complexes import build_pdc, h_from_interior, h_polynomial
+from .complexes import SimplicialComplex, build_pdc, h_from_interior, h_polynomial
 from .dreams import reduced_pipe_dreams
 from .grothendieck import (
     QT_VARS,
+    beta_grothendieck,
     double_beta_grothendieck,
     groth_beta,
     shifted_groth_beta,
@@ -68,70 +70,79 @@ from .subdivision import (
 )
 
 
-def _groth_h_against(g, h) -> dict | None:
-    """Failure details unless b -> b-1, x_i -> q, y_j -> q-1 turns the
-    double polynomial g into a q-free polynomial equal to h."""
-    target = ("q", "b")
-    q = MultiPolynomial.variable("q", target)
-    b = MultiPolynomial.variable("b", target)
-    images: dict[str, MultiPolynomial] = {"b": b - 1}
-    for v in g.vars[:-1]:
-        images[v] = q if v.startswith("x") else q - 1
-    substituted = g.substitute(images, target)
-    if substituted.depends_on("q"):
-        return {"reason": "q survives", "poly": str(substituted)}
-    collapsed = MultiPolynomial(
-        ("b",), {(e[1],): c for e, c in substituted.terms.items()}
-    )
-    if collapsed != h:
-        return {"reason": "mismatch", "diff": poly_diff(collapsed, h)}
-    return None
+def _groth_h_details(w: Permutation, h: MultiPolynomial) -> dict | None:
+    """Failure details unless G^b_w from divided differences, at x = 1 and
+    with b -> b - 1, equals h."""
+    G = beta_grothendieck(w)
+    shifted = shifted_groth_beta(G.substitute(dict.fromkeys(G.vars[:-1], 1), ("b",)))
+    return None if shifted == h else {"reason": "mismatch", "diff": poly_diff(shifted, h)}
 
 
-def _groth_h(w, g, C, beta) -> dict | None:
-    """The specialized double polynomial equals the h-polynomial of the
-    complex, counted by flips."""
-    return _groth_h_against(g, h_polynomial(C, w).rename({"x": "b"}))
+class _Sides:
+    """What the identities read about one permutation w, each built on its
+    first read and kept: the double polynomial, the pipe dream complex and
+    the codimension polynomial beta = groth_beta(w)."""
+
+    def __init__(self, w: Permutation):
+        self.w = w
+
+    @cached_property
+    def double(self) -> MultiPolynomial:
+        return double_beta_grothendieck(self.w)
+
+    @cached_property
+    def pdc(self) -> SimplicialComplex:
+        return build_pdc(self.w)
+
+    @cached_property
+    def beta(self) -> MultiPolynomial:
+        return groth_beta(self.w)
 
 
-def _interior_h(w, g, C, beta) -> dict | None:
+def _groth_h(s: _Sides) -> dict | None:
+    """G^b_w from divided differences, at x = 1 and b -> b - 1, equals the
+    h-polynomial of the complex, counted by flips."""
+    return _groth_h_details(s.w, h_polynomial(s.pdc, s.w).rename({"x": "b"}))
+
+
+def _interior_h(s: _Sides) -> dict | None:
     """The interior-face h-polynomial agrees with the flip count after
     b -> x - 1."""
     x = MultiPolynomial.variable("x", ("x",))
-    lhs = h_from_interior(C, w).substitute({"b": x - 1}, ("x",))
-    rhs = h_polynomial(C, w)
+    lhs = h_from_interior(s.pdc, s.w).substitute({"b": x - 1}, ("x",))
+    rhs = h_polynomial(s.pdc, s.w)
     return None if lhs == rhs else {"diff": poly_diff(lhs, rhs)}
 
 
-def _qt(w, g, C, beta) -> dict | None:
+def _qt(s: _Sides) -> dict | None:
     """The closed form over codimensions equals the direct x -> q, y -> t
     substitution of the double polynomial."""
+    g = s.double
     q, t, b = (MultiPolynomial.variable(v, QT_VARS) for v in QT_VARS)
     images = {v: q if v.startswith("x") else t for v in g.vars[:-1]}
     images["b"] = b
-    return None if g.substitute(images, QT_VARS) == specialize_qt(w, beta) else {}
+    return None if g.substitute(images, QT_VARS) == specialize_qt(s.w, s.beta) else {}
 
 
-def _homogeneity(w, g, C, beta) -> dict | None:
+def _homogeneity(s: _Sides) -> dict | None:
     """With deg x = deg y = 1 and deg b = -1, the double polynomial is
     homogeneous of degree l(w)."""
-    l = w.length()
-    for exps in g.terms:
+    l = s.w.length()
+    for exps in s.double.terms:
         if sum(exps[:-1]) - exps[-1] != l:
             return {"exps": list(exps)}
     return None
 
 
-def _nonnegativity(w, g, C, beta) -> dict | None:
+def _nonnegativity(s: _Sides) -> dict | None:
     """All coefficients of the shifted specialization are nonnegative."""
-    shifted = shifted_groth_beta(beta)
+    shifted = shifted_groth_beta(s.beta)
     return {"poly": str(shifted)} if any(c < 0 for c in shifted.terms.values()) else None
 
 
 # The identities checked on every permutation of a rank, in report order.
-# Each takes w, its double polynomial g, its pipe dream complex C and its
-# codimension polynomial beta = groth_beta(w), and returns failure details
-# or None.
+# Each reads what it needs of one permutation from its _Sides and returns
+# failure details or None.
 PERMUTATION_CHECKS = (
     ("groth-h", _groth_h),
     ("interior-h", _interior_h),
@@ -143,20 +154,18 @@ PERMUTATION_CHECKS = (
 
 def check_permutations(n: int, identities: tuple[tuple[str, Callable], ...]) -> list[VerifyResult]:
     """One result `name:Sn` per (name, identity) of `identities`, checked on
-    every permutation w of rank n with the double polynomial, the complex
-    and beta of w built once.  An identity fails with {"w": w, **details}
-    at the first w where it returns details, and is not evaluated again."""
+    every permutation w of rank n.  The double polynomial, the complex and
+    beta of w are each built once, and only if an identity still running
+    reads them.  An identity fails with {"w": w, **details} at the first w
+    where it returns details, and is not evaluated again."""
     failures: dict[str, dict] = {}
     for window in all_windows(n):
-        w = Permutation(window)
-        g = double_beta_grothendieck(w)
-        C = build_pdc(w)
-        beta = groth_beta(w)
+        sides = _Sides(Permutation(window))
         for name, identity in identities:
             if name not in failures:
-                details = identity(w, g, C, beta)
+                details = identity(sides)
                 if details is not None:
-                    failures[name] = {"w": str(w), **details}
+                    failures[name] = {"w": str(sides.w), **details}
     return [
         VerifyResult(f"{name}:S{n}", name not in failures,
                      failures.get(name, {"permutations": factorial(n)}))
@@ -165,12 +174,12 @@ def check_permutations(n: int, identities: tuple[tuple[str, Callable], ...]) -> 
 
 
 def verify_groth_h(w: Permutation) -> VerifyResult:
-    """Check that substituting b -> b-1, x_i -> q, y_j -> q-1 into the
-    expanded double beta-Grothendieck polynomial is q-free and equals the
-    h-polynomial of the pipe dream complex of w."""
+    """Check that G^b_w from isobaric divided differences, at x = 1 and with
+    b -> b-1, equals the h-polynomial of the pipe dream complex of w,
+    counted by flips of its reduced pipe dreams."""
     name = f"groth-h:{w}"
     h = h_polynomial(build_pdc(w), w).rename({"x": "b"})
-    details = _groth_h_against(double_beta_grothendieck(w), h)
+    details = _groth_h_details(w, h)
     if details is not None:
         return VerifyResult(name, False, details)
     return VerifyResult(name, True, {"h": str(h)})

@@ -117,6 +117,22 @@ def double_beta_grothendieck_per_dream(w: Permutation) -> MultiPolynomial:
     ))
 
 
+def beta_grothendieck_per_dream(w: Permutation) -> MultiPolynomial:
+    """Oracle for `grothendieck.beta_grothendieck`: the sum over the pipe
+    dreams P of w of b^codim(P) times the product of x_r over the crosses
+    (r, c) of P, over (x1, ..., x(n-1), b)."""
+    n, l = w.n, w.length()
+    vars = tuple([f"x{i}" for i in range(1, n)] + ["b"])
+    terms = []
+    for P in enumerate_pipe_dreams(w):
+        exps = [0] * n
+        for r, _ in P.crosses:
+            exps[r - 1] += 1
+        exps[-1] = P.size - l
+        terms.append((tuple(exps), 1))
+    return MultiPolynomial(vars, terms)
+
+
 def substitute_per_term(
     p: MultiPolynomial,
     images: Mapping[str, Union[MultiPolynomial, int]],

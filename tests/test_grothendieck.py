@@ -1,11 +1,15 @@
 """Grothendieck polynomials and their specializations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import double_beta_grothendieck_per_dream
+from oracles import beta_grothendieck_per_dream, double_beta_grothendieck_per_dream
+from pipedreams import grothendieck
 from pipedreams.complexes import build_pdc, h_polynomial
 from pipedreams.grothendieck import (
     QT_VARS,
+    beta_grothendieck,
     double_beta_grothendieck,
     double_grothendieck,
     groth_beta,
@@ -118,6 +122,57 @@ def test_qt_matches_direct_substitution_on_s4():
         images = {v: (q if v.startswith("x") else t) for v in g.vars[:-1]}
         images["b"] = b
         assert g.substitute(images, QT_VARS) == specialize_qt(w, groth_beta(w))
+
+
+def single_vars(n):
+    return tuple([f"x{i}" for i in range(1, n)] + ["b"])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_beta_grothendieck_matches_pipe_dreams_on_all_of_rank(n):
+    for window in all_windows(n):
+        w = Permutation(window)
+        assert beta_grothendieck(w) == beta_grothendieck_per_dream(w)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(st.permutations(range(1, 8)))
+def test_beta_grothendieck_matches_pipe_dreams_at_rank_7(window):
+    w = Permutation(tuple(window))
+    assert beta_grothendieck(w) == beta_grothendieck_per_dream(w)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_beta_grothendieck_ends_of_the_chain(n):
+    """G^b_w0 is the staircase monomial x^delta, and G^b_id is 1."""
+    vars = single_vars(n)
+    delta = tuple(range(n - 1, 0, -1)) + (0,)
+    assert beta_grothendieck(Permutation(tuple(range(n, 0, -1)))) == MultiPolynomial(vars, {delta: 1})
+    assert beta_grothendieck(Permutation(identity_window(n))) == MultiPolynomial.one(vars)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_beta_grothendieck_is_the_double_polynomial_at_y0(n):
+    for window in all_windows(n):
+        w = Permutation(window)
+        g = double_beta_grothendieck(w)
+        y0 = g.substitute({v: 0 for v in g.vars if v.startswith("y")}, single_vars(n))
+        assert beta_grothendieck(w) == y0
+
+
+def test_beta_grothendieck_refuses_a_term_in_xn(monkeypatch):
+    """The last divided difference is made to leave x3 behind: the kernel
+    raises instead of dropping it."""
+    step = grothendieck._isobaric
+
+    def leaky(terms, i):
+        out = step(terms, i)
+        out[(0, 0, 1, 0)] = 1
+        return out
+
+    monkeypatch.setattr(grothendieck, "_isobaric", leaky)
+    with pytest.raises(ArithmeticError, match="x3"):
+        beta_grothendieck(Permutation((1, 3, 2)))
 
 
 def test_groth_beta_examples():

@@ -102,11 +102,13 @@ def test_polytope_sampler_draws_the_recorded_points():
 
 
 # The five S_4 permutation checks of `verify all --n 4` when kernel outputs
-# are corrupted at chosen permutations.  The double polynomial is corrupted
-# at two permutations, so each check that reads it must report the first.
+# are corrupted at chosen permutations.  G^b_w and the double polynomial
+# are corrupted at two permutations, so each check that reads them must
+# report the first.  G^b_2143 + x1 is 1 too large at x = 1.
 CORRUPTED_S4 = [
     {"name": "groth-h:S4", "ok": False,
-     "details": {"w": "2143", "reason": "q survives", "poly": "b^2 + q + b + 1"}},
+     "details": {"w": "2143", "reason": "mismatch",
+                 "diff": {"mismatched_terms": {"(0,)": {"left": "2", "right": "1"}}}}},
     {"name": "interior-h:S4", "ok": False,
      "details": {"w": "1432", "diff": {"mismatched_terms": {"(0,)": {"left": "2", "right": "1"}}}}},
     {"name": "qt:S4", "ok": False, "details": {"w": "1342"}},
@@ -126,11 +128,15 @@ def corrupt_at(fn, words, change):
     return corrupted
 
 
+def plus_x1(p):
+    return p + MultiPolynomial.variable("x1", p.vars)
+
+
 def test_permutation_checks_report_the_first_failure(monkeypatch):
-    double = corrupt_at(grothendieck.double_beta_grothendieck, ("2143", "3412"),
-                        lambda g: g + MultiPolynomial.variable("x1", g.vars))
-    for module in (grothendieck, suites):
-        monkeypatch.setattr(module, "double_beta_grothendieck", double)
+    for kernel in ("beta_grothendieck", "double_beta_grothendieck"):
+        corrupted = corrupt_at(getattr(grothendieck, kernel), ("2143", "3412"), plus_x1)
+        for module in (grothendieck, suites):
+            monkeypatch.setattr(module, kernel, corrupted)
     q = MultiPolynomial.variable("q", QT_VARS)
     monkeypatch.setattr(suites, "specialize_qt",
                         corrupt_at(suites.specialize_qt, ("1342",), lambda p: p + q))
@@ -142,6 +148,19 @@ def test_permutation_checks_report_the_first_failure(monkeypatch):
                         corrupt_at(suites.h_from_interior, ("1432",), lambda p: p + 1))
     results = [r.to_jsonable() for r in suite("all", 4, None, 0) if r.name.endswith(":S4")]
     assert results == CORRUPTED_S4
+
+
+@pytest.mark.parametrize("side,change", [
+    ("beta_grothendieck", plus_x1),
+    ("h_polynomial", lambda h: h + MultiPolynomial.variable("x", h.vars)),
+])
+def test_groth_h_fails_when_either_side_is_corrupted(side, change, monkeypatch):
+    monkeypatch.setattr(suites, side, corrupt_at(getattr(suites, side), ("1432",), change))
+    result = suites.verify_groth_h(parse_permutation("1432"))
+    assert not result.ok
+    assert result.details["reason"] == "mismatch"
+    assert result.details["diff"]["mismatched_terms"]
+    assert suites.verify_groth_h(parse_permutation("2143")).ok
 
 
 def test_unimodularity_check_can_fail(monkeypatch):
