@@ -10,7 +10,8 @@ Fomin-Kirillov's double beta-Grothendieck polynomial, whose factors are
 x_r + y_c + b*x_r*y_c.  Setting b = -1 gives the double Grothendieck
 polynomial; all x to q and all y to t collapses every product to a power
 of (q - t); x = 1, y = 0 leaves the generating function of pipe dreams by
-codimension.
+codimension.  The same generating polynomial with z_(r,c) -> x_r is the
+pipe dream formula's side of the single polynomial.
 
 The single polynomial G^b_w comes from the algebraic definition, with no
 pipe dream: G^b_w0 = x1^(n-1) x2^(n-2) ... x(n-1), and whenever
@@ -35,6 +36,21 @@ def xy_beta_vars(n: int) -> tuple[str, ...]:
     )
 
 
+def _pipe_dream_sum(w: Permutation, image, vars: tuple[str, ...]) -> MultiPolynomial:
+    """Sum over Pipes(w) of b^codim * product of image(r, c) over crosses:
+    the generating polynomial of Pipes(w) over one variable z_(r,c) per
+    staircase box, then one substitution z_(r,c) -> image(r, c) into
+    `vars`, whose last variable is b."""
+    boxes = staircase_boxes(w.n)
+    images = {f"z{r},{c}": image(r, c) for r, c in boxes}
+    l = w.length()
+    generating = MultiPolynomial((*images, "b"), (
+        (tuple(int(box in P.crosses) for box in boxes) + (P.size - l,), 1)
+        for P in enumerate_pipe_dreams(w)
+    ))
+    return generating.substitute(images, vars)
+
+
 def double_beta_grothendieck(w: Permutation) -> MultiPolynomial:
     """Sum over Pipes(w) of b^codim * product of (x_r - y_c) over crosses.
 
@@ -42,18 +58,20 @@ def double_beta_grothendieck(w: Permutation) -> MultiPolynomial:
     x1 - y1
     """
     vars = xy_beta_vars(w.n)
-    boxes = staircase_boxes(w.n)
-    images = {
-        f"z{r},{c}": MultiPolynomial.variable(f"x{r}", vars)
-        - MultiPolynomial.variable(f"y{c}", vars)
-        for r, c in boxes
-    }
-    l = w.length()
-    generating = MultiPolynomial((*images, "b"), (
-        (tuple(int(box in P.crosses) for box in boxes) + (P.size - l,), 1)
-        for P in enumerate_pipe_dreams(w)
-    ))
-    return generating.substitute(images, vars)
+    return _pipe_dream_sum(w, lambda r, c: MultiPolynomial.variable(f"x{r}", vars)
+                           - MultiPolynomial.variable(f"y{c}", vars), vars)
+
+
+def pipe_dream_beta_grothendieck(w: Permutation) -> MultiPolynomial:
+    """Sum over Pipes(w) of b^codim * product of x_r over crosses, over
+    the variables of beta_grothendieck(w): the pipe dream formula's side
+    of G^b_w (Fomin-Kirillov 1994).
+
+    >>> print(pipe_dream_beta_grothendieck(Permutation((1, 3, 2))))
+    x1*x2*b + x1 + x2
+    """
+    vars = tuple([f"x{i}" for i in range(1, w.n)] + ["b"])
+    return _pipe_dream_sum(w, lambda r, c: MultiPolynomial.variable(f"x{r}", vars), vars)
 
 
 def double_grothendieck(w: Permutation) -> MultiPolynomial:

@@ -17,12 +17,10 @@ from typing import Callable
 from .complexes import SimplicialComplex, build_pdc, h_from_interior, h_polynomial
 from .dreams import reduced_pipe_dreams
 from .grothendieck import (
-    QT_VARS,
     beta_grothendieck,
-    double_beta_grothendieck,
     groth_beta,
+    pipe_dream_beta_grothendieck,
     shifted_groth_beta,
-    specialize_qt,
 )
 from .linalg import clear_denominators
 from .perms import Permutation, all_windows, catalan_permutation
@@ -70,29 +68,26 @@ from .subdivision import (
 )
 
 
-def _groth_h_details(w: Permutation, h: MultiPolynomial) -> dict | None:
-    """Failure details unless G^b_w from divided differences, at x = 1 and
-    with b -> b - 1, equals h."""
-    G = beta_grothendieck(w)
-    shifted = shifted_groth_beta(G.substitute(dict.fromkeys(G.vars[:-1], 1), ("b",)))
-    return None if shifted == h else {"reason": "mismatch", "diff": poly_diff(shifted, h)}
-
-
 class _Sides:
     """What the identities read about one permutation w, each built on its
-    first read and kept: the double polynomial, the pipe dream complex and
-    the codimension polynomial beta = groth_beta(w)."""
+    first read and kept: G^b_w from divided differences, the pipe dream
+    complex, its h-polynomial counted by flips and the codimension
+    polynomial beta = groth_beta(w)."""
 
     def __init__(self, w: Permutation):
         self.w = w
 
     @cached_property
-    def double(self) -> MultiPolynomial:
-        return double_beta_grothendieck(self.w)
+    def G(self) -> MultiPolynomial:
+        return beta_grothendieck(self.w)
 
     @cached_property
     def pdc(self) -> SimplicialComplex:
         return build_pdc(self.w)
+
+    @cached_property
+    def h(self) -> MultiPolynomial:
+        return h_polynomial(self.pdc, self.w)
 
     @cached_property
     def beta(self) -> MultiPolynomial:
@@ -102,7 +97,9 @@ class _Sides:
 def _groth_h(s: _Sides) -> dict | None:
     """G^b_w from divided differences, at x = 1 and b -> b - 1, equals the
     h-polynomial of the complex, counted by flips."""
-    return _groth_h_details(s.w, h_polynomial(s.pdc, s.w).rename({"x": "b"}))
+    h = s.h.rename({"x": "b"})
+    shifted = shifted_groth_beta(s.G.substitute(dict.fromkeys(s.G.vars[:-1], 1), ("b",)))
+    return None if shifted == h else {"reason": "mismatch", "diff": poly_diff(shifted, h)}
 
 
 def _interior_h(s: _Sides) -> dict | None:
@@ -110,28 +107,14 @@ def _interior_h(s: _Sides) -> dict | None:
     b -> x - 1."""
     x = MultiPolynomial.variable("x", ("x",))
     lhs = h_from_interior(s.pdc, s.w).substitute({"b": x - 1}, ("x",))
-    rhs = h_polynomial(s.pdc, s.w)
-    return None if lhs == rhs else {"diff": poly_diff(lhs, rhs)}
+    return None if lhs == s.h else {"diff": poly_diff(lhs, s.h)}
 
 
-def _qt(s: _Sides) -> dict | None:
-    """The closed form over codimensions equals the direct x -> q, y -> t
-    substitution of the double polynomial."""
-    g = s.double
-    q, t, b = (MultiPolynomial.variable(v, QT_VARS) for v in QT_VARS)
-    images = {v: q if v.startswith("x") else t for v in g.vars[:-1]}
-    images["b"] = b
-    return None if g.substitute(images, QT_VARS) == specialize_qt(s.w, s.beta) else {}
-
-
-def _homogeneity(s: _Sides) -> dict | None:
-    """With deg x = deg y = 1 and deg b = -1, the double polynomial is
-    homogeneous of degree l(w)."""
-    l = s.w.length()
-    for exps in s.double.terms:
-        if sum(exps[:-1]) - exps[-1] != l:
-            return {"exps": list(exps)}
-    return None
+def _pipe_dream_formula(s: _Sides) -> dict | None:
+    """The pipe dream sum of b^codim * product of x_r over crosses equals
+    G^b_w from divided differences, term for term."""
+    lhs = pipe_dream_beta_grothendieck(s.w)
+    return None if lhs == s.G else {"diff": poly_diff(lhs, s.G)}
 
 
 def _nonnegativity(s: _Sides) -> dict | None:
@@ -146,17 +129,16 @@ def _nonnegativity(s: _Sides) -> dict | None:
 PERMUTATION_CHECKS = (
     ("groth-h", _groth_h),
     ("interior-h", _interior_h),
-    ("qt", _qt),
-    ("homogeneity", _homogeneity),
+    ("pipe-dream-formula", _pipe_dream_formula),
     ("nonneg", _nonnegativity),
 )
 
 
 def check_permutations(n: int, identities: tuple[tuple[str, Callable], ...]) -> list[VerifyResult]:
     """One result `name:Sn` per (name, identity) of `identities`, checked on
-    every permutation w of rank n.  The double polynomial, the complex and
-    beta of w are each built once, and only if an identity still running
-    reads them.  An identity fails with {"w": w, **details} at the first w
+    every permutation w of rank n.  What an identity reads of w (see
+    _Sides) is built once, and only if an identity still running reads
+    it.  An identity fails with {"w": w, **details} at the first w
     where it returns details, and is not evaluated again."""
     failures: dict[str, dict] = {}
     for window in all_windows(n):
@@ -177,12 +159,11 @@ def verify_groth_h(w: Permutation) -> VerifyResult:
     """Check that G^b_w from isobaric divided differences, at x = 1 and with
     b -> b-1, equals the h-polynomial of the pipe dream complex of w,
     counted by flips of its reduced pipe dreams."""
-    name = f"groth-h:{w}"
-    h = h_polynomial(build_pdc(w), w).rename({"x": "b"})
-    details = _groth_h_details(w, h)
+    sides = _Sides(w)
+    details = _groth_h(sides)
     if details is not None:
-        return VerifyResult(name, False, details)
-    return VerifyResult(name, True, {"h": str(h)})
+        return VerifyResult(f"groth-h:{w}", False, details)
+    return VerifyResult(f"groth-h:{w}", True, {"h": str(sides.h.rename({"x": "b"}))})
 
 
 def verify_kirillov(n: int) -> VerifyResult:

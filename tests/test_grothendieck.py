@@ -13,6 +13,7 @@ from pipedreams.grothendieck import (
     double_beta_grothendieck,
     double_grothendieck,
     groth_beta,
+    pipe_dream_beta_grothendieck,
     shifted_groth_beta,
     specialize_qt,
     xy_beta_vars,
@@ -133,6 +134,13 @@ def test_beta_grothendieck_matches_pipe_dreams_on_all_of_rank(n):
     for window in all_windows(n):
         w = Permutation(window)
         assert beta_grothendieck(w) == beta_grothendieck_per_dream(w)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pipe_dream_side_matches_per_dream_sum_on_all_of_rank(n):
+    for window in all_windows(n):
+        w = Permutation(window)
+        assert pipe_dream_beta_grothendieck(w) == beta_grothendieck_per_dream(w)
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)

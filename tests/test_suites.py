@@ -13,7 +13,6 @@ import pytest
 
 import pipedreams
 from pipedreams import grothendieck, polytopes, suites
-from pipedreams.grothendieck import QT_VARS
 from pipedreams.perms import parse_permutation
 from pipedreams.poly import MultiPolynomial
 from pipedreams.polytopes import random_acyclic_graph
@@ -101,18 +100,18 @@ def test_polytope_sampler_draws_the_recorded_points():
     assert h.hexdigest() == SAMPLED_POINTS_SHA256
 
 
-# The five S_4 permutation checks of `verify all --n 4` when kernel outputs
-# are corrupted at chosen permutations.  G^b_w and the double polynomial
-# are corrupted at two permutations, so each check that reads them must
-# report the first.  G^b_2143 + x1 is 1 too large at x = 1.
+# The four S_4 permutation checks of `verify all --n 4` when kernel outputs
+# are corrupted at chosen permutations.  G^b_w is corrupted at two
+# permutations, so each check that reads it must report the first.
+# G^b_2143 + x1 is 1 too large at x = 1.
 CORRUPTED_S4 = [
     {"name": "groth-h:S4", "ok": False,
      "details": {"w": "2143", "reason": "mismatch",
                  "diff": {"mismatched_terms": {"(0,)": {"left": "2", "right": "1"}}}}},
     {"name": "interior-h:S4", "ok": False,
      "details": {"w": "1432", "diff": {"mismatched_terms": {"(0,)": {"left": "2", "right": "1"}}}}},
-    {"name": "qt:S4", "ok": False, "details": {"w": "1342"}},
-    {"name": "homogeneity:S4", "ok": False, "details": {"w": "2143", "exps": [1, 0, 0, 0, 0, 0, 0]}},
+    {"name": "pipe-dream-formula:S4", "ok": False,
+     "details": {"w": "2143", "diff": {"mismatched_terms": {"(1, 0, 0, 0)": {"left": "0", "right": "1"}}}}},
     {"name": "nonneg:S4", "ok": False, "details": {"w": "3142", "poly": "b - 6"}},
 ]
 
@@ -133,15 +132,10 @@ def plus_x1(p):
 
 
 def test_permutation_checks_report_the_first_failure(monkeypatch):
-    for kernel in ("beta_grothendieck", "double_beta_grothendieck"):
-        corrupted = corrupt_at(getattr(grothendieck, kernel), ("2143", "3412"), plus_x1)
-        for module in (grothendieck, suites):
-            monkeypatch.setattr(module, kernel, corrupted)
-    q = MultiPolynomial.variable("q", QT_VARS)
-    monkeypatch.setattr(suites, "specialize_qt",
-                        corrupt_at(suites.specialize_qt, ("1342",), lambda p: p + q))
-    # beta - 7 at 3142 shifts to (b + 1) - 7; qt, which reads beta too, has
-    # already failed at 1342
+    corrupted = corrupt_at(grothendieck.beta_grothendieck, ("2143", "3412"), plus_x1)
+    for module in (grothendieck, suites):
+        monkeypatch.setattr(module, "beta_grothendieck", corrupted)
+    # beta - 7 at 3142 shifts to (b + 1) - 7
     monkeypatch.setattr(suites, "groth_beta",
                         corrupt_at(suites.groth_beta, ("3142",), lambda p: p - 7))
     monkeypatch.setattr(suites, "h_from_interior",
@@ -161,6 +155,25 @@ def test_groth_h_fails_when_either_side_is_corrupted(side, change, monkeypatch):
     assert result.details["reason"] == "mismatch"
     assert result.details["diff"]["mismatched_terms"]
     assert suites.verify_groth_h(parse_permutation("2143")).ok
+
+
+@pytest.mark.parametrize("side", ["beta_grothendieck", "pipe_dream_beta_grothendieck"])
+def test_pipe_dream_formula_fails_when_either_side_is_corrupted(side, monkeypatch):
+    monkeypatch.setattr(suites, side, corrupt_at(getattr(suites, side), ("1432",), plus_x1))
+    formula = dict(suites.PERMUTATION_CHECKS)["pipe-dream-formula"]
+    details = formula(suites._Sides(parse_permutation("1432")))
+    assert details is not None and details["diff"]["mismatched_terms"]
+    assert formula(suites._Sides(parse_permutation("2143"))) is None
+
+
+def test_verify_all_builds_no_double_polynomial(monkeypatch):
+    def refused(w):
+        raise AssertionError("verify all built a double polynomial")
+
+    for module in (grothendieck, suites):
+        monkeypatch.setattr(module, "double_beta_grothendieck", refused, raising=False)
+    results = suite("all", 4, None, 0)
+    assert results and all(r.ok for r in results), [r.name for r in results if not r.ok]
 
 
 def test_unimodularity_check_can_fail(monkeypatch):
