@@ -133,7 +133,7 @@ def _cmd_pdc(args, report: RunReport) -> None:
     if args.interior:
         report.results["interior"] = [
             {"face": sorted(map(list, face)), "codim": codim}
-            for face, codim in interior_faces(C, w)
+            for face, codim in interior_faces(w)
         ]
     if args.dreams:
         report.results["dreams"] = [P.to_jsonable() for P in enumerate_pipe_dreams(w)]

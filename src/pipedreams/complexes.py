@@ -4,8 +4,8 @@ complex of a permutation.
 The pipe dream complex of w has the staircase boxes as potential vertices;
 a set of boxes is a face when the letters on the complementary boxes still
 contain w, and the facets are the elbow sets of the reduced pipe dreams.
-Interior faces are the elbow sets whose complementary cross set has
-Demazure product exactly w, i.e. the pipe dreams of w.
+Interior faces are the elbow sets of the pipe dreams of w, listed by the
+search; the face closure `faces()` serves `realize` and `h_from_interior`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable
 
-from .dreams import Box, reduced_pipe_dreams, staircase_boxes, staircase_product, triangular_word
+from .dreams import (
+    Box, enumerate_pipe_dreams, reduced_pipe_dreams, staircase_boxes, staircase_product, triangular_word)
 from .perms import Permutation, bruhat_leq, demazure_fold, identity_window
 from .poly import MultiPolynomial
 
@@ -153,21 +154,18 @@ def is_face_of_pdc(boxes: Iterable[Box], w: Permutation) -> bool:
     return bruhat_leq(w.window, staircase_product(w.n, boxes))
 
 
-def interior_faces(
-    C: SimplicialComplex, w: Permutation
-) -> list[tuple[Face, int]]:
-    """Faces whose complementary cross set is a pipe dream for w, with
-    their codimensions.  These are exactly the faces labeled by Pipes(w)."""
-    d = C.dim + 1
-    out = []
-    for face in C.faces():
-        if staircase_product(w.n, face) == w.window:
-            out.append((face, d - len(face)))
-    out.sort(key=lambda t: (t[1], sorted(t[0])))
-    return out
+def interior_faces(w: Permutation) -> list[tuple[Face, int]]:
+    """The interior faces of the pipe dream complex of w, sorted by
+    (codim, face): the elbow sets of Pipes(w), with codim |P| - l(w)
+    (Knutson-Miller 2004).  No face closure is built."""
+    l = w.length()
+    faces = ((frozenset(P.elbows()), P.size - l) for P in enumerate_pipe_dreams(w))
+    return sorted(faces, key=lambda t: (t[1], sorted(t[0])))
 
 
 def h_from_interior(C: SimplicialComplex, w: Permutation) -> MultiPolynomial:
-    """Interior-face form of the h-polynomial: sum of b^codim over interior
-    faces, which equals h(C, b+1) for a ball."""
-    return MultiPolynomial(("b",), (((codim,), 1) for _face, codim in interior_faces(C, w)))
+    """Interior-face form of the h-polynomial, h(C, b+1) for a ball: sum of
+    b^codim over the faces of C whose crosses have Demazure product w, by a
+    scan of the face closure, independent of the search of interior_faces."""
+    return MultiPolynomial(("b",), (((C.dim + 1 - len(face),), 1) for face in C.faces()
+                                    if staircase_product(w.n, face) == w.window))

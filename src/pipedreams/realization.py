@@ -107,23 +107,19 @@ def verify_face_map(n: int) -> VerifyResult:
     """Interior faces of the complex map onto the nonempty common edge
     sets of the trees, as a poset isomorphism.  Two checks suffice:
     box_edge is injective on the boxes, and the elbow images of the
-    interior faces are exactly the nonempty intersections of the facet
-    trees.  Then each interior face is an intersection of facets, hence
-    of the facets above it (its crosses are the union of theirs), its
-    image is their common tree edge set, and inclusion transfers both
-    ways.  The boundary faces need no check here: they follow from the
-    facet check of `realize`."""
+    interior faces, listed from the pipe dreams, are exactly the nonempty
+    intersections of the trees of the reduced pipe dreams.  Then each
+    interior face is an intersection of facets, hence of the facets above
+    it (its crosses are the union of theirs), its image is their common
+    tree edge set, and inclusion transfers both ways.  The boundary faces
+    need no check here: they follow from the facet check of `realize`."""
     name = f"face-map:{n}"
     pi = catalan_permutation(n)
-    C = build_pdc(pi)
     boxes = staircase_boxes(n)
     if len({box_edge(b, n) for b in boxes}) != len(boxes):
         return VerifyResult(name, False, {"reason": "box_edge is not injective"})
 
-    trees = {
-        frozenset(tree_of_pipedream(PipeDream(n, tuple(b for b in boxes if b not in facet))).edges)
-        for facet in C.facets
-    }
+    trees = {frozenset(tree_of_pipedream(P).edges) for P in reduced_pipe_dreams(pi)}
     intersections = set(trees)
     frontier = set(intersections)
     while frontier:
@@ -136,7 +132,7 @@ def verify_face_map(n: int) -> VerifyResult:
         intersections |= new
         frontier = new
 
-    images = {frozenset(box_edge(b, n) for b in face) for face, _codim in interior_faces(C, pi)}
+    images = {frozenset(box_edge(b, n) for b in face) for face, _codim in interior_faces(pi)}
     if images != intersections:
         return VerifyResult(
             name, False,

@@ -71,8 +71,8 @@ from .subdivision import (
 class _Sides:
     """What the identities read about one permutation w, each built on its
     first read and kept: G^b_w from divided differences, the pipe dream
-    complex, its h-polynomial counted by flips and the codimension
-    polynomial beta = groth_beta(w)."""
+    complex, its h-polynomial counted by flips, the pipe dream side of
+    G^b_w and its x = 1 specialization beta = groth_beta(w)."""
 
     def __init__(self, w: Permutation):
         self.w = w
@@ -90,8 +90,12 @@ class _Sides:
         return h_polynomial(self.pdc, self.w)
 
     @cached_property
+    def pipe(self) -> MultiPolynomial:
+        return pipe_dream_beta_grothendieck(self.w)
+
+    @cached_property
     def beta(self) -> MultiPolynomial:
-        return groth_beta(self.w)
+        return self.pipe.substitute(dict.fromkeys(self.pipe.vars[:-1], 1), ("b",))
 
 
 def _groth_h(s: _Sides) -> dict | None:
@@ -113,8 +117,7 @@ def _interior_h(s: _Sides) -> dict | None:
 def _pipe_dream_formula(s: _Sides) -> dict | None:
     """The pipe dream sum of b^codim * product of x_r over crosses equals
     G^b_w from divided differences, term for term."""
-    lhs = pipe_dream_beta_grothendieck(s.w)
-    return None if lhs == s.G else {"diff": poly_diff(lhs, s.G)}
+    return None if s.pipe == s.G else {"diff": poly_diff(s.pipe, s.G)}
 
 
 def _nonnegativity(s: _Sides) -> dict | None:

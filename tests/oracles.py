@@ -16,7 +16,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from pipedreams.complexes import SimplicialComplex
-from pipedreams.dreams import Box, PipeDream, enumerate_pipe_dreams, staircase_boxes
+from pipedreams.dreams import Box, PipeDream, enumerate_pipe_dreams, staircase_boxes, staircase_product
 from pipedreams.grothendieck import xy_beta_vars
 from pipedreams.linalg import inverse, solve_unique
 from pipedreams.perms import (
@@ -226,6 +226,18 @@ def face_h_polynomial(C: SimplicialComplex) -> MultiPolynomial:
     h = [sum((-1) ** (k - i) * comb(d - i, k - i) * fv[i] for i in range(k + 1))
          for k in range(d + 1)]
     return MultiPolynomial(("x",), {(i,): c for i, c in enumerate(h) if c})
+
+
+def interior_faces_by_closure(C: SimplicialComplex, w: Permutation) -> list[tuple[frozenset, int]]:
+    """Oracle for `complexes.interior_faces`: scan the face closure of the
+    pipe dream complex C of w for the faces whose complementary crosses
+    have Demazure product w, each with its codimension, sorted by
+    (codim, face).  Exponential in the facet size."""
+    d = C.dim + 1
+    out = [(face, d - len(face)) for face in C.faces()
+           if staircase_product(w.n, face) == w.window]
+    out.sort(key=lambda t: (t[1], sorted(t[0])))
+    return out
 
 
 def boundary_faces(C: SimplicialComplex) -> frozenset[frozenset]:

@@ -112,6 +112,19 @@ def test_pdc_f_and_h_build_no_face_closure(capsys, monkeypatch):
     assert MultiPolynomial.from_jsonable(results["h"]) == MultiPolynomial.one(("x",))
 
 
+def test_pdc_interior_builds_no_face_closure(capsys, monkeypatch):
+    """The interior faces come from the pipe dreams: the identity of S_8,
+    one facet on 28 boxes, lists its one interior face, the facet, with
+    none of the 2^28 faces of the closure built."""
+    def no_closure(self):
+        raise RuntimeError("the face closure was built")
+    monkeypatch.setattr(SimplicialComplex, "faces", no_closure)
+    code, out = run(capsys, "pdc", "12345678", "--interior", "--json")
+    assert code == 0
+    boxes = sorted([r, c] for r in range(1, 8) for c in range(1, 9 - r))
+    assert json.loads(out)["results"]["interior"] == [{"face": boxes, "codim": 0}]
+
+
 def test_pdc_dreams_enumeration(capsys):
     code, out = run(capsys, "pdc", "1432", "--dreams", "--json")
     assert code == 0

@@ -12,8 +12,10 @@ from oracles import (
     demazure_bruteforce,
     face_f_vector,
     face_h_polynomial,
+    interior_faces_by_closure,
     word_contains_bruteforce,
 )
+from pipedreams import complexes
 from pipedreams.complexes import (
     SimplicialComplex,
     build_pdc,
@@ -196,7 +198,7 @@ def test_decreasing_flips_give_the_same_h(window):
 
 def test_interior_faces_1432():
     C = build_pdc(W1432)
-    inter = interior_faces(C, W1432)
+    inter = interior_faces(W1432)
     by_codim = {}
     for _face, codim in inter:
         by_codim[codim] = by_codim.get(codim, 0) + 1
@@ -206,37 +208,44 @@ def test_interior_faces_1432():
 
 
 def test_interior_faces_degenerate():
-    w = Permutation((2, 1))
-    C = build_pdc(w)
-    assert interior_faces(C, w) == [(frozenset(), 0)]
+    assert interior_faces(Permutation((2, 1))) == [(frozenset(), 0)]
 
 
 def test_interior_pipe_dreams_match_enumeration():
-    """The complements of the interior faces are exactly the pipe dreams."""
-    boxes = staircase_boxes(4)
-    for window in all_windows(4):
-        w = Permutation(window)
-        complements = [
-            PipeDream(4, tuple(b for b in boxes if b not in face))
-            for face, _codim in interior_faces(build_pdc(w), w)
-        ]
-        complements.sort(key=lambda P: (P.size, P.crosses))
-        assert complements == enumerate_pipe_dreams(w)
+    """The interior faces listed from the pipe dreams equal, in order, the
+    faces of the closure whose complementary crosses have product w, on
+    S_1..S_5 and on 1 n n-1 ... 2 up to n = 7."""
+    perms = [Permutation(window) for n in range(1, 6) for window in all_windows(n)]
+    perms += [catalan_permutation(n) for n in range(3, 8)]
+    for w in perms:
+        assert interior_faces(w) == interior_faces_by_closure(build_pdc(w), w), w
 
 
 def test_cross_count_is_length_plus_codim():
     boxes = staircase_boxes(4)
     for window in all_windows(4):
         w = Permutation(window)
-        C = build_pdc(w)
         l = w.length()
-        for face, codim in interior_faces(C, w):
+        for face, codim in interior_faces(w):
             crosses = len(boxes) - len(face)
             assert crosses == l + codim
 
 
 def test_h_from_interior_1432():
     C = build_pdc(W1432)
+    b = MultiPolynomial.variable("b", ("b",))
+    assert h_from_interior(C, W1432) == b**2 + 5 * b + 5
+
+
+def test_h_from_interior_scans_the_closure_not_the_search(monkeypatch):
+    """interior-h's closure side runs no pipe dream search, so it stays
+    independent of the interior faces listed from the search."""
+    C = build_pdc(W1432)
+
+    def refused(w):
+        raise AssertionError("h_from_interior ran the pipe dream search")
+
+    monkeypatch.setattr(complexes, "enumerate_pipe_dreams", refused)
     b = MultiPolynomial.variable("b", ("b",))
     assert h_from_interior(C, W1432) == b**2 + 5 * b + 5
 
@@ -258,7 +267,7 @@ def test_boundary_and_interior_partition_faces():
             continue  # the (-1)-sphere case has no ball boundary
         C = build_pdc(w)
         boundary = boundary_faces(C)
-        interior = {f for f, _c in interior_faces(C, w)}
+        interior = {f for f, _c in interior_faces(w)}
         assert boundary.isdisjoint(interior)
         assert boundary | interior == C.faces()
 

@@ -91,12 +91,14 @@ POLYNOMIALS = [
 ]
 
 # The pipe dream complex in its default output and in JSON, where it also
-# carries the complex itself.
+# carries the complex itself; and the interior faces of the identity of
+# S_8, whose complex has one facet on 28 boxes.
 COMPLEXES = [
     ["pdc", "1432"],
     ["pdc", "1432", "--json"],
     ["pdc", "1432", "--h", "--json"],
     ["pdc", "1432", "--f", "--interior", "--json"],
+    ["pdc", "12345678", "--interior", "--json"],
 ]
 
 

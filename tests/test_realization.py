@@ -101,15 +101,27 @@ def test_face_map_fails_on_each_corrupted_interior_face(n, monkeypatch):
     complex: verify_face_map fails on every one."""
     pi = catalan_permutation(n)
     C = build_pdc(pi)
-    true = interior_faces(C, pi)
+    true = interior_faces(pi)
     interior = {face for face, _codim in true}
     d = C.dim + 1
     corrupted = [[t for t in true if t[0] != face] for face in interior]
     corrupted += [true + [(face, d - len(face))] for face in C.faces() - interior]
     assert len(corrupted) == len(C.faces())
     for faces in corrupted:
-        monkeypatch.setattr(realization, "interior_faces", lambda C, w, faces=faces: faces)
+        monkeypatch.setattr(realization, "interior_faces", lambda w, faces=faces: faces)
         assert not verify_face_map(n).ok
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_face_map_builds_no_complex(n, monkeypatch):
+    """verify_face_map reads the facets and the interior faces from the
+    pipe dreams: it builds no complex and no face closure."""
+    def refused(*args):
+        raise AssertionError("verify_face_map built a complex or its faces")
+
+    monkeypatch.setattr(SimplicialComplex, "faces", refused)
+    monkeypatch.setattr(realization, "build_pdc", refused)
+    assert verify_face_map(n).ok
 
 
 def test_face_map_refuses_a_box_labelling_that_is_not_injective(monkeypatch):

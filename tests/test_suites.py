@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import pipedreams
-from pipedreams import grothendieck, polytopes, suites
+from pipedreams import dreams, grothendieck, polytopes, suites
+from pipedreams.dreams import enumerate_pipe_dreams
 from pipedreams.perms import parse_permutation
 from pipedreams.poly import MultiPolynomial
 from pipedreams.polytopes import random_acyclic_graph
@@ -135,9 +136,10 @@ def test_permutation_checks_report_the_first_failure(monkeypatch):
     corrupted = corrupt_at(grothendieck.beta_grothendieck, ("2143", "3412"), plus_x1)
     for module in (grothendieck, suites):
         monkeypatch.setattr(module, "beta_grothendieck", corrupted)
-    # beta - 7 at 3142 shifts to (b + 1) - 7
-    monkeypatch.setattr(suites, "groth_beta",
-                        corrupt_at(suites.groth_beta, ("3142",), lambda p: p - 7))
+    # the pipe dream side - 7 at 3142 is beta - 7 at x = 1, which shifts to
+    # (b + 1) - 7; pipe-dream-formula has already failed at 2143
+    monkeypatch.setattr(suites, "pipe_dream_beta_grothendieck",
+                        corrupt_at(suites.pipe_dream_beta_grothendieck, ("3142",), lambda p: p - 7))
     monkeypatch.setattr(suites, "h_from_interior",
                         corrupt_at(suites.h_from_interior, ("1432",), lambda p: p + 1))
     results = [r.to_jsonable() for r in suite("all", 4, None, 0) if r.name.endswith(":S4")]
@@ -164,6 +166,22 @@ def test_pipe_dream_formula_fails_when_either_side_is_corrupted(side, monkeypatc
     details = formula(suites._Sides(parse_permutation("1432")))
     assert details is not None and details["diff"]["mismatched_terms"]
     assert formula(suites._Sides(parse_permutation("2143"))) is None
+
+
+def test_permutation_checks_search_once_per_permutation(monkeypatch):
+    """pipe-dream-formula and nonneg read one pipe dream search, and the
+    complex another: two searches per permutation of S_4."""
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return enumerate_pipe_dreams(w)
+
+    for module in (dreams, grothendieck):
+        monkeypatch.setattr(module, "enumerate_pipe_dreams", counted)
+    results = suites.check_permutations(4, suites.PERMUTATION_CHECKS)
+    assert all(r.ok for r in results)
+    assert len(calls) == 48
 
 
 def test_verify_all_builds_no_double_polynomial(monkeypatch):
