@@ -125,11 +125,12 @@ def _cmd_pdc(args, report: RunReport) -> None:
     report.results["facets"] = len(C.facets)
     if args.json:
         report.results["complex"] = C
-    h = h_polynomial(C, w)
-    if args.f or not (args.h or args.interior):
-        report.results["f_vector"] = f_vector(h, C.dim + 1)
-    if args.h or not (args.f or args.interior):
-        report.results["h"] = h
+    if args.f or args.h or not args.interior:
+        h = h_polynomial(C, w)
+        if args.f or not args.h:
+            report.results["f_vector"] = f_vector(h, C.dim + 1)
+        if args.h or not args.f:
+            report.results["h"] = h
     if args.interior:
         report.results["interior"] = [
             {"face": sorted(map(list, face)), "codim": codim}

@@ -5,7 +5,7 @@ The pipe dream complex of w has the staircase boxes as potential vertices;
 a set of boxes is a face when the letters on the complementary boxes still
 contain w, and the facets are the elbow sets of the reduced pipe dreams.
 Interior faces are the elbow sets of the pipe dreams of w, listed by the
-search; the face closure `faces()` serves `realize` and `h_from_interior`.
+search; the face closure `faces()` serves `realize` alone.
 """
 
 from __future__ import annotations
@@ -165,7 +165,17 @@ def interior_faces(w: Permutation) -> list[tuple[Face, int]]:
 
 def h_from_interior(C: SimplicialComplex, w: Permutation) -> MultiPolynomial:
     """Interior-face form of the h-polynomial, h(C, b+1) for a ball: sum of
-    b^codim over the faces of C whose crosses have Demazure product w, by a
-    scan of the face closure, independent of the search of interior_faces."""
-    return MultiPolynomial(("b",), (((C.dim + 1 - len(face),), 1) for face in C.faces()
-                                    if staircase_product(w.n, face) == w.window))
+    b^codim over the faces of C whose crosses have Demazure product w, for
+    C the pipe dream complex of w.  It walks down from the facets whose
+    crosses fold to w, dropping one elbow at a time and keeping a set only
+    while its crosses still fold to w, so it reads C and the fold, never
+    the search.  The walk reaches every interior face: the Demazure product
+    only grows along subwords, so each face between an interior face and a
+    facet above it is interior too."""
+    level = {F for F in C.facets if staircase_product(w.n, F) == w.window}
+    terms = []
+    while level:
+        terms += [((C.dim + 1 - len(F),), 1) for F in level]
+        level = {G for G in {F - {e} for F in level for e in F}
+                 if staircase_product(w.n, G) == w.window}
+    return MultiPolynomial(("b",), terms)

@@ -36,19 +36,19 @@ def xy_beta_vars(n: int) -> tuple[str, ...]:
     )
 
 
-def _pipe_dream_sum(w: Permutation, image, vars: tuple[str, ...]) -> MultiPolynomial:
+def _pipe_dream_sum(w: Permutation, image, b, vars: tuple[str, ...]) -> MultiPolynomial:
     """Sum over Pipes(w) of b^codim * product of image(r, c) over crosses:
     the generating polynomial of Pipes(w) over one variable z_(r,c) per
-    staircase box, then one substitution z_(r,c) -> image(r, c) into
-    `vars`, whose last variable is b."""
+    staircase box and the codimension variable, then one substitution
+    z_(r,c) -> image(r, c), codim -> b into `vars`."""
     boxes = staircase_boxes(w.n)
     images = {f"z{r},{c}": image(r, c) for r, c in boxes}
     l = w.length()
-    generating = MultiPolynomial((*images, "b"), (
+    generating = MultiPolynomial((*images, "codim"), (
         (tuple(int(box in P.crosses) for box in boxes) + (P.size - l,), 1)
         for P in enumerate_pipe_dreams(w)
     ))
-    return generating.substitute(images, vars)
+    return generating.substitute({**images, "codim": b}, vars)
 
 
 def double_beta_grothendieck(w: Permutation) -> MultiPolynomial:
@@ -59,7 +59,8 @@ def double_beta_grothendieck(w: Permutation) -> MultiPolynomial:
     """
     vars = xy_beta_vars(w.n)
     return _pipe_dream_sum(w, lambda r, c: MultiPolynomial.variable(f"x{r}", vars)
-                           - MultiPolynomial.variable(f"y{c}", vars), vars)
+                           - MultiPolynomial.variable(f"y{c}", vars),
+                           MultiPolynomial.variable("b", vars), vars)
 
 
 def pipe_dream_beta_grothendieck(w: Permutation) -> MultiPolynomial:
@@ -71,14 +72,16 @@ def pipe_dream_beta_grothendieck(w: Permutation) -> MultiPolynomial:
     x1*x2*b + x1 + x2
     """
     vars = tuple([f"x{i}" for i in range(1, w.n)] + ["b"])
-    return _pipe_dream_sum(w, lambda r, c: MultiPolynomial.variable(f"x{r}", vars), vars)
+    return _pipe_dream_sum(w, lambda r, c: MultiPolynomial.variable(f"x{r}", vars),
+                           MultiPolynomial.variable("b", vars), vars)
 
 
 def double_grothendieck(w: Permutation) -> MultiPolynomial:
-    """The b = -1 specialization, over the x, y variables only."""
-    vars = xy_beta_vars(w.n)
-    target = vars[:-1]
-    return double_beta_grothendieck(w).substitute({"b": -1}, target)
+    """double_beta_grothendieck at b = -1, over the x, y variables only: one
+    substitution of the pipe dream sum with codim -> -1."""
+    vars = xy_beta_vars(w.n)[:-1]
+    return _pipe_dream_sum(w, lambda r, c: MultiPolynomial.variable(f"x{r}", vars)
+                           - MultiPolynomial.variable(f"y{c}", vars), -1, vars)
 
 
 def specialize_qt(w: Permutation, beta: MultiPolynomial) -> MultiPolynomial:

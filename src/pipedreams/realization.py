@@ -105,35 +105,29 @@ def verify_bijection(n: int) -> VerifyResult:
 
 def verify_face_map(n: int) -> VerifyResult:
     """Interior faces of the complex map onto the nonempty common edge
-    sets of the trees, as a poset isomorphism.  Two checks suffice:
-    box_edge is injective on the boxes, and the elbow images of the
-    interior faces, listed from the pipe dreams, are exactly the nonempty
-    intersections of the trees of the reduced pipe dreams.  Then each
-    interior face is an intersection of facets, hence of the facets above
-    it (its crosses are the union of theirs), its image is their common
-    tree edge set, and inclusion transfers both ways.  The boundary faces
-    need no check here: they follow from the facet check of `realize`."""
+    sets of the trees, as a poset isomorphism.  Both are read from one
+    listing, `interior_faces`: the trees are the edge images of its
+    codim-0 faces, the facets.  Two checks suffice: box_edge is injective
+    on the boxes, and the edge images of the interior faces are exactly
+    the nonempty intersections of the trees.  Then each interior face is
+    an intersection of facets, hence of the facets above it (its crosses
+    are the union of theirs), its image is their common tree edge set,
+    and inclusion transfers both ways.  The boundary faces need no check
+    here: they follow from the facet check of `realize`."""
     name = f"face-map:{n}"
     pi = catalan_permutation(n)
     boxes = staircase_boxes(n)
     if len({box_edge(b, n) for b in boxes}) != len(boxes):
         return VerifyResult(name, False, {"reason": "box_edge is not injective"})
 
-    trees = {frozenset(tree_of_pipedream(P).edges) for P in reduced_pipe_dreams(pi)}
-    intersections = set(trees)
-    frontier = set(intersections)
+    images = {frozenset(box_edge(b, n) for b in face): codim for face, codim in interior_faces(pi)}
+    trees = {edges for edges, codim in images.items() if not codim}
+    intersections, frontier = set(trees), trees
     while frontier:
-        new = set()
-        for a in frontier:
-            for b in trees:
-                c = a & b
-                if c and c not in intersections:
-                    new.add(c)
-        intersections |= new
-        frontier = new
+        frontier = {c for a in frontier for b in trees if (c := a & b)} - intersections
+        intersections |= frontier
 
-    images = {frozenset(box_edge(b, n) for b in face) for face, _codim in interior_faces(pi)}
-    if images != intersections:
+    if images.keys() != intersections:
         return VerifyResult(
             name, False,
             {"reason": "images differ from nonempty tree intersections",

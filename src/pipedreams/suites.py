@@ -70,9 +70,9 @@ from .subdivision import (
 
 class _Sides:
     """What the identities read about one permutation w, each built on its
-    first read and kept: G^b_w from divided differences, the pipe dream
-    complex, its h-polynomial counted by flips, the pipe dream side of
-    G^b_w and its x = 1 specialization beta = groth_beta(w)."""
+    first read and kept: G^b_w from divided differences and its x = 1
+    specialization with b -> b - 1, the pipe dream complex, its
+    h-polynomial counted by flips, and the pipe dream side of G^b_w."""
 
     def __init__(self, w: Permutation):
         self.w = w
@@ -80,6 +80,10 @@ class _Sides:
     @cached_property
     def G(self) -> MultiPolynomial:
         return beta_grothendieck(self.w)
+
+    @cached_property
+    def shifted(self) -> MultiPolynomial:
+        return shifted_groth_beta(self.G.substitute(dict.fromkeys(self.G.vars[:-1], 1), ("b",)))
 
     @cached_property
     def pdc(self) -> SimplicialComplex:
@@ -93,17 +97,12 @@ class _Sides:
     def pipe(self) -> MultiPolynomial:
         return pipe_dream_beta_grothendieck(self.w)
 
-    @cached_property
-    def beta(self) -> MultiPolynomial:
-        return self.pipe.substitute(dict.fromkeys(self.pipe.vars[:-1], 1), ("b",))
-
 
 def _groth_h(s: _Sides) -> dict | None:
     """G^b_w from divided differences, at x = 1 and b -> b - 1, equals the
     h-polynomial of the complex, counted by flips."""
     h = s.h.rename({"x": "b"})
-    shifted = shifted_groth_beta(s.G.substitute(dict.fromkeys(s.G.vars[:-1], 1), ("b",)))
-    return None if shifted == h else {"reason": "mismatch", "diff": poly_diff(shifted, h)}
+    return None if s.shifted == h else {"reason": "mismatch", "diff": poly_diff(s.shifted, h)}
 
 
 def _interior_h(s: _Sides) -> dict | None:
@@ -121,9 +120,8 @@ def _pipe_dream_formula(s: _Sides) -> dict | None:
 
 
 def _nonnegativity(s: _Sides) -> dict | None:
-    """All coefficients of the shifted specialization are nonnegative."""
-    shifted = shifted_groth_beta(s.beta)
-    return {"poly": str(shifted)} if any(c < 0 for c in shifted.terms.values()) else None
+    """G^b_w at x = 1, with b -> b - 1, has no negative coefficient."""
+    return {"poly": str(s.shifted)} if any(c < 0 for c in s.shifted.terms.values()) else None
 
 
 # The identities checked on every permutation of a rank, in report order.

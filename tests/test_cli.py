@@ -125,6 +125,22 @@ def test_pdc_interior_builds_no_face_closure(capsys, monkeypatch):
     assert json.loads(out)["results"]["interior"] == [{"face": boxes, "codim": 0}]
 
 
+def test_pdc_computes_h_only_to_print_it(capsys, monkeypatch):
+    """`pdc --interior` alone prints neither f nor h, so it computes no
+    h-polynomial; `pdc --dreams` still prints both."""
+    code, out = run(capsys, "pdc", "1765432", "--dreams", "--json")
+    results = json.loads(out)["results"]
+    assert code == 0 and "f_vector" in results and "h" in results
+
+    def refused(C, w):
+        raise AssertionError("pdc --interior computed the h-polynomial")
+
+    monkeypatch.setattr(cli, "h_polynomial", refused)
+    code, out = run(capsys, "pdc", "1765432", "--interior", "--json")
+    assert code == 0
+    assert {"f_vector", "h"}.isdisjoint(json.loads(out)["results"])
+
+
 def test_pdc_dreams_enumeration(capsys):
     code, out = run(capsys, "pdc", "1432", "--dreams", "--json")
     assert code == 0

@@ -32,6 +32,7 @@ from pipedreams.dreams import (
     staircase_boxes,
     triangular_word,
 )
+from pipedreams.grothendieck import groth_beta
 from pipedreams.perms import (
     Permutation,
     all_windows,
@@ -238,7 +239,7 @@ def test_h_from_interior_1432():
 
 
 def test_h_from_interior_scans_the_closure_not_the_search(monkeypatch):
-    """interior-h's closure side runs no pipe dream search, so it stays
+    """interior-h's walk runs no pipe dream search, so it stays
     independent of the interior faces listed from the search."""
     C = build_pdc(W1432)
 
@@ -248,6 +249,35 @@ def test_h_from_interior_scans_the_closure_not_the_search(monkeypatch):
     monkeypatch.setattr(complexes, "enumerate_pipe_dreams", refused)
     b = MultiPolynomial.variable("b", ("b",))
     assert h_from_interior(C, W1432) == b**2 + 5 * b + 5
+
+
+def test_h_from_interior_builds_no_face_closure(monkeypatch):
+    """The walk down from the facets materializes no closure."""
+    def refused(self):
+        raise AssertionError("h_from_interior built the face closure")
+
+    monkeypatch.setattr(SimplicialComplex, "faces", refused)
+    for w in (W1432, catalan_permutation(7), Permutation(identity_window(8))):
+        assert h_from_interior(build_pdc(w), w) == groth_beta(w)
+
+
+def closure_h_from_interior(w):
+    """Sum of b^codim over the interior faces of the closure oracle."""
+    faces = interior_faces_by_closure(build_pdc(w), w)
+    return MultiPolynomial(("b",), (((codim,), 1) for _face, codim in faces))
+
+
+@pytest.mark.parametrize("w", [Permutation(window) for n in range(1, 6) for window in all_windows(n)]
+                         + [catalan_permutation(n) for n in range(3, 8)], ids=str)
+def test_h_from_interior_walk_matches_closure_oracle(w):
+    assert h_from_interior(build_pdc(w), w) == closure_h_from_interior(w)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(st.permutations(range(1, 7)))
+def test_h_from_interior_walk_matches_closure_oracle_on_s6(window):
+    w = Permutation(tuple(window))
+    assert h_from_interior(build_pdc(w), w) == closure_h_from_interior(w)
 
 
 def test_interior_formula_matches_f_to_h_transform():

@@ -103,10 +103,32 @@ def test_double_beta_1432_at_y0():
 
 
 def test_double_grothendieck_is_beta_minus_one():
-    for window in all_windows(3):
-        w = Permutation(window)
+    """The two-pass oracle: expand the b-graded double polynomial, then set
+    b = -1, on all of S_1..S_5 and on 654321."""
+    ws = [Permutation(window) for n in range(1, 6) for window in all_windows(n)]
+    for w in ws + [parse_permutation("654321")]:
         g = double_beta_grothendieck(w)
-        assert double_grothendieck(w) == g.substitute({"b": -1}, g.vars[:-1])
+        assert double_grothendieck(w) == g.substitute({"b": -1}, g.vars[:-1]), w
+
+
+def test_double_grothendieck_substitutes_once(monkeypatch):
+    """b = -1 goes into the one substitution of the pipe dream sum: no
+    double_beta_grothendieck, one substitute call."""
+    def refused(w):
+        raise AssertionError("double_grothendieck expanded the b-graded polynomial")
+
+    calls = []
+    substitute = MultiPolynomial.substitute
+
+    def counted(self, images, target_vars):
+        calls.append(tuple(target_vars))
+        return substitute(self, images, target_vars)
+
+    expected = double_beta_grothendieck(W1432).substitute({"b": -1}, xy_beta_vars(4)[:-1])
+    monkeypatch.setattr(grothendieck, "double_beta_grothendieck", refused)
+    monkeypatch.setattr(MultiPolynomial, "substitute", counted)
+    assert double_grothendieck(W1432) == expected
+    assert calls == [xy_beta_vars(4)[:-1]]
 
 
 def test_specialize_qt_1432():

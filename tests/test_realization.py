@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import boundary_faces, face_h_polynomial, face_scan_matches_triangulation
-from pipedreams import realization
+from pipedreams import complexes, dreams, realization
 from pipedreams.complexes import (
     SimplicialComplex,
     build_pdc,
@@ -13,7 +13,7 @@ from pipedreams.complexes import (
     interior_faces,
     is_face_of_pdc,
 )
-from pipedreams.dreams import PipeDream, reduced_pipe_dreams, staircase_boxes
+from pipedreams.dreams import PipeDream, enumerate_pipe_dreams, reduced_pipe_dreams, staircase_boxes
 from pipedreams.perms import Permutation, catalan_permutation
 from pipedreams.poly import MultiPolynomial
 from pipedreams.polytopes import (
@@ -122,6 +122,22 @@ def test_face_map_builds_no_complex(n, monkeypatch):
     monkeypatch.setattr(SimplicialComplex, "faces", refused)
     monkeypatch.setattr(realization, "build_pdc", refused)
     assert verify_face_map(n).ok
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_face_map_searches_once(n, monkeypatch):
+    """The trees are the codim-0 faces of the one interior face listing:
+    verify_face_map runs the pipe dream search of 1 n...2 once."""
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return enumerate_pipe_dreams(w)
+
+    for module in (dreams, complexes):
+        monkeypatch.setattr(module, "enumerate_pipe_dreams", counted)
+    assert verify_face_map(n).ok
+    assert calls == [catalan_permutation(n)]
 
 
 def test_face_map_refuses_a_box_labelling_that_is_not_injective(monkeypatch):

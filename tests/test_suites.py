@@ -133,13 +133,12 @@ def plus_x1(p):
 
 
 def test_permutation_checks_report_the_first_failure(monkeypatch):
-    corrupted = corrupt_at(grothendieck.beta_grothendieck, ("2143", "3412"), plus_x1)
+    # +x1 at 2143 and 3412, and - 7 at 3142: G^b_w - 7 at x = 1 shifts to
+    # (b + 1) - 7; groth-h and pipe-dream-formula have already failed at 2143
+    corrupted = corrupt_at(corrupt_at(grothendieck.beta_grothendieck, ("2143", "3412"), plus_x1),
+                           ("3142",), lambda p: p - 7)
     for module in (grothendieck, suites):
         monkeypatch.setattr(module, "beta_grothendieck", corrupted)
-    # the pipe dream side - 7 at 3142 is beta - 7 at x = 1, which shifts to
-    # (b + 1) - 7; pipe-dream-formula has already failed at 2143
-    monkeypatch.setattr(suites, "pipe_dream_beta_grothendieck",
-                        corrupt_at(suites.pipe_dream_beta_grothendieck, ("3142",), lambda p: p - 7))
     monkeypatch.setattr(suites, "h_from_interior",
                         corrupt_at(suites.h_from_interior, ("1432",), lambda p: p + 1))
     results = [r.to_jsonable() for r in suite("all", 4, None, 0) if r.name.endswith(":S4")]
