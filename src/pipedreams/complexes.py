@@ -15,7 +15,7 @@ from math import comb
 from typing import Hashable, Iterable
 
 from .dreams import (
-    Box, enumerate_pipe_dreams, reduced_pipe_dreams, staircase_boxes, staircase_product, triangular_word)
+    Box, PipeDream, enumerate_pipe_dreams, staircase_boxes, staircase_product, triangular_word)
 from .perms import Permutation, bruhat_leq, demazure_fold, identity_window
 from .poly import MultiPolynomial
 
@@ -134,16 +134,19 @@ def f_vector(h: MultiPolynomial, d: int) -> tuple[int, ...]:
     )
 
 
+def pdc_of(dreams: Iterable[PipeDream], l: int) -> SimplicialComplex:
+    """The pipe dream complex from a listing of Pipes(w), l = l(w): elbow sets of the reduced dreams."""
+    return SimplicialComplex(P.elbows() for P in dreams if P.size == l)
+
+
 def build_pdc(w: Permutation) -> SimplicialComplex:
-    """The pipe dream complex of w: facets are the elbow sets of the
-    reduced pipe dreams.
+    """The pipe dream complex of w, from one search of Pipes(w).
 
     >>> C = build_pdc(Permutation((1, 4, 3, 2)))
     >>> len(C.vertices), len(C.facets)
     (6, 5)
     """
-    facets = [frozenset(P.elbows()) for P in reduced_pipe_dreams(w)]
-    return SimplicialComplex(facets)
+    return pdc_of(enumerate_pipe_dreams(w), w.length())
 
 
 def is_face_of_pdc(boxes: Iterable[Box], w: Permutation) -> bool:

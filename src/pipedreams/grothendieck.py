@@ -10,8 +10,8 @@ Fomin-Kirillov's double beta-Grothendieck polynomial, whose factors are
 x_r + y_c + b*x_r*y_c.  Setting b = -1 gives the double Grothendieck
 polynomial; all x to q and all y to t collapses every product to a power
 of (q - t); x = 1, y = 0 leaves the generating function of pipe dreams by
-codimension.  The same generating polynomial with z_(r,c) -> x_r is the
-pipe dream formula's side of the single polynomial.
+codimension.  The pipe dream formula's side of the single polynomial
+counts the crosses of each pipe dream row by row, with no substitution.
 
 The single polynomial G^b_w comes from the algebraic definition, with no
 pipe dream: G^b_w0 = x1^(n-1) x2^(n-2) ... x(n-1), and whenever
@@ -22,7 +22,7 @@ Fomin-Kirillov 1994).  It equals the double polynomial at y = 0.
 
 from __future__ import annotations
 
-from .dreams import enumerate_pipe_dreams, staircase_boxes
+from .dreams import PipeDream, enumerate_pipe_dreams, staircase_boxes
 from .perms import Permutation
 from .poly import MultiPolynomial, _merge, _unchecked
 
@@ -36,13 +36,14 @@ def xy_beta_vars(n: int) -> tuple[str, ...]:
     )
 
 
-def _pipe_dream_sum(w: Permutation, image, b, vars: tuple[str, ...]) -> MultiPolynomial:
-    """Sum over Pipes(w) of b^codim * product of image(r, c) over crosses:
+def _pipe_dream_sum(w: Permutation, b, vars: tuple[str, ...]) -> MultiPolynomial:
+    """Sum over Pipes(w) of b^codim * product of (x_r - y_c) over crosses:
     the generating polynomial of Pipes(w) over one variable z_(r,c) per
     staircase box and the codimension variable, then one substitution
-    z_(r,c) -> image(r, c), codim -> b into `vars`."""
+    z_(r,c) -> x_r - y_c, codim -> b into `vars`."""
     boxes = staircase_boxes(w.n)
-    images = {f"z{r},{c}": image(r, c) for r, c in boxes}
+    images = {f"z{r},{c}": MultiPolynomial.variable(f"x{r}", vars)
+              - MultiPolynomial.variable(f"y{c}", vars) for r, c in boxes}
     l = w.length()
     generating = MultiPolynomial((*images, "codim"), (
         (tuple(int(box in P.crosses) for box in boxes) + (P.size - l,), 1)
@@ -58,30 +59,29 @@ def double_beta_grothendieck(w: Permutation) -> MultiPolynomial:
     x1 - y1
     """
     vars = xy_beta_vars(w.n)
-    return _pipe_dream_sum(w, lambda r, c: MultiPolynomial.variable(f"x{r}", vars)
-                           - MultiPolynomial.variable(f"y{c}", vars),
-                           MultiPolynomial.variable("b", vars), vars)
+    return _pipe_dream_sum(w, MultiPolynomial.variable("b", vars), vars)
 
 
-def pipe_dream_beta_grothendieck(w: Permutation) -> MultiPolynomial:
-    """Sum over Pipes(w) of b^codim * product of x_r over crosses, over
-    the variables of beta_grothendieck(w): the pipe dream formula's side
-    of G^b_w (Fomin-Kirillov 1994).
+def pipe_dream_beta_grothendieck(w: Permutation, dreams: list[PipeDream]) -> MultiPolynomial:
+    """Sum over the listing `dreams` of Pipes(w) of b^codim times x_r to the
+    number of crosses in row r, over the variables of beta_grothendieck(w):
+    the pipe dream formula's side of G^b_w (Fomin-Kirillov 1994).
 
-    >>> print(pipe_dream_beta_grothendieck(Permutation((1, 3, 2))))
+    >>> w = Permutation((1, 3, 2))
+    >>> print(pipe_dream_beta_grothendieck(w, enumerate_pipe_dreams(w)))
     x1*x2*b + x1 + x2
     """
-    vars = tuple([f"x{i}" for i in range(1, w.n)] + ["b"])
-    return _pipe_dream_sum(w, lambda r, c: MultiPolynomial.variable(f"x{r}", vars),
-                           MultiPolynomial.variable("b", vars), vars)
+    n, l = w.n, w.length()
+    vars = tuple([f"x{i}" for i in range(1, n)] + ["b"])
+    return MultiPolynomial(vars, (
+        (tuple(map([r for r, _ in P.crosses].count, range(1, n))) + (P.size - l,), 1)
+        for P in dreams))
 
 
 def double_grothendieck(w: Permutation) -> MultiPolynomial:
     """double_beta_grothendieck at b = -1, over the x, y variables only: one
     substitution of the pipe dream sum with codim -> -1."""
-    vars = xy_beta_vars(w.n)[:-1]
-    return _pipe_dream_sum(w, lambda r, c: MultiPolynomial.variable(f"x{r}", vars)
-                           - MultiPolynomial.variable(f"y{c}", vars), -1, vars)
+    return _pipe_dream_sum(w, -1, xy_beta_vars(w.n)[:-1])
 
 
 def specialize_qt(w: Permutation, beta: MultiPolynomial) -> MultiPolynomial:
@@ -151,10 +151,3 @@ def groth_beta(w: Permutation) -> MultiPolynomial:
     """
     l = w.length()
     return MultiPolynomial(("b",), (((P.size - l,), 1) for P in enumerate_pipe_dreams(w)))
-
-
-def shifted_groth_beta(beta: MultiPolynomial) -> MultiPolynomial:
-    """beta = groth_beta(w) with b -> b - 1 applied; equals the
-    h-polynomial of the pipe dream complex of w in the variable b."""
-    b = MultiPolynomial.variable("b", ("b",))
-    return beta.substitute({"b": b - 1}, ("b",))

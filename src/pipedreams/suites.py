@@ -14,14 +14,9 @@ from math import factorial
 from operator import mul
 from typing import Callable
 
-from .complexes import SimplicialComplex, build_pdc, h_from_interior, h_polynomial
-from .dreams import reduced_pipe_dreams
-from .grothendieck import (
-    beta_grothendieck,
-    groth_beta,
-    pipe_dream_beta_grothendieck,
-    shifted_groth_beta,
-)
+from .complexes import SimplicialComplex, h_from_interior, h_polynomial, pdc_of
+from .dreams import PipeDream, enumerate_pipe_dreams, reduced_pipe_dreams
+from .grothendieck import beta_grothendieck, groth_beta, pipe_dream_beta_grothendieck
 from .linalg import clear_denominators
 from .perms import Permutation, all_windows, catalan_permutation
 from .poly import MultiPolynomial, poly_diff
@@ -71,8 +66,10 @@ from .subdivision import (
 class _Sides:
     """What the identities read about one permutation w, each built on its
     first read and kept: G^b_w from divided differences and its x = 1
-    specialization with b -> b - 1, the pipe dream complex, its
-    h-polynomial counted by flips, and the pipe dream side of G^b_w."""
+    specialization with b -> b - 1 in one substitution; one search of
+    Pipes(w), and from it the pipe dream complex (the elbow sets of the
+    reduced dreams), its h-polynomial counted by flips, and the pipe
+    dream side of G^b_w."""
 
     def __init__(self, w: Permutation):
         self.w = w
@@ -83,11 +80,16 @@ class _Sides:
 
     @cached_property
     def shifted(self) -> MultiPolynomial:
-        return shifted_groth_beta(self.G.substitute(dict.fromkeys(self.G.vars[:-1], 1), ("b",)))
+        b = MultiPolynomial.variable("b", ("b",))
+        return self.G.substitute({**dict.fromkeys(self.G.vars[:-1], 1), "b": b - 1}, ("b",))
+
+    @cached_property
+    def dreams(self) -> list[PipeDream]:
+        return enumerate_pipe_dreams(self.w)
 
     @cached_property
     def pdc(self) -> SimplicialComplex:
-        return build_pdc(self.w)
+        return pdc_of(self.dreams, self.w.length())
 
     @cached_property
     def h(self) -> MultiPolynomial:
@@ -95,7 +97,7 @@ class _Sides:
 
     @cached_property
     def pipe(self) -> MultiPolynomial:
-        return pipe_dream_beta_grothendieck(self.w)
+        return pipe_dream_beta_grothendieck(self.w, self.dreams)
 
 
 def _groth_h(s: _Sides) -> dict | None:

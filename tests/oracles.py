@@ -133,6 +133,15 @@ def beta_grothendieck_per_dream(w: Permutation) -> MultiPolynomial:
     return MultiPolynomial(vars, terms)
 
 
+def shifted_groth_beta(beta: MultiPolynomial) -> MultiPolynomial:
+    """beta = groth_beta(w) with b -> b - 1 applied; equals the
+    h-polynomial of the pipe dream complex of w in the variable b.  The
+    two-pass oracle for `suites._Sides.shifted`, which sets x = 1 and
+    shifts b in one substitution."""
+    b = MultiPolynomial.variable("b", ("b",))
+    return beta.substitute({"b": b - 1}, ("b",))
+
+
 def substitute_per_term(
     p: MultiPolynomial,
     images: Mapping[str, Union[MultiPolynomial, int]],

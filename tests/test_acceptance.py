@@ -4,9 +4,10 @@ its runtime (visible with pytest -s or in verbose test names)."""
 
 import time
 
+from oracles import shifted_groth_beta
 from pipedreams.complexes import build_pdc, h_from_interior, h_polynomial
 from pipedreams.dreams import enumerate_pipe_dreams, reduced_pipe_dreams
-from pipedreams.grothendieck import groth_beta, shifted_groth_beta
+from pipedreams.grothendieck import groth_beta
 from pipedreams.perms import Permutation, all_windows, catalan_permutation
 from pipedreams.poly import MultiPolynomial
 from pipedreams.polytopes import canonical_triangulation, is_unimodular

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import beta_grothendieck_per_dream, double_beta_grothendieck_per_dream
+from oracles import beta_grothendieck_per_dream, double_beta_grothendieck_per_dream, shifted_groth_beta
 from pipedreams import grothendieck
 from pipedreams.complexes import build_pdc, h_polynomial
+from pipedreams.dreams import enumerate_pipe_dreams
 from pipedreams.grothendieck import (
     QT_VARS,
     beta_grothendieck,
@@ -14,7 +15,6 @@ from pipedreams.grothendieck import (
     double_grothendieck,
     groth_beta,
     pipe_dream_beta_grothendieck,
-    shifted_groth_beta,
     specialize_qt,
     xy_beta_vars,
 )
@@ -162,7 +162,7 @@ def test_beta_grothendieck_matches_pipe_dreams_on_all_of_rank(n):
 def test_pipe_dream_side_matches_per_dream_sum_on_all_of_rank(n):
     for window in all_windows(n):
         w = Permutation(window)
-        assert pipe_dream_beta_grothendieck(w) == beta_grothendieck_per_dream(w)
+        assert pipe_dream_beta_grothendieck(w, enumerate_pipe_dreams(w)) == beta_grothendieck_per_dream(w)
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)

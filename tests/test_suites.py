@@ -12,9 +12,12 @@ from pathlib import Path
 import pytest
 
 import pipedreams
-from pipedreams import dreams, grothendieck, polytopes, suites
+from oracles import shifted_groth_beta
+from pipedreams import complexes, dreams, grothendieck, polytopes, suites
+from pipedreams.complexes import build_pdc
 from pipedreams.dreams import enumerate_pipe_dreams
-from pipedreams.perms import parse_permutation
+from pipedreams.grothendieck import groth_beta
+from pipedreams.perms import Permutation, all_windows, catalan_permutation, parse_permutation
 from pipedreams.poly import MultiPolynomial
 from pipedreams.polytopes import random_acyclic_graph
 from pipedreams.suites import (
@@ -118,13 +121,14 @@ CORRUPTED_S4 = [
 
 
 def corrupt_at(fn, words, change):
-    """`fn` with `change` applied to its output when one of its arguments is
-    one of the permutations `words`."""
+    """`fn` with `change` applied to its output when its permutation
+    argument is one of the permutations `words`.  Other arguments, such as
+    a listing of pipe dreams, need not be hashable."""
     at = {parse_permutation(word) for word in words}
 
     def corrupted(*args):
         out = fn(*args)
-        return change(out) if at.intersection(args) else out
+        return change(out) if any(a in at for a in args if isinstance(a, Permutation)) else out
     return corrupted
 
 
@@ -168,19 +172,71 @@ def test_pipe_dream_formula_fails_when_either_side_is_corrupted(side, monkeypatc
 
 
 def test_permutation_checks_search_once_per_permutation(monkeypatch):
-    """pipe-dream-formula and nonneg read one pipe dream search, and the
-    complex another: two searches per permutation of S_4."""
+    """The complex and the pipe dream side of pipe-dream-formula are built
+    from one listing of Pipes(w): one search per permutation of S_4."""
     calls = []
 
     def counted(w):
         calls.append(w)
         return enumerate_pipe_dreams(w)
 
-    for module in (dreams, grothendieck):
+    for module in (complexes, dreams, grothendieck, suites):
         monkeypatch.setattr(module, "enumerate_pipe_dreams", counted)
     results = suites.check_permutations(4, suites.PERMUTATION_CHECKS)
     assert all(r.ok for r in results)
-    assert len(calls) == 48
+    assert len(calls) == 24
+
+
+def test_pipe_dream_formula_reads_the_nonreduced_dreams_of_the_listing(monkeypatch):
+    """A nonreduced dream of 1432 dropped from the one listing breaks the
+    pipe dream side, and only it: the complex needs only the reduced
+    dreams, so groth-h still passes."""
+    w = parse_permutation("1432")
+    dropped = enumerate_pipe_dreams(w)[-1]
+    assert dropped.size > w.length()
+
+    def listing(u):
+        return [P for P in enumerate_pipe_dreams(u) if P != dropped]
+
+    monkeypatch.setattr(suites, "enumerate_pipe_dreams", listing)
+    results = {r.name: r for r in suites.check_permutations(4, suites.PERMUTATION_CHECKS)}
+    formula = results["pipe-dream-formula:S4"]
+    assert not formula.ok and formula.details["w"] == "1432" and formula.details["diff"]["mismatched_terms"]
+    assert results["groth-h:S4"].ok
+    assert results["interior-h:S4"].ok and results["nonneg:S4"].ok
+
+
+def all_of_s1_to_s5():
+    return [Permutation(window) for n in range(1, 6) for window in all_windows(n)]
+
+
+def test_sides_complex_is_build_pdc():
+    """The complex _Sides builds from its one listing is the complex
+    build_pdc finds by its own search, on all of S_1..S_5 and on 1 n...2
+    for n <= 7."""
+    for w in all_of_s1_to_s5() + [catalan_permutation(n) for n in range(3, 8)]:
+        assert suites._Sides(w).pdc == build_pdc(w), w
+
+
+def test_sides_shift_substitutes_once(monkeypatch):
+    """G^b_w(1) with b -> b - 1 is one substitute call, equal to the
+    two-pass oracle on the search's G^b_w(1), on all of S_1..S_5."""
+    calls = []
+    substitute = MultiPolynomial.substitute
+
+    def counted(self, images, target_vars):
+        calls.append(tuple(target_vars))
+        return substitute(self, images, target_vars)
+
+    for w in all_of_s1_to_s5():
+        sides = suites._Sides(w)
+        sides.G
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(MultiPolynomial, "substitute", counted)
+            shifted = sides.shifted
+        assert calls == [("b",)], w
+        assert shifted == shifted_groth_beta(groth_beta(w)), w
 
 
 def test_verify_all_builds_no_double_polynomial(monkeypatch):
