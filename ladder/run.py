@@ -58,11 +58,12 @@ CASES = {
     "pdc-1234567-h": ((*CLI, "pdc", "1234567", "--h", "--json"), True),
     "verify-kirillov-11": ((*CLI, "verify", "kirillov", "--n", "11", "--limit-n", "11"), True),
     "verify-all-7": ((*CLI, "verify", "all", "--n", "7", "--json"), True),
+    "groth-4321765-double": ((*CLI, "groth", "4321765", "--double", "--json"), True),
     "tier-1": (("-m", "pytest", "-q", "-p", "no:cacheprovider", "--doctest-modules",
                 "tests", "src/pipedreams"), False),
 }
 # Run only when named with --cases.
-ON_REQUEST = ("verify-all-7", "tier-1")
+ON_REQUEST = ("verify-all-7", "groth-4321765-double", "tier-1")
 DEFAULT_CASES = tuple(name for name in CASES if name not in ON_REQUEST)
 AS_BYTES = 4 * 2**30
 

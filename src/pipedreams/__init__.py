@@ -23,7 +23,6 @@ from .complexes import (
 )
 from .grothendieck import (
     beta_grothendieck,
-    double_beta_grothendieck,
     double_grothendieck,
     groth_beta,
     specialize_qt,
@@ -66,7 +65,7 @@ __all__ = [
     "Permutation", "PipeDream", "RealizationMap", "ReducedForm", "Simplex",
     "SimplicialComplex", "augment", "beta_grothendieck", "build_pdc",
     "canonical_triangulation", "catalan_permutation", "demazure_product", "dissect",
-    "double_beta_grothendieck", "double_grothendieck",
+    "double_grothendieck",
     "enumerate_pipe_dreams", "f_vector", "flow_vertices", "graph_reduce",
     "groth_beta", "h_from_interior", "h_polynomial", "interior_faces",
     "is_reduced_word", "narayana_check", "noncrossing_alternating_trees",

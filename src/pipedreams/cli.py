@@ -15,6 +15,8 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterator
 
 from .complexes import build_pdc, f_vector, h_polynomial, interior_faces
 from .dreams import DEFAULT_LIMIT_N, LIMIT_N, enumerate_pipe_dreams
@@ -51,12 +53,15 @@ class RunReport:
     def all_ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def render(self, as_json: bool) -> str:
-        """Every field as sorted, indented JSON; or one `key: value` line
-        per result, a list or tuple as one indented line per item, each dict
-        (a result or an item) as sorted JSON, then one line per check."""
+    def render(self, as_json: bool) -> Iterator[str]:
+        """The report's text in chunks, with no final newline: every field as
+        sorted, indented JSON, in the chunks of the encoder `json.dumps` uses
+        with `indent`; or, in one chunk, one `key: value` line per result, a
+        list or tuple as one indented line per item, each dict (a result or
+        an item) as sorted JSON, then one line per check."""
         if as_json:
-            return json.dumps(jsonable(vars(self)), sort_keys=True, indent=2)
+            yield from json.JSONEncoder(sort_keys=True, indent=2).iterencode(jsonable(vars(self)))
+            return
 
         def text(v) -> str:
             return json.dumps(jsonable(v), sort_keys=True) if isinstance(v, dict) else str(v)
@@ -73,7 +78,7 @@ class RunReport:
             lines.append(f"check {c.name}: {status}")
             if not c.ok:
                 lines.append(f"  details: {text(c.details)}")
-        return "\n".join(lines)
+        yield "\n".join(lines)
 
 
 def parse_edges(text: str) -> tuple[Edge, ...]:
@@ -280,9 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 PARSER = build_parser()
+WRITE_BATCH = 8192
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; write its report to stdout, WRITE_BATCH chunks
+    per write, then a newline; return the exit code."""
     args = PARSER.parse_args(argv)
     report = RunReport(args.command, seed=args.seed)
     token = LIMIT_N.set(args.limit_n)
@@ -293,7 +301,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     finally:
         LIMIT_N.reset(token)
-    print(report.render(args.json))
+    chunks = report.render(args.json)
+    while batch := list(islice(chunks, WRITE_BATCH)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
     return 0 if report.all_ok() else 1
 
 

@@ -1,23 +1,19 @@
-"""Beta-Grothendieck polynomials: double ones from pipe dreams, single
-ones from isobaric divided differences, and their specializations.
+"""Grothendieck polynomials: the double one from pipe dreams, the single
+beta one from isobaric divided differences, and their specializations.
 
-The double polynomial computed here is the sum over all pipe dreams P of
-w of b^codim(P) times the product of (x_r - y_c) over the crosses (r, c)
-of P, where codim(P) is the number of crosses beyond l(w): the generating
-polynomial of Pipes(w) over one variable z_(r,c) per staircase box,
-expanded by one substitution z_(r,c) -> x_r - y_c.  It is not
-Fomin-Kirillov's double beta-Grothendieck polynomial, whose factors are
-x_r + y_c + b*x_r*y_c.  Setting b = -1 gives the double Grothendieck
-polynomial; all x to q and all y to t collapses every product to a power
-of (q - t); x = 1, y = 0 leaves the generating function of pipe dreams by
-codimension.  The pipe dream formula's side of the single polynomial
-counts the crosses of each pipe dream row by row, with no substitution.
+The double Grothendieck polynomial is the sum over the pipe dreams P of w
+of (-1)^codim(P) times the product of (x_r - y_c) over the crosses (r, c)
+of P, codim(P) being the number of crosses beyond l(w): the pipe dream
+formula at beta = -1 (Fomin-Kirillov 1994; Knutson-Miller 2005).
+`groth_beta` counts Pipes(w) by codimension, and `specialize_qt` sets every
+x to q and every y to t in the b-graded sum through that count.  The pipe
+dream formula's side of the single polynomial counts crosses row by row.
 
 The single polynomial G^b_w comes from the algebraic definition, with no
 pipe dream: G^b_w0 = x1^(n-1) x2^(n-2) ... x(n-1), and whenever
 w(i) > w(i+1), G^b_(w s_i) = pi_i G^b_w with the isobaric divided
 difference pi_i f = d_i((1 + b*x(i+1)) f) (Lascoux-Schutzenberger 1982;
-Fomin-Kirillov 1994).  It equals the double polynomial at y = 0.
+Fomin-Kirillov 1994).  At b = -1 it equals the double polynomial at y = 0.
 """
 
 from __future__ import annotations
@@ -27,39 +23,6 @@ from .perms import Permutation
 from .poly import MultiPolynomial, _merge, _unchecked
 
 QT_VARS = ("q", "t", "b")
-
-
-def xy_beta_vars(n: int) -> tuple[str, ...]:
-    """Variables of a rank-n double polynomial: x1.., y1.., then b last."""
-    return tuple(
-        [f"x{i}" for i in range(1, n)] + [f"y{j}" for j in range(1, n)] + ["b"]
-    )
-
-
-def _pipe_dream_sum(w: Permutation, b, vars: tuple[str, ...]) -> MultiPolynomial:
-    """Sum over Pipes(w) of b^codim * product of (x_r - y_c) over crosses:
-    the generating polynomial of Pipes(w) over one variable z_(r,c) per
-    staircase box and the codimension variable, then one substitution
-    z_(r,c) -> x_r - y_c, codim -> b into `vars`."""
-    boxes = staircase_boxes(w.n)
-    images = {f"z{r},{c}": MultiPolynomial.variable(f"x{r}", vars)
-              - MultiPolynomial.variable(f"y{c}", vars) for r, c in boxes}
-    l = w.length()
-    generating = MultiPolynomial((*images, "codim"), (
-        (tuple(int(box in P.crosses) for box in boxes) + (P.size - l,), 1)
-        for P in enumerate_pipe_dreams(w)
-    ))
-    return generating.substitute({**images, "codim": b}, vars)
-
-
-def double_beta_grothendieck(w: Permutation) -> MultiPolynomial:
-    """Sum over Pipes(w) of b^codim * product of (x_r - y_c) over crosses.
-
-    >>> print(double_beta_grothendieck(Permutation((2, 1))))
-    x1 - y1
-    """
-    vars = xy_beta_vars(w.n)
-    return _pipe_dream_sum(w, MultiPolynomial.variable("b", vars), vars)
 
 
 def pipe_dream_beta_grothendieck(w: Permutation, dreams: list[PipeDream]) -> MultiPolynomial:
@@ -79,20 +42,31 @@ def pipe_dream_beta_grothendieck(w: Permutation, dreams: list[PipeDream]) -> Mul
 
 
 def double_grothendieck(w: Permutation) -> MultiPolynomial:
-    """double_beta_grothendieck at b = -1, over the x, y variables only: one
-    substitution of the pipe dream sum with codim -> -1."""
-    return _pipe_dream_sum(w, -1, xy_beta_vars(w.n)[:-1])
+    """Sum over Pipes(w) of (-1)^codim * product of (x_r - y_c) over the
+    crosses, over x1.., y1..: the generating polynomial of Pipes(w) over one
+    variable z_(r,c) per staircase box, each term signed (-1)^codim,
+    expanded by one substitution z_(r,c) -> x_r - y_c.
+
+    >>> print(double_grothendieck(Permutation((1, 3, 2))))
+    -x1*x2 + x1*y1 + x2*y2 - y1*y2 + x1 + x2 - y1 - y2
+    """
+    n, l = w.n, w.length()
+    vars = tuple([f"x{i}" for i in range(1, n)] + [f"y{j}" for j in range(1, n)])
+    boxes = staircase_boxes(n)
+    images = {f"z{r},{c}": MultiPolynomial.variable(f"x{r}", vars)
+              - MultiPolynomial.variable(f"y{c}", vars) for r, c in boxes}
+    generating = MultiPolynomial(tuple(images), (
+        (tuple(int(box in P.crosses) for box in boxes), (-1) ** (P.size - l))
+        for P in enumerate_pipe_dreams(w)))
+    return generating.substitute(images, vars)
 
 
 def specialize_qt(w: Permutation, beta: MultiPolynomial) -> MultiPolynomial:
     """All x set to q, all y set to t: every product collapses to
     (q-t)^size, so this is (q-t)^l(w) * beta at b -> b(q-t), with
     beta = groth_beta(w)."""
-    q = MultiPolynomial.variable("q", QT_VARS)
-    t = MultiPolynomial.variable("t", QT_VARS)
-    b = MultiPolynomial.variable("b", QT_VARS)
-    qt = q - t
-    return qt ** w.length() * beta.substitute({"b": b * qt}, QT_VARS)
+    q, t, b = (MultiPolynomial.variable(v, QT_VARS) for v in QT_VARS)
+    return (q - t) ** w.length() * beta.substitute({"b": b * (q - t)}, QT_VARS)
 
 
 def _isobaric(terms: dict, i: int) -> dict:
@@ -143,8 +117,7 @@ def beta_grothendieck(w: Permutation) -> MultiPolynomial:
 
 
 def groth_beta(w: Permutation) -> MultiPolynomial:
-    """x = 1, y = 0 specialization: the codimension generating function
-    sum over Pipes(w) of b^codim.
+    """The codimension generating function sum over Pipes(w) of b^codim.
 
     >>> print(groth_beta(Permutation((1, 4, 3, 2))))
     b^2 + 5*b + 5

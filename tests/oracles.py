@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from pipedreams.complexes import SimplicialComplex
 from pipedreams.dreams import Box, PipeDream, enumerate_pipe_dreams, staircase_boxes, staircase_product
-from pipedreams.grothendieck import xy_beta_vars
 from pipedreams.linalg import inverse, solve_unique
 from pipedreams.perms import (
     Permutation,
@@ -93,6 +92,13 @@ def enumerate_pipe_dreams_bruteforce(w: Permutation) -> list[PipeDream]:
     return out
 
 
+def xy_beta_vars(n: int) -> tuple[str, ...]:
+    """Variables of a rank-n b-graded double polynomial: x1.., y1.., then b last."""
+    return tuple(
+        [f"x{i}" for i in range(1, n)] + [f"y{j}" for j in range(1, n)] + ["b"]
+    )
+
+
 def pipe_dream_weight(P: PipeDream) -> MultiPolynomial:
     """Product over crosses at (r, c) of (x_r - y_c), multiplied out one
     cross at a time; the empty product is 1.  Over `xy_beta_vars(P.n)`,
@@ -107,8 +113,10 @@ def pipe_dream_weight(P: PipeDream) -> MultiPolynomial:
 
 
 def double_beta_grothendieck_per_dream(w: Permutation) -> MultiPolynomial:
-    """Oracle for `grothendieck.double_beta_grothendieck`: expand each pipe
-    dream's product on its own and add it with b^codim."""
+    """The b-graded double polynomial, sum over Pipes(w) of b^codim times
+    the product of (x_r - y_c) over the crosses: expand each pipe dream's
+    product on its own and add it with b^codim.  At b = -1 it is the
+    reference for `grothendieck.double_grothendieck`."""
     l = w.length()
     return MultiPolynomial(xy_beta_vars(w.n), (
         (exps[:-1] + (P.size - l,), c)

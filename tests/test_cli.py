@@ -14,7 +14,7 @@ from pipedreams.dreams import EnumerationLimitError, enumerate_pipe_dreams
 from pipedreams.perms import Permutation, identity_window
 from pipedreams.poly import MultiPolynomial
 from pipedreams.realization import RealizationError
-from pipedreams.report import VerifyResult
+from pipedreams.report import VerifyResult, jsonable
 from pipedreams.subdivision import ReducedForm
 
 
@@ -84,6 +84,44 @@ def test_groth_json_round_trip(capsys):
     poly = MultiPolynomial.from_jsonable(data["results"]["beta"])
     b = MultiPolynomial.variable("b", ("b",))
     assert poly == b**2 + 5 * b + 5
+
+
+@pytest.mark.parametrize("argv, many", [
+    (("groth", "321654", "--double", "--json"), True),
+    (("groth", "1432", "--json"), False),
+], ids=["many-batches", "one-batch"])
+def test_json_report_is_what_dumps_would_print(capsys, monkeypatch, argv, many):
+    """The batched writes of the rendered chunks add up to the one string
+    json.dumps makes of the report, and a newline, over many batches (the
+    last one partial) and over one."""
+    reports = []
+    render = cli.RunReport.render
+
+    def recorded(self, as_json):
+        reports.append(self)
+        return render(self, as_json)
+
+    monkeypatch.setattr(cli.RunReport, "render", recorded)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    [report] = reports
+    assert out == json.dumps(jsonable(vars(report)), sort_keys=True, indent=2) + "\n"
+    chunks = sum(1 for _ in render(report, True))
+    assert (chunks > 2 * cli.WRITE_BATCH and chunks % cli.WRITE_BATCH) if many else chunks < cli.WRITE_BATCH
+
+
+def test_json_report_never_builds_the_whole_text(capsys, monkeypatch):
+    """--json encodes the report chunk by chunk: neither json.dumps nor a
+    one-shot encode is called, and the output is unchanged."""
+    argv = ("groth", "1432", "--double", "--json")
+    expected = run(capsys, *argv)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the whole report was encoded at once")
+
+    monkeypatch.setattr(cli.json, "dumps", refused)
+    monkeypatch.setattr(cli.json.JSONEncoder, "encode", refused)
+    assert run(capsys, *argv) == expected
 
 
 def test_pdc_h(capsys):

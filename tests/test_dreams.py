@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import enumerate_pipe_dreams_bruteforce, pipe_dream_weight
+from oracles import enumerate_pipe_dreams_bruteforce, pipe_dream_weight, xy_beta_vars
 from pipedreams.dreams import (
     LIMIT_N,
     EnumerationLimitError,
@@ -14,7 +14,6 @@ from pipedreams.dreams import (
     staircase_boxes,
     triangular_word,
 )
-from pipedreams.grothendieck import xy_beta_vars
 from pipedreams.perms import Permutation, all_windows, catalan_permutation, identity_window
 from pipedreams.poly import MultiPolynomial
 
