@@ -17,7 +17,6 @@ from .complexes import (
     SimplicialComplex,
     build_pdc,
     f_vector,
-    h_from_interior,
     h_polynomial,
     interior_faces,
 )
@@ -67,7 +66,7 @@ __all__ = [
     "canonical_triangulation", "catalan_permutation", "demazure_product", "dissect",
     "double_grothendieck",
     "enumerate_pipe_dreams", "f_vector", "flow_vertices", "graph_reduce",
-    "groth_beta", "h_from_interior", "h_polynomial", "interior_faces",
+    "groth_beta", "h_polynomial", "interior_faces",
     "is_reduced_word", "narayana_check", "noncrossing_alternating_trees",
     "project_and_map", "q_polynomial", "realize", "reduce_once",
     "reduced_form", "reduced_pipe_dreams", "root_polytope_vertices",

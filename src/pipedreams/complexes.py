@@ -14,8 +14,7 @@ from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable
 
-from .dreams import (
-    Box, PipeDream, enumerate_pipe_dreams, staircase_boxes, staircase_product, triangular_word)
+from .dreams import Box, enumerate_pipe_dreams, staircase_boxes, staircase_product, triangular_word
 from .perms import Permutation, bruhat_leq, demazure_fold, identity_window
 from .poly import MultiPolynomial
 
@@ -82,6 +81,12 @@ class SimplicialComplex:
     @classmethod
     def from_jsonable(cls, data) -> "SimplicialComplex":
         vertices = [tuple(v) if isinstance(v, list) else v for v in data["vertices"]]
+        for facet in data["facets"]:
+            for k, i in enumerate(facet):
+                if type(i) is not int or not 0 <= i < len(vertices):
+                    raise ValueError(f"facet index {i!r} is not one of the {len(vertices)} vertex indices")
+                if i in facet[:k]:
+                    raise ValueError(f"facet index {i} is repeated in the facet {facet}")
         return cls([(vertices[i] for i in facet) for facet in data["facets"]])
 
     def __repr__(self):
@@ -134,19 +139,16 @@ def f_vector(h: MultiPolynomial, d: int) -> tuple[int, ...]:
     )
 
 
-def pdc_of(dreams: Iterable[PipeDream], l: int) -> SimplicialComplex:
-    """The pipe dream complex from a listing of Pipes(w), l = l(w): elbow sets of the reduced dreams."""
-    return SimplicialComplex(P.elbows() for P in dreams if P.size == l)
-
-
 def build_pdc(w: Permutation) -> SimplicialComplex:
-    """The pipe dream complex of w, from one search of Pipes(w).
+    """The pipe dream complex of w: the elbow sets of the reduced dreams
+    of one search of Pipes(w).
 
     >>> C = build_pdc(Permutation((1, 4, 3, 2)))
     >>> len(C.vertices), len(C.facets)
     (6, 5)
     """
-    return pdc_of(enumerate_pipe_dreams(w), w.length())
+    l = w.length()
+    return SimplicialComplex(P.elbows() for P in enumerate_pipe_dreams(w) if P.size == l)
 
 
 def is_face_of_pdc(boxes: Iterable[Box], w: Permutation) -> bool:
@@ -164,21 +166,3 @@ def interior_faces(w: Permutation) -> list[tuple[Face, int]]:
     l = w.length()
     faces = ((frozenset(P.elbows()), P.size - l) for P in enumerate_pipe_dreams(w))
     return sorted(faces, key=lambda t: (t[1], sorted(t[0])))
-
-
-def h_from_interior(C: SimplicialComplex, w: Permutation) -> MultiPolynomial:
-    """Interior-face form of the h-polynomial, h(C, b+1) for a ball: sum of
-    b^codim over the faces of C whose crosses have Demazure product w, for
-    C the pipe dream complex of w.  It walks down from the facets whose
-    crosses fold to w, dropping one elbow at a time and keeping a set only
-    while its crosses still fold to w, so it reads C and the fold, never
-    the search.  The walk reaches every interior face: the Demazure product
-    only grows along subwords, so each face between an interior face and a
-    facet above it is interior too."""
-    level = {F for F in C.facets if staircase_product(w.n, F) == w.window}
-    terms = []
-    while level:
-        terms += [((C.dim + 1 - len(F),), 1) for F in level]
-        level = {G for G in {F - {e} for F in level for e in F}
-                 if staircase_product(w.n, G) == w.window}
-    return MultiPolynomial(("b",), terms)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .perms import Permutation, Window, bruhat_leq, demazure_fold, identity_window
 
@@ -105,14 +105,38 @@ class PipeDream:
         return cls(data["n"], tuple((r, c) for r, c in data["crosses"]))
 
 
+def search_prune(w: Permutation) -> Callable[[Window, int], bool]:
+    """The memoized prune of every staircase walk towards w: whether a
+    running Demazure product u, with the letters from reading position i
+    still to come, can end at w.  The final product always dominates u, so
+    u must stay below w; and it is dominated by the product of u with all
+    remaining letters, which must stay above w."""
+    target = w.window
+    letters = triangular_word(w.n)
+    below: dict[Window, bool] = {}
+    reach: dict[tuple[Window, int], bool] = {}
+
+    def viable(u: Window, i: int) -> bool:
+        v = below.get(u)
+        if v is None:
+            v = below[u] = bruhat_leq(u, target)
+        if not v:
+            return False
+        key = (u, i)
+        v = reach.get(key)
+        if v is None:
+            v = reach[key] = bruhat_leq(target, demazure_fold(u, letters[i:]))
+        return v
+
+    return viable
+
+
 def enumerate_pipe_dreams(w: Permutation) -> list[PipeDream]:
     """Every cross set whose Demazure product is w, reduced and nonreduced,
     sorted by (size, cross list).
 
     Depth-first search in reading order over the staircase, carrying the
-    running Demazure product u.  Two sound prunes: the final product always
-    dominates u, so u must stay below w; and it is dominated by the product
-    of u with all remaining letters, which must stay above w.
+    running Demazure product u and cut by `search_prune`.
 
     >>> [p.size for p in enumerate_pipe_dreams(Permutation((1, 4, 3, 2)))]
     [3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 5]
@@ -129,30 +153,13 @@ def enumerate_pipe_dreams(w: Permutation) -> list[PipeDream]:
     target = w.window
     # one-letter words for the cross step, built once rather than per node
     steps = [(a,) for a in letters]
-
-    below: dict[Window, bool] = {}
-
-    def is_below(u: Window) -> bool:
-        v = below.get(u)
-        if v is None:
-            v = below[u] = bruhat_leq(u, target)
-        return v
-
-    reach: dict[tuple[Window, int], bool] = {}
-
-    def can_reach(u: Window, i: int) -> bool:
-        """Whether w is below the Demazure product of u with letters i..m."""
-        key = (u, i)
-        v = reach.get(key)
-        if v is None:
-            v = reach[key] = bruhat_leq(target, demazure_fold(u, letters[i:]))
-        return v
+    viable = search_prune(w)
 
     found: list[tuple[Box, ...]] = []
     chosen: list[Box] = []
 
     def dfs(i: int, u: Window) -> None:
-        if not is_below(u) or not can_reach(u, i):
+        if not viable(u, i):
             return
         if i == m:
             if u == target:

@@ -7,7 +7,9 @@ of P, codim(P) being the number of crosses beyond l(w): the pipe dream
 formula at beta = -1 (Fomin-Kirillov 1994; Knutson-Miller 2005).
 `groth_beta` counts Pipes(w) by codimension, and `specialize_qt` sets every
 x to q and every y to t in the b-graded sum through that count.  The pipe
-dream formula's side of the single polynomial counts crosses row by row.
+dream formula's side of the single polynomial is a transfer over the
+staircase that tracks each running Demazure product and lists no pipe
+dream.
 
 The single polynomial G^b_w comes from the algebraic definition, with no
 pipe dream: G^b_w0 = x1^(n-1) x2^(n-2) ... x(n-1), and whenever
@@ -18,27 +20,49 @@ Fomin-Kirillov 1994).  At b = -1 it equals the double polynomial at y = 0.
 
 from __future__ import annotations
 
-from .dreams import PipeDream, enumerate_pipe_dreams, staircase_boxes
-from .perms import Permutation
+from .dreams import enumerate_pipe_dreams, search_prune, staircase_boxes, triangular_word
+from .perms import Permutation, Window, demazure_fold, identity_window
 from .poly import MultiPolynomial, _merge, _unchecked
 
 QT_VARS = ("q", "t", "b")
 
 
-def pipe_dream_beta_grothendieck(w: Permutation, dreams: list[PipeDream]) -> MultiPolynomial:
-    """Sum over the listing `dreams` of Pipes(w) of b^codim times x_r to the
-    number of crosses in row r, over the variables of beta_grothendieck(w):
-    the pipe dream formula's side of G^b_w (Fomin-Kirillov 1994).
+def pipe_dream_beta_grothendieck(w: Permutation) -> MultiPolynomial:
+    """Sum over Pipes(w) of b^codim times x_r to the number of crosses in
+    row r, over the variables of beta_grothendieck(w): the pipe dream
+    formula's side of G^b_w (Fomin-Kirillov 1994), by a transfer over the
+    staircase in reading order that lists no pipe dream.  Each running
+    Demazure product u, kept while `search_prune` allows it, maps to the
+    x-monomials of the cross sets read so far that fold to u: an elbow
+    keeps u, a cross folds in its letter and multiplies by x_r.  A monomial
+    is one integer, the exponent of x_r its base-n digit r - 1 (row r has
+    n - r < n boxes), and codim is its degree less l(w).
 
-    >>> w = Permutation((1, 3, 2))
-    >>> print(pipe_dream_beta_grothendieck(w, enumerate_pipe_dreams(w)))
+    >>> print(pipe_dream_beta_grothendieck(Permutation((1, 3, 2))))
     x1*x2*b + x1 + x2
     """
     n, l = w.n, w.length()
-    vars = tuple([f"x{i}" for i in range(1, n)] + ["b"])
-    return MultiPolynomial(vars, (
-        (tuple(map([r for r, _ in P.crosses].count, range(1, n))) + (P.size - l,), 1)
-        for P in dreams))
+    viable = search_prune(w)
+    states = {identity_window(n): {0: 1}}
+    for i, ((r, _c), a) in enumerate(zip(staircase_boxes(n), triangular_word(n))):
+        step = n ** (r - 1)
+        nxt: dict[Window, dict[int, int]] = {}
+        for u, terms in states.items():
+            if not viable(u, i):
+                continue
+            crossed = {e + step: c for e, c in terms.items()}
+            # the elbow passes u's dict on uncopied: nothing merges into it
+            # before u's own step is done
+            for v, t in ((u, terms), (demazure_fold(u, (a,)), crossed)):
+                got = nxt.setdefault(v, t)
+                if got is not t:
+                    _merge(t.items(), got)
+        states = nxt
+    out = {}
+    for e, c in states.get(w.window, {}).items():
+        x = [e // n ** k % n for k in range(n - 1)]
+        out[(*x, sum(x) - l)] = c
+    return _unchecked(tuple([f"x{i}" for i in range(1, n)] + ["b"]), out)
 
 
 def double_grothendieck(w: Permutation) -> MultiPolynomial:

@@ -257,18 +257,19 @@ class ReducedForm:
 
     @classmethod
     def from_jsonable(cls, data) -> "ReducedForm":
-        return cls(
-            data["n"],
-            tuple(
-                EdgeMonomial(
-                    data["n"],
-                    tuple((i, j) for i, j in m["edges"]),
-                    m["beta"],
-                    m["coeff"],
-                )
-                for m in data["monomials"]
-            ),
+        """Refuses two monomials with the same edges and power of b: a
+        reduced form holds like terms merged."""
+        monos = tuple(
+            EdgeMonomial(data["n"], tuple((i, j) for i, j in m["edges"]), m["beta"], m["coeff"])
+            for m in data["monomials"]
         )
+        seen = set()
+        for m in monos:
+            if (m.edges, m.beta) in seen:
+                raise ValueError(f"edges {list(m.edges)} with b^{m.beta} are listed twice; "
+                                 "a reduced form holds like terms merged")
+            seen.add((m.edges, m.beta))
+        return cls(data["n"], monos)
 
 
 def reduced_form(m: EdgeMonomial, strategy: Strategy | None = None) -> ReducedForm:

@@ -5,9 +5,9 @@ its runtime (visible with pytest -s or in verbose test names)."""
 import time
 
 from oracles import shifted_groth_beta
-from pipedreams.complexes import build_pdc, h_from_interior, h_polynomial
+from pipedreams.complexes import build_pdc, h_polynomial, interior_faces
 from pipedreams.dreams import enumerate_pipe_dreams, reduced_pipe_dreams
-from pipedreams.grothendieck import groth_beta
+from pipedreams.grothendieck import groth_beta, pipe_dream_beta_grothendieck
 from pipedreams.perms import Permutation, all_windows, catalan_permutation
 from pipedreams.poly import MultiPolynomial
 from pipedreams.polytopes import canonical_triangulation, is_unimodular
@@ -74,12 +74,18 @@ def test_criterion_04_groth_h_identity_s4_and_s5():
 
 
 def test_criterion_05_interior_face_formula_s4():
+    """Sum of b^codim over the interior faces, with b -> x - 1, is the flip
+    h-polynomial: over the faces listed from the search, and as the pipe
+    dream side of G^b_w at x = 1, which interior-h reads."""
     t0 = time.time()
     x = MultiPolynomial.variable("x", ("x",))
     for window in all_windows(4):
         w = Permutation(window)
-        C = build_pdc(w)
-        assert h_from_interior(C, w).substitute({"b": x - 1}, ("x",)) == h_polynomial(C, w)
+        h = h_polynomial(build_pdc(w), w)
+        listed = MultiPolynomial(("b",), (((codim,), 1) for _face, codim in interior_faces(w)))
+        assert listed.substitute({"b": x - 1}, ("x",)) == h
+        G = pipe_dream_beta_grothendieck(w)
+        assert G.substitute({**dict.fromkeys(G.vars[:-1], 1), "b": x - 1}, ("x",)) == h
     report(5, "interior-face formula matches the flip h-polynomial on S4", t0)
 
 

@@ -1,5 +1,6 @@
 """Pipe dream complexes, face vectors, h-polynomials, interior faces."""
 
+import random
 import re
 from itertools import combinations
 
@@ -12,15 +13,14 @@ from oracles import (
     demazure_bruteforce,
     face_f_vector,
     face_h_polynomial,
+    h_from_interior,
     interior_faces_by_closure,
     word_contains_bruteforce,
 )
-from pipedreams import complexes
 from pipedreams.complexes import (
     SimplicialComplex,
     build_pdc,
     f_vector,
-    h_from_interior,
     h_polynomial,
     interior_faces,
     is_face_of_pdc,
@@ -32,7 +32,7 @@ from pipedreams.dreams import (
     staircase_boxes,
     triangular_word,
 )
-from pipedreams.grothendieck import groth_beta
+from pipedreams.grothendieck import groth_beta, pipe_dream_beta_grothendieck
 from pipedreams.perms import (
     Permutation,
     all_windows,
@@ -238,21 +238,8 @@ def test_h_from_interior_1432():
     assert h_from_interior(C, W1432) == b**2 + 5 * b + 5
 
 
-def test_h_from_interior_scans_the_closure_not_the_search(monkeypatch):
-    """interior-h's walk runs no pipe dream search, so it stays
-    independent of the interior faces listed from the search."""
-    C = build_pdc(W1432)
-
-    def refused(w):
-        raise AssertionError("h_from_interior ran the pipe dream search")
-
-    monkeypatch.setattr(complexes, "enumerate_pipe_dreams", refused)
-    b = MultiPolynomial.variable("b", ("b",))
-    assert h_from_interior(C, W1432) == b**2 + 5 * b + 5
-
-
 def test_h_from_interior_builds_no_face_closure(monkeypatch):
-    """The walk down from the facets materializes no closure."""
+    """The walk oracle, down from the facets, materializes no closure."""
     def refused(self):
         raise AssertionError("h_from_interior built the face closure")
 
@@ -267,26 +254,47 @@ def closure_h_from_interior(w):
     return MultiPolynomial(("b",), (((codim,), 1) for _face, codim in faces))
 
 
+def transfer_at_x1(w):
+    """The pipe dream side of G^b_w at x = 1: sum of b^codim over Pipes(w)."""
+    G = pipe_dream_beta_grothendieck(w)
+    return G.substitute(dict.fromkeys(G.vars[:-1], 1), ("b",))
+
+
 @pytest.mark.parametrize("w", [Permutation(window) for n in range(1, 6) for window in all_windows(n)]
                          + [catalan_permutation(n) for n in range(3, 8)], ids=str)
 def test_h_from_interior_walk_matches_closure_oracle(w):
-    assert h_from_interior(build_pdc(w), w) == closure_h_from_interior(w)
+    """The walk oracle, the closure oracle and the transfer at x = 1 agree."""
+    walk = h_from_interior(build_pdc(w), w)
+    assert walk == closure_h_from_interior(w)
+    assert walk == transfer_at_x1(w)
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
 @given(st.permutations(range(1, 7)))
 def test_h_from_interior_walk_matches_closure_oracle_on_s6(window):
     w = Permutation(tuple(window))
-    assert h_from_interior(build_pdc(w), w) == closure_h_from_interior(w)
+    walk = h_from_interior(build_pdc(w), w)
+    assert walk == closure_h_from_interior(w)
+    assert walk == transfer_at_x1(w)
+
+
+def test_h_from_interior_walk_matches_transfer_on_seeded_s7():
+    """The walk oracle equals the transfer at x = 1 on 20 permutations of
+    S_7 drawn with a fixed seed."""
+    rng = random.Random(7)
+    for _ in range(20):
+        w = Permutation(tuple(rng.sample(range(1, 8), 7)))
+        assert h_from_interior(build_pdc(w), w) == transfer_at_x1(w), w
 
 
 def test_interior_formula_matches_f_to_h_transform():
-    """h(C, b+1) from interior faces equals the h-polynomial at x = b+1."""
+    """h(C, b+1), summed over the interior faces listed from the search,
+    equals the h-polynomial at x = b+1."""
     x = MultiPolynomial.variable("x", ("x",))
     for window in all_windows(4):
         w = Permutation(window)
-        C = build_pdc(w)
-        assert h_from_interior(C, w).substitute({"b": x - 1}, ("x",)) == h_polynomial(C, w)
+        interior = MultiPolynomial(("x",), (((codim,), 1) for _face, codim in interior_faces(w)))
+        assert interior.substitute({"x": x - 1}, ("x",)) == h_polynomial(build_pdc(w), w)
 
 
 def test_boundary_and_interior_partition_faces():
@@ -354,3 +362,13 @@ def test_json_shape():
     data = build_pdc(W1432).to_jsonable()
     assert len(data["vertices"]) == 6
     assert all(isinstance(f, list) for f in data["facets"])
+
+
+@pytest.mark.parametrize("facet,index", [([0, -1], -1), ([0, 0], 0), ([0, 3], 3)])
+def test_json_facet_index_must_name_one_vertex_once(facet, index):
+    """A facet read from JSON is refused, with the index named, when an
+    index is negative (-1 would read the last vertex), repeated (the facet
+    would shrink) or past the end (a bare IndexError)."""
+    data = {"vertices": ["a", "b", "c"], "facets": [facet]}
+    with pytest.raises(ValueError, match=f"facet index {index} "):
+        SimplicialComplex.from_jsonable(data)

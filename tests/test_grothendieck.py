@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from oracles import (
     beta_grothendieck_per_dream,
     double_beta_grothendieck_per_dream,
+    h_from_interior,
     shifted_groth_beta,
     xy_beta_vars,
 )
 from pipedreams import grothendieck
 from pipedreams.complexes import build_pdc, h_polynomial
-from pipedreams.dreams import enumerate_pipe_dreams
 from pipedreams.grothendieck import (
     QT_VARS,
     beta_grothendieck,
@@ -167,11 +167,19 @@ def test_beta_grothendieck_matches_pipe_dreams_on_all_of_rank(n):
         assert beta_grothendieck(w) == beta_grothendieck_per_dream(w)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_pipe_dream_side_matches_per_dream_sum_on_all_of_rank(n):
+    """The transfer equals the row count over the listing of Pipes(w)."""
     for window in all_windows(n):
         w = Permutation(window)
-        assert pipe_dream_beta_grothendieck(w, enumerate_pipe_dreams(w)) == beta_grothendieck_per_dream(w)
+        assert pipe_dream_beta_grothendieck(w) == beta_grothendieck_per_dream(w)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_pipe_dream_side_matches_per_dream_sum_on_catalan(n):
+    """On 1 n ... 2 past the ranks checked whole."""
+    w = catalan_permutation(n)
+    assert pipe_dream_beta_grothendieck(w) == beta_grothendieck_per_dream(w)
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
@@ -237,8 +245,6 @@ def test_groth_beta_examples():
 
 
 def test_groth_beta_matches_interior_h():
-    from pipedreams.complexes import h_from_interior
-
     for n in (3, 4, 5):
         w = catalan_permutation(n)
         assert groth_beta(w) == h_from_interior(build_pdc(w), w)

@@ -228,3 +228,17 @@ def test_json_round_trip():
 
     rf = reduced_form(EdgeMonomial(4, path_edges(4)), LexFirst())
     assert ReducedForm.from_jsonable(rf.to_jsonable()) == rf
+
+
+def test_reduced_form_json_with_like_terms_unmerged_is_refused():
+    """Two monomials with the same edges and power of b would print as
+    x13*x14 + 2*x13*x14; reading them from JSON is refused, whatever order
+    each lists its edges in."""
+    from pipedreams.subdivision import ReducedForm
+
+    data = {"n": 4, "monomials": [{"edges": [[1, 3], [1, 4]], "beta": 0, "coeff": 1},
+                                  {"edges": [[1, 4], [1, 3]], "beta": 0, "coeff": 2}]}
+    with pytest.raises(ValueError, match=r"edges \[\(1, 3\), \(1, 4\)\] with b\^0 are listed twice"):
+        ReducedForm.from_jsonable(data)
+    data["monomials"][1]["beta"] = 1
+    assert len(ReducedForm.from_jsonable(data).monomials) == 2

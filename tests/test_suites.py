@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pipedreams
-from oracles import shifted_groth_beta
+from oracles import beta_grothendieck_per_dream, shifted_groth_beta
 from pipedreams import complexes, dreams, grothendieck, polytopes, suites
 from pipedreams.complexes import build_pdc
 from pipedreams.dreams import enumerate_pipe_dreams
@@ -143,8 +143,10 @@ def test_permutation_checks_report_the_first_failure(monkeypatch):
                            ("3142",), lambda p: p - 7)
     for module in (grothendieck, suites):
         monkeypatch.setattr(module, "beta_grothendieck", corrupted)
-    monkeypatch.setattr(suites, "h_from_interior",
-                        corrupt_at(suites.h_from_interior, ("1432",), lambda p: p + 1))
+    # interior-h alone reads the pipe dream side at x = 1 with b -> x - 1
+    interior = suites._Sides.interior.func
+    monkeypatch.setattr(suites._Sides, "interior", property(
+        lambda s: interior(s) + 1 if str(s.w) == "1432" else interior(s)))
     results = [r.to_jsonable() for r in suite("all", 4, None, 0) if r.name.endswith(":S4")]
     assert results == CORRUPTED_S4
 
@@ -172,38 +174,41 @@ def test_pipe_dream_formula_fails_when_either_side_is_corrupted(side, monkeypatc
 
 
 def test_permutation_checks_search_once_per_permutation(monkeypatch):
-    """The complex and the pipe dream side of pipe-dream-formula are built
-    from one listing of Pipes(w): one search per permutation of S_4."""
+    """The complex is built from one search per permutation of S_4, and
+    the pipe dream side from none."""
     calls = []
 
     def counted(w):
         calls.append(w)
         return enumerate_pipe_dreams(w)
 
-    for module in (complexes, dreams, grothendieck, suites):
+    for module in (complexes, dreams, grothendieck):
         monkeypatch.setattr(module, "enumerate_pipe_dreams", counted)
     results = suites.check_permutations(4, suites.PERMUTATION_CHECKS)
     assert all(r.ok for r in results)
     assert len(calls) == 24
 
 
-def test_pipe_dream_formula_reads_the_nonreduced_dreams_of_the_listing(monkeypatch):
-    """A nonreduced dream of 1432 dropped from the one listing breaks the
-    pipe dream side, and only it: the complex needs only the reduced
-    dreams, so groth-h still passes."""
-    w = parse_permutation("1432")
-    dropped = enumerate_pipe_dreams(w)[-1]
-    assert dropped.size > w.length()
+def test_pipe_dream_side_lists_no_pipe_dream(monkeypatch):
+    """interior-h and pipe-dream-formula read the transfer, which runs no
+    pipe dream search: with the search refused once the complex and its
+    flip count are built, both pass on all of S_4, and the transfer equals
+    the row count over the listing of Pipes(w)."""
+    sides = [suites._Sides(Permutation(window)) for window in all_windows(4)]
+    expected = [beta_grothendieck_per_dream(s.w) for s in sides]
+    for s in sides:
+        s.h
 
-    def listing(u):
-        return [P for P in enumerate_pipe_dreams(u) if P != dropped]
+    def refused(w):
+        raise AssertionError("the pipe dream side ran the search")
 
-    monkeypatch.setattr(suites, "enumerate_pipe_dreams", listing)
-    results = {r.name: r for r in suites.check_permutations(4, suites.PERMUTATION_CHECKS)}
-    formula = results["pipe-dream-formula:S4"]
-    assert not formula.ok and formula.details["w"] == "1432" and formula.details["diff"]["mismatched_terms"]
-    assert results["groth-h:S4"].ok
-    assert results["interior-h:S4"].ok and results["nonneg:S4"].ok
+    for module in (complexes, dreams, grothendieck):
+        monkeypatch.setattr(module, "enumerate_pipe_dreams", refused)
+    checks = dict(suites.PERMUTATION_CHECKS)
+    for s, pipe in zip(sides, expected):
+        assert checks["interior-h"](s) is None, s.w
+        assert checks["pipe-dream-formula"](s) is None, s.w
+        assert s.pipe == pipe, s.w
 
 
 def all_of_s1_to_s5():
@@ -211,9 +216,8 @@ def all_of_s1_to_s5():
 
 
 def test_sides_complex_is_build_pdc():
-    """The complex _Sides builds from its one listing is the complex
-    build_pdc finds by its own search, on all of S_1..S_5 and on 1 n...2
-    for n <= 7."""
+    """The complex _Sides reads is the complex build_pdc finds, on all of
+    S_1..S_5 and on 1 n...2 for n <= 7."""
     for w in all_of_s1_to_s5() + [catalan_permutation(n) for n in range(3, 8)]:
         assert suites._Sides(w).pdc == build_pdc(w), w
 
