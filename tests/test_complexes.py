@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     boundary_faces,
     demazure_bruteforce,
@@ -17,6 +18,7 @@ from oracles import (
     interior_faces_by_closure,
     word_contains_bruteforce,
 )
+from pipedreams import complexes, dreams
 from pipedreams.complexes import (
     SimplicialComplex,
     build_pdc,
@@ -234,6 +236,20 @@ def test_cross_count_is_length_plus_codim():
 
 def test_h_from_interior_1432():
     C = build_pdc(W1432)
+    b = MultiPolynomial.variable("b", ("b",))
+    assert h_from_interior(C, W1432) == b**2 + 5 * b + 5
+
+
+def test_h_from_interior_scans_the_closure_not_the_search(monkeypatch):
+    """The walk oracle runs no pipe dream search, so it stays independent
+    of the interior faces listed from the search."""
+    C = build_pdc(W1432)
+
+    def refused(w):
+        raise AssertionError("h_from_interior ran the pipe dream search")
+
+    for module in (complexes, dreams, oracles):
+        monkeypatch.setattr(module, "enumerate_pipe_dreams", refused)
     b = MultiPolynomial.variable("b", ("b",))
     assert h_from_interior(C, W1432) == b**2 + 5 * b + 5
 

@@ -211,6 +211,34 @@ def test_pipe_dream_side_lists_no_pipe_dream(monkeypatch):
         assert s.pipe == pipe, s.w
 
 
+def test_pipe_dream_formula_reads_the_nonreduced_dreams_of_the_listing(monkeypatch):
+    """The pipe dream side counts every dream of the listing of Pipes(w),
+    the nonreduced ones too: with one nonreduced dream of 1432 taken out
+    of the transfer, pipe-dream-formula fails at 1432, and so does
+    interior-h, which reads the same side; the complex needs only the
+    reduced dreams, so groth-h still passes."""
+    w = parse_permutation("1432")
+    dropped = enumerate_pipe_dreams(w)[-1]
+    assert dropped.size > w.length()
+    exps = [0] * w.n
+    for r, _ in dropped.crosses:
+        exps[r - 1] += 1
+    exps[-1] = dropped.size - w.length()
+    assert suites._Sides(w).pipe == beta_grothendieck_per_dream(w)
+    transfer = suites.pipe_dream_beta_grothendieck
+
+    def without_dropped(u):
+        G = transfer(u)
+        return G - MultiPolynomial(G.vars, [(tuple(exps), 1)]) if u == w else G
+
+    monkeypatch.setattr(suites, "pipe_dream_beta_grothendieck", without_dropped)
+    results = {r.name: r for r in suites.check_permutations(4, suites.PERMUTATION_CHECKS)}
+    formula = results["pipe-dream-formula:S4"]
+    assert not formula.ok and formula.details["w"] == "1432" and formula.details["diff"]["mismatched_terms"]
+    assert not results["interior-h:S4"].ok and results["interior-h:S4"].details["w"] == "1432"
+    assert results["groth-h:S4"].ok and results["nonneg:S4"].ok
+
+
 def all_of_s1_to_s5():
     return [Permutation(window) for n in range(1, 6) for window in all_windows(n)]
 
