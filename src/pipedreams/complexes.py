@@ -81,6 +81,9 @@ class SimplicialComplex:
     @classmethod
     def from_jsonable(cls, data) -> "SimplicialComplex":
         vertices = [tuple(v) if isinstance(v, list) else v for v in data["vertices"]]
+        for k, v in enumerate(vertices):
+            if v in vertices[:k]:
+                raise ValueError(f"vertex {data['vertices'][k]!r} is listed twice")
         for facet in data["facets"]:
             for k, i in enumerate(facet):
                 if type(i) is not int or not 0 <= i < len(vertices):

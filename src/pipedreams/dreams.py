@@ -8,6 +8,9 @@ letters in reading order gives the triangular word
 
 A pipe dream is a set of crossed boxes; its permutation is the Demazure
 product of the letters at the crosses, taken in reading order.
+`staircase_transfer` is the one walk over the staircase towards a
+permutation w: it counts the cross sets that fold to w under a key the
+caller chooses, so one kernel lists Pipes(w) and counts its crosses by row.
 """
 
 from __future__ import annotations
@@ -15,14 +18,14 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
 from .perms import Permutation, Window, bruhat_leq, demazure_fold, identity_window
 
 Box = tuple[int, int]
 
-# Pruned DFS over the staircase is fast at desk scale but still exponential
-# in principle; refuse ranks past the limit.  `cli.main` sets it from
+# A listing of Pipes(w) is fast at desk scale but still exponential in
+# principle; refuse ranks past the limit.  `cli.main` sets it from
 # `--limit-n`; a library caller sets it with `LIMIT_N.set(n)`.
 DEFAULT_LIMIT_N = 9
 LIMIT_N: ContextVar[int] = ContextVar("LIMIT_N", default=DEFAULT_LIMIT_N)
@@ -105,38 +108,52 @@ class PipeDream:
         return cls(data["n"], tuple((r, c) for r, c in data["crosses"]))
 
 
-def search_prune(w: Permutation) -> Callable[[Window, int], bool]:
-    """The memoized prune of every staircase walk towards w: whether a
-    running Demazure product u, with the letters from reading position i
-    still to come, can end at w.  The final product always dominates u, so
-    u must stay below w; and it is dominated by the product of u with all
-    remaining letters, which must stay above w."""
+def staircase_transfer(w: Permutation, steps: Sequence[int]) -> dict[int, int]:
+    """The one walk over the staircase towards w: a transfer in reading
+    order over running Demazure products (the Fomin-Kirillov product in
+    the 0-Hecke algebra).  Each state u maps the key of every cross set
+    read so far that folds to u to the number of such sets: an elbow keeps
+    u and the key, a cross at reading position i folds in its letter and
+    adds steps[i] to the key.  Returns the keys that end at w.
+
+    A state is cut unless it can still end at w: the final product
+    dominates u, so u <= w, and it is dominated by the fold of u with every
+    letter still to come, so w <= that fold.  The first test is memoized
+    per u; the second runs once per state.
+
+    With every step 1, a key is a number of crosses:
+
+    >>> sorted(staircase_transfer(Permutation((1, 4, 3, 2)), [1] * 6).items())
+    [(3, 5), (4, 5), (5, 1)]
+    """
     target = w.window
     letters = triangular_word(w.n)
     below: dict[Window, bool] = {}
-    reach: dict[tuple[Window, int], bool] = {}
-
-    def viable(u: Window, i: int) -> bool:
-        v = below.get(u)
-        if v is None:
-            v = below[u] = bruhat_leq(u, target)
-        if not v:
-            return False
-        key = (u, i)
-        v = reach.get(key)
-        if v is None:
-            v = reach[key] = bruhat_leq(target, demazure_fold(u, letters[i:]))
-        return v
-
-    return viable
+    states = {identity_window(w.n): {0: 1}}
+    for i, (a, step) in enumerate(zip(letters, steps)):
+        nxt: dict[Window, dict[int, int]] = {}
+        for u, keys in states.items():
+            ok = below.get(u)
+            if ok is None:
+                ok = below[u] = bruhat_leq(u, target)
+            if not ok or not bruhat_leq(target, demazure_fold(u, letters[i:])):
+                continue
+            crossed = {k + step: c for k, c in keys.items()}
+            # the elbow passes u's dict on uncopied: nothing merges into it
+            # before u's own step is done
+            for v, t in ((u, keys), (demazure_fold(u, (a,)), crossed)):
+                got = nxt.setdefault(v, t)
+                if got is not t:
+                    for k, c in t.items():
+                        got[k] = got.get(k, 0) + c
+        states = nxt
+    return states.get(target, {})
 
 
 def enumerate_pipe_dreams(w: Permutation) -> list[PipeDream]:
     """Every cross set whose Demazure product is w, reduced and nonreduced,
-    sorted by (size, cross list).
-
-    Depth-first search in reading order over the staircase, carrying the
-    running Demazure product u and cut by `search_prune`.
+    sorted by (size, cross list): the keys of `staircase_transfer` with
+    step 2^i at reading position i, so that bit i of a key is box i.
 
     >>> [p.size for p in enumerate_pipe_dreams(Permutation((1, 4, 3, 2)))]
     [3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 5]
@@ -148,30 +165,9 @@ def enumerate_pipe_dreams(w: Permutation) -> list[PipeDream]:
             f"rank {n} exceeds search limit {limit}; raise --limit-n to override"
         )
     boxes = staircase_boxes(n)
-    letters = triangular_word(n)
-    m = len(boxes)
-    target = w.window
-    # one-letter words for the cross step, built once rather than per node
-    steps = [(a,) for a in letters]
-    viable = search_prune(w)
-
-    found: list[tuple[Box, ...]] = []
-    chosen: list[Box] = []
-
-    def dfs(i: int, u: Window) -> None:
-        if not viable(u, i):
-            return
-        if i == m:
-            if u == target:
-                found.append(tuple(chosen))
-            return
-        dfs(i + 1, u)
-        chosen.append(boxes[i])
-        dfs(i + 1, demazure_fold(u, steps[i]))
-        chosen.pop()
-
-    dfs(0, identity_window(n))
-    dreams = [PipeDream(n, crosses) for crosses in found]
+    keys = staircase_transfer(w, [1 << i for i in range(len(boxes))])
+    dreams = [PipeDream(n, tuple(b for i, b in enumerate(boxes) if key >> i & 1))
+              for key in keys]
     dreams.sort(key=lambda p: (p.size, p.crosses))
     return dreams
 

@@ -7,9 +7,8 @@ of P, codim(P) being the number of crosses beyond l(w): the pipe dream
 formula at beta = -1 (Fomin-Kirillov 1994; Knutson-Miller 2005).
 `groth_beta` counts Pipes(w) by codimension, and `specialize_qt` sets every
 x to q and every y to t in the b-graded sum through that count.  The pipe
-dream formula's side of the single polynomial is a transfer over the
-staircase that tracks each running Demazure product and lists no pipe
-dream.
+dream formula's side of the single polynomial reads the staircase transfer
+of `dreams` with one key per x-monomial, and lists no pipe dream.
 
 The single polynomial G^b_w comes from the algebraic definition, with no
 pipe dream: G^b_w0 = x1^(n-1) x2^(n-2) ... x(n-1), and whenever
@@ -20,8 +19,8 @@ Fomin-Kirillov 1994).  At b = -1 it equals the double polynomial at y = 0.
 
 from __future__ import annotations
 
-from .dreams import enumerate_pipe_dreams, search_prune, staircase_boxes, triangular_word
-from .perms import Permutation, Window, demazure_fold, identity_window
+from .dreams import enumerate_pipe_dreams, staircase_boxes, staircase_transfer
+from .perms import Permutation
 from .poly import MultiPolynomial, _merge, _unchecked
 
 QT_VARS = ("q", "t", "b")
@@ -30,36 +29,19 @@ QT_VARS = ("q", "t", "b")
 def pipe_dream_beta_grothendieck(w: Permutation) -> MultiPolynomial:
     """Sum over Pipes(w) of b^codim times x_r to the number of crosses in
     row r, over the variables of beta_grothendieck(w): the pipe dream
-    formula's side of G^b_w (Fomin-Kirillov 1994), by a transfer over the
-    staircase in reading order that lists no pipe dream.  Each running
-    Demazure product u, kept while `search_prune` allows it, maps to the
-    x-monomials of the cross sets read so far that fold to u: an elbow
-    keeps u, a cross folds in its letter and multiplies by x_r.  A monomial
-    is one integer, the exponent of x_r its base-n digit r - 1 (row r has
-    n - r < n boxes), and codim is its degree less l(w).
+    formula's side of G^b_w (Fomin-Kirillov 1994), read from
+    `staircase_transfer` with no pipe dream listed.  A key is an
+    x-monomial, the exponent of x_r its base-n digit r - 1 (row r has
+    n - r < n boxes), so a cross in row r adds n^(r - 1); codim is the
+    monomial's degree less l(w).
 
     >>> print(pipe_dream_beta_grothendieck(Permutation((1, 3, 2))))
     x1*x2*b + x1 + x2
     """
     n, l = w.n, w.length()
-    viable = search_prune(w)
-    states = {identity_window(n): {0: 1}}
-    for i, ((r, _c), a) in enumerate(zip(staircase_boxes(n), triangular_word(n))):
-        step = n ** (r - 1)
-        nxt: dict[Window, dict[int, int]] = {}
-        for u, terms in states.items():
-            if not viable(u, i):
-                continue
-            crossed = {e + step: c for e, c in terms.items()}
-            # the elbow passes u's dict on uncopied: nothing merges into it
-            # before u's own step is done
-            for v, t in ((u, terms), (demazure_fold(u, (a,)), crossed)):
-                got = nxt.setdefault(v, t)
-                if got is not t:
-                    _merge(t.items(), got)
-        states = nxt
+    monomials = staircase_transfer(w, [n ** (r - 1) for r, _c in staircase_boxes(n)])
     out = {}
-    for e, c in states.get(w.window, {}).items():
+    for e, c in monomials.items():
         x = [e // n ** k % n for k in range(n - 1)]
         out[(*x, sum(x) - l)] = c
     return _unchecked(tuple([f"x{i}" for i in range(1, n)] + ["b"]), out)

@@ -265,10 +265,24 @@ class MultiPolynomial:
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "MultiPolynomial":
-        return cls(
-            tuple(data["vars"]),
-            {tuple(t["exp"]): int(t["coef"]) for t in data["terms"]},
-        )
+        """Refuses a variable listed twice, an exponent that is not an
+        integer, and two terms with one exponent vector: a polynomial holds
+        like terms merged."""
+        vars = tuple(data["vars"])
+        for k, v in enumerate(vars):
+            if v in vars[:k]:
+                raise ValueError(f"variable {v!r} is listed twice in {list(vars)}")
+        terms: dict[tuple[int, ...], int] = {}
+        for t in data["terms"]:
+            exps = tuple(t["exp"])
+            for e in exps:
+                if type(e) is not int:
+                    raise ValueError(f"exponent {e!r} in {list(exps)} is not an integer")
+            if exps in terms:
+                raise ValueError(f"exponent vector {list(exps)} is listed twice; "
+                                 "a polynomial holds like terms merged")
+            terms[exps] = int(t["coef"])
+        return cls(vars, terms)
 
 
 def _merge(pairs: Iterable[tuple[Hashable, int]], into: dict | None = None) -> dict:

@@ -14,7 +14,7 @@ from math import factorial
 from operator import mul
 from typing import Callable
 
-from .complexes import SimplicialComplex, build_pdc, h_polynomial
+from .complexes import build_pdc, h_polynomial
 from .dreams import reduced_pipe_dreams
 from .grothendieck import beta_grothendieck, groth_beta, pipe_dream_beta_grothendieck
 from .linalg import clear_denominators
@@ -66,10 +66,11 @@ from .subdivision import (
 class _Sides:
     """What the identities read about one permutation w, each built on its
     first read and kept: G^b_w from divided differences and its x = 1
-    specialization with b -> b - 1 in one substitution; the pipe dream
-    complex from one search and its h-polynomial counted by flips; and the
-    pipe dream side of G^b_w from the transfer, which lists no pipe dream,
-    with its x = 1 specialization with b -> x - 1 in one substitution."""
+    specialization with b -> b - 1 in one substitution; the h-polynomial of
+    the pipe dream complex, counted by flips of its facets, which the
+    staircase transfer lists; and the pipe dream side of G^b_w, the same
+    transfer keyed by x-monomials, which lists no pipe dream, with its
+    x = 1 specialization with b -> x - 1 in one substitution."""
 
     def __init__(self, w: Permutation):
         self.w = w
@@ -84,12 +85,8 @@ class _Sides:
         return self.G.substitute({**dict.fromkeys(self.G.vars[:-1], 1), "b": b - 1}, ("b",))
 
     @cached_property
-    def pdc(self) -> SimplicialComplex:
-        return build_pdc(self.w)
-
-    @cached_property
     def h(self) -> MultiPolynomial:
-        return h_polynomial(self.pdc, self.w)
+        return h_polynomial(build_pdc(self.w), self.w)
 
     @cached_property
     def pipe(self) -> MultiPolynomial:
@@ -113,10 +110,12 @@ def _interior_h(s: _Sides) -> dict | None:
     count.  The interior faces of the complex of w are Pipes(w)
     (Knutson-Miller 2004), so the pipe dream side at x = 1 is the sum of
     b^codim over them, h(C, b + 1); with b -> x - 1 it must equal the flip
-    count.  That side comes from the transfer and never reads the search,
-    so the check fails only if the transfer, the flips or the shift is
-    wrong; pipe-dream-formula checks the same transfer against divided
-    differences."""
+    count.  Both sides come from one kernel, `dreams.staircase_transfer`,
+    under different keys: the facets that the flips count are the reduced
+    cross sets it lists, and the pipe dream side is its sum of
+    x-monomials.  So the check fails only if the transfer, the flips or
+    the shift is wrong; pipe-dream-formula and groth-h each compare that
+    kernel with divided differences."""
     return None if s.interior == s.h else {"diff": poly_diff(s.interior, s.h)}
 
 

@@ -16,13 +16,15 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from pipedreams.complexes import SimplicialComplex
-from pipedreams.dreams import Box, PipeDream, enumerate_pipe_dreams, staircase_boxes, staircase_product
+from pipedreams.dreams import Box, PipeDream, staircase_boxes, staircase_product, triangular_word
 from pipedreams.linalg import inverse, solve_unique
 from pipedreams.perms import (
     Permutation,
     Window,
     Word,
+    bruhat_leq,
     catalan_permutation,
+    demazure_fold,
     identity_window,
     inversions,
 )
@@ -79,8 +81,37 @@ def demazure_bruteforce(letters: Word, n: int) -> Window:
     raise AssertionError("the empty subword is always reduced")
 
 
+def enumerate_pipe_dreams_dfs(w: Permutation) -> list[PipeDream]:
+    """Oracle for `dreams.enumerate_pipe_dreams`: a depth-first search over
+    the staircase in reading order, carrying the running Demazure product
+    u of the crosses chosen so far, sorted by (size, cross list).  A branch
+    is cut unless u <= w and w <= the fold of u with every letter still to
+    come; past the last box the two leave u = w."""
+    n = w.n
+    boxes = staircase_boxes(n)
+    letters = triangular_word(n)
+    target = w.window
+    found: list[PipeDream] = []
+    chosen: list[Box] = []
+
+    def dfs(i: int, u: Window) -> None:
+        if not (bruhat_leq(u, target) and bruhat_leq(target, demazure_fold(u, letters[i:]))):
+            return
+        if i == len(boxes):
+            found.append(PipeDream(n, tuple(chosen)))
+            return
+        dfs(i + 1, u)
+        chosen.append(boxes[i])
+        dfs(i + 1, demazure_fold(u, (letters[i],)))
+        chosen.pop()
+
+    dfs(0, identity_window(n))
+    found.sort(key=lambda p: (p.size, p.crosses))
+    return found
+
+
 def enumerate_pipe_dreams_bruteforce(w: Permutation) -> list[PipeDream]:
-    """Oracle for the pruned search: try all 2^boxes subsets.  Tiny n only."""
+    """Oracle for the listing of Pipes(w): try all 2^boxes subsets.  Tiny n only."""
     boxes = staircase_boxes(w.n)
     out = []
     for mask in range(1 << len(boxes)):
@@ -115,12 +146,13 @@ def pipe_dream_weight(P: PipeDream) -> MultiPolynomial:
 def double_beta_grothendieck_per_dream(w: Permutation) -> MultiPolynomial:
     """The b-graded double polynomial, sum over Pipes(w) of b^codim times
     the product of (x_r - y_c) over the crosses: expand each pipe dream's
-    product on its own and add it with b^codim.  At b = -1 it is the
-    reference for `grothendieck.double_grothendieck`."""
+    product, over the depth-first listing, on its own and add it with
+    b^codim.  At b = -1 it is the reference for
+    `grothendieck.double_grothendieck`."""
     l = w.length()
     return MultiPolynomial(xy_beta_vars(w.n), (
         (exps[:-1] + (P.size - l,), c)
-        for P in enumerate_pipe_dreams(w)
+        for P in enumerate_pipe_dreams_dfs(w)
         for exps, c in pipe_dream_weight(P).terms.items()
     ))
 
@@ -128,13 +160,13 @@ def double_beta_grothendieck_per_dream(w: Permutation) -> MultiPolynomial:
 def beta_grothendieck_per_dream(w: Permutation) -> MultiPolynomial:
     """Oracle for `grothendieck.beta_grothendieck` and for the transfer
     `grothendieck.pipe_dream_beta_grothendieck`: a row count over the
-    listing of Pipes(w), the sum over the pipe dreams P of w of
+    listing of Pipes(w) by the depth-first search, the sum over the pipe dreams P of w of
     b^codim(P) times the product of x_r over the crosses (r, c) of P,
     over (x1, ..., x(n-1), b)."""
     n, l = w.n, w.length()
     vars = tuple([f"x{i}" for i in range(1, n)] + ["b"])
     terms = []
-    for P in enumerate_pipe_dreams(w):
+    for P in enumerate_pipe_dreams_dfs(w):
         exps = [0] * n
         for r, _ in P.crosses:
             exps[r - 1] += 1

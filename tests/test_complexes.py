@@ -245,11 +245,12 @@ def test_h_from_interior_scans_the_closure_not_the_search(monkeypatch):
     of the interior faces listed from the search."""
     C = build_pdc(W1432)
 
-    def refused(w):
+    def refused(*args):
         raise AssertionError("h_from_interior ran the pipe dream search")
 
-    for module in (complexes, dreams, oracles):
-        monkeypatch.setattr(module, "enumerate_pipe_dreams", refused)
+    for module, name in ((complexes, "enumerate_pipe_dreams"), (dreams, "enumerate_pipe_dreams"),
+                         (dreams, "staircase_transfer"), (oracles, "enumerate_pipe_dreams_dfs")):
+        monkeypatch.setattr(module, name, refused)
     b = MultiPolynomial.variable("b", ("b",))
     assert h_from_interior(C, W1432) == b**2 + 5 * b + 5
 
@@ -387,4 +388,11 @@ def test_json_facet_index_must_name_one_vertex_once(facet, index):
     would shrink) or past the end (a bare IndexError)."""
     data = {"vertices": ["a", "b", "c"], "facets": [facet]}
     with pytest.raises(ValueError, match=f"facet index {index} "):
+        SimplicialComplex.from_jsonable(data)
+
+
+def test_json_vertex_listed_twice_is_refused():
+    """Two facets on one vertex listed twice would collapse into one."""
+    data = {"vertices": [[1, 1], [1, 1]], "facets": [[0], [1]]}
+    with pytest.raises(ValueError, match=r"vertex \[1, 1\] is listed twice"):
         SimplicialComplex.from_jsonable(data)

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from oracles import enumerate_pipe_dreams_bruteforce, pipe_dream_weight, xy_beta_vars
+from oracles import (
+    enumerate_pipe_dreams_bruteforce,
+    enumerate_pipe_dreams_dfs,
+    pipe_dream_weight,
+    xy_beta_vars,
+)
 from pipedreams.dreams import (
     LIMIT_N,
     EnumerationLimitError,
@@ -80,6 +85,21 @@ def test_enumeration_matches_bruteforce_exhaustively():
         for window in all_windows(n):
             w = Permutation(window)
             assert enumerate_pipe_dreams(w) == enumerate_pipe_dreams_bruteforce(w)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_listing_matches_the_depth_first_search_on_all_of_rank(n):
+    """The transfer's listing equals the depth-first search, the oracle
+    that walks the staircase one cross set at a time."""
+    for window in all_windows(n):
+        w = Permutation(window)
+        assert enumerate_pipe_dreams(w) == enumerate_pipe_dreams_dfs(w), w
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_listing_matches_the_depth_first_search_on_catalan(n):
+    w = catalan_permutation(n)
+    assert enumerate_pipe_dreams(w) == enumerate_pipe_dreams_dfs(w)
 
 
 def test_identity_has_single_empty_dream():

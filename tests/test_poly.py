@@ -102,6 +102,23 @@ def test_json_round_trip():
     assert MultiPolynomial.from_jsonable(data) == p
 
 
+@pytest.mark.parametrize("data,named", [
+    ({"vars": ["b"], "terms": [{"exp": [1], "coef": "1"}, {"exp": [1], "coef": "2"}]},
+     r"exponent vector \[1\] is listed twice"),
+    ({"vars": ["b", "b"], "terms": [{"exp": [1, 0], "coef": "1"}, {"exp": [0, 1], "coef": "1"}]},
+     "variable 'b' is listed twice"),
+    ({"vars": ["b"], "terms": [{"exp": [1.5], "coef": "1"}]},
+     "exponent 1.5 in"),
+], ids=["like-terms-unmerged", "variable-twice", "fractional-exponent"])
+def test_json_refuses_what_no_polynomial_writes(data, named):
+    """A polynomial read from JSON is refused, with the fault named, when
+    two terms share an exponent vector (b + 2b would read as 2*b), a
+    variable is listed twice (b + b, unequal to 2*b) or an exponent is not
+    an integer (b^1.5)."""
+    with pytest.raises(ValueError, match=named):
+        MultiPolynomial.from_jsonable(data)
+
+
 def test_poly_diff_reports_mismatches():
     x, y = var("x"), var("y")
     d = poly_diff(x + y, x - y)

@@ -14,10 +14,9 @@ import pytest
 import pipedreams
 from oracles import beta_grothendieck_per_dream, shifted_groth_beta
 from pipedreams import complexes, dreams, grothendieck, polytopes, suites
-from pipedreams.complexes import build_pdc
 from pipedreams.dreams import enumerate_pipe_dreams
 from pipedreams.grothendieck import groth_beta
-from pipedreams.perms import Permutation, all_windows, catalan_permutation, parse_permutation
+from pipedreams.perms import Permutation, all_windows, parse_permutation
 from pipedreams.poly import MultiPolynomial
 from pipedreams.polytopes import random_acyclic_graph
 from pipedreams.suites import (
@@ -241,13 +240,6 @@ def test_pipe_dream_formula_reads_the_nonreduced_dreams_of_the_listing(monkeypat
 
 def all_of_s1_to_s5():
     return [Permutation(window) for n in range(1, 6) for window in all_windows(n)]
-
-
-def test_sides_complex_is_build_pdc():
-    """The complex _Sides reads is the complex build_pdc finds, on all of
-    S_1..S_5 and on 1 n...2 for n <= 7."""
-    for w in all_of_s1_to_s5() + [catalan_permutation(n) for n in range(3, 8)]:
-        assert suites._Sides(w).pdc == build_pdc(w), w
 
 
 def test_sides_shift_substitutes_once(monkeypatch):
