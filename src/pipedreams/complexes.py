@@ -90,7 +90,11 @@ class SimplicialComplex:
                     raise ValueError(f"facet index {i!r} is not one of the {len(vertices)} vertex indices")
                 if i in facet[:k]:
                     raise ValueError(f"facet index {i} is repeated in the facet {facet}")
-        return cls([(vertices[i] for i in facet) for facet in data["facets"]])
+        C = cls([(vertices[i] for i in facet) for facet in data["facets"]])
+        for v, named in zip(vertices, data["vertices"]):
+            if v not in C.vertices:
+                raise ValueError(f"vertex {named!r} is in no facet")
+        return C
 
     def __repr__(self):
         return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.facets)} facets)"

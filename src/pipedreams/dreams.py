@@ -105,7 +105,16 @@ class PipeDream:
 
     @classmethod
     def from_jsonable(cls, data) -> "PipeDream":
-        return cls(data["n"], tuple((r, c) for r, c in data["crosses"]))
+        """Refuses a rank that is not a nonnegative integer and a box
+        coordinate that is not an integer."""
+        n = data["n"]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"rank n = {n!r} is not a nonnegative integer")
+        for box in data["crosses"]:
+            for v in box:
+                if type(v) is not int:
+                    raise ValueError(f"box coordinate {v!r} in {box} is not an integer")
+        return cls(n, tuple((r, c) for r, c in data["crosses"]))
 
 
 def staircase_transfer(w: Permutation, steps: Sequence[int]) -> dict[int, int]:

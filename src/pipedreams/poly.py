@@ -8,6 +8,7 @@ immutable: every operation returns a new polynomial.
 
 from __future__ import annotations
 
+import re
 from operator import add, itemgetter
 from typing import Hashable, Iterable, Mapping, Union
 
@@ -149,22 +150,21 @@ class MultiPolynomial:
         must therefore appear in `target_vars`.  A variable that no term
         uses needs no image.
 
-        Variables are eliminated one at a time.  One pass handles every
-        image that is a single term, as an exponent shift and a coefficient
-        power.  Each other image (zero, or several terms) then gets a pass
-        of its own, over terms keyed by (exponents not yet eliminated,
-        target exponents), so terms that meet are merged before the next
-        pass.  The two parts stay apart, so an image naming a source
-        variable (b -> b - 1) is applied once.
+        Each used variable is eliminated by one pass, whatever its image: a
+        constant, itself when unmapped, or a polynomial.  Terms are keyed
+        by (source exponents not yet eliminated, target exponents); a pass
+        replaces the next source exponent e by the terms of image**e and
+        merges the terms that meet.  Source and target exponents stay
+        apart, so an image naming a source variable (b -> b - 1) is
+        applied once.
 
         >>> b = MultiPolynomial.variable("b", ("b",))
         >>> print((b**2 + 5*b + 5).substitute({"b": b - 1}, ("b",)))
         b^2 + 3*b + 1
         """
         target = tuple(target_vars)
-        shifts: list[tuple[int, tuple[tuple[int, int], ...], int]] = []
-        pending: list[int] = []
-        multis: list[MultiPolynomial] = []
+        used: list[int] = []
+        imgs: list[MultiPolynomial] = []
         for i, v in enumerate(self.vars):
             if not any(map(itemgetter(i), self.terms)):
                 continue
@@ -177,26 +177,8 @@ class MultiPolynomial:
                 img = MultiPolynomial.constant(img, target)
             elif img.vars != target:
                 raise ValueError(f"image of {v} is over {img.vars}, not {target}")
-            if len(img.terms) == 1:
-                [(exps, c)] = img.terms.items()
-                shifts.append((i, tuple((j, k) for j, k in enumerate(exps) if k), c))
-            else:
-                pending.append(i)
-                multis.append(img)
-
-        blank = [0] * len(target)
-
-        def shifted():
-            for exps, coef in self.terms.items():
-                t = blank[:]
-                for i, shift, c in shifts:
-                    e = exps[i]
-                    if e:
-                        for j, k in shift:
-                            t[j] += k * e
-                        if c != 1:
-                            coef *= c**e
-                yield (tuple([exps[i] for i in pending]), tuple(t)), coef
+            used.append(i)
+            imgs.append(img)
 
         def expanded(acc, img):
             powers: dict[int, list[tuple[tuple[int, ...], int]]] = {}
@@ -210,8 +192,9 @@ class MultiPolynomial:
                 for te, c in powers[e]:
                     yield (rest, tuple(map(add, t, te))), coef * c
 
-        acc = _merge(shifted())
-        for img in multis:
+        blank = (0,) * len(target)
+        acc = {(tuple([exps[i] for i in used]), blank): coef for exps, coef in self.terms.items()}
+        for img in imgs:
             acc = _merge(expanded(acc, img))
         return _unchecked(target, {t: c for (_, t), c in acc.items()})
 
@@ -266,6 +249,7 @@ class MultiPolynomial:
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "MultiPolynomial":
         """Refuses a variable listed twice, an exponent that is not an
+        integer, a coefficient that is not the decimal string of a nonzero
         integer, and two terms with one exponent vector: a polynomial holds
         like terms merged."""
         vars = tuple(data["vars"])
@@ -281,7 +265,10 @@ class MultiPolynomial:
             if exps in terms:
                 raise ValueError(f"exponent vector {list(exps)} is listed twice; "
                                  "a polynomial holds like terms merged")
-            terms[exps] = int(t["coef"])
+            coef = t["coef"]
+            if type(coef) is not str or not re.fullmatch(r"-?[1-9][0-9]*", coef):
+                raise ValueError(f"coefficient {coef!r} is not the decimal string of a nonzero integer")
+            terms[exps] = int(coef)
         return cls(vars, terms)
 
 

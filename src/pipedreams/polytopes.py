@@ -341,12 +341,24 @@ class Simplex:
 
     @classmethod
     def from_jsonable(cls, data) -> "Simplex":
+        """Refuses an empty vertex list, vertices of different lengths, a
+        vertex listed twice, a with-origin list without the origin, and a
+        with_origin that is not true or false."""
+        if type(data["with_origin"]) is not bool:
+            raise ValueError(f"with_origin {data['with_origin']!r} is not true or false")
         points = [tuple(Fraction(c) for c in p) for p in data["vertices"]]
         if not points:
             raise ValueError("a simplex needs vertices: the vertex list is empty")
         n = len(points[0])
+        for k, p in enumerate(points):
+            if len(p) != n:
+                raise ValueError(f"vertex {data['vertices'][k]} has {len(p)} coordinates, not {n}")
+            if p in points[:k]:
+                raise ValueError(f"vertex {data['vertices'][k]} is listed twice")
         if data["with_origin"]:
-            points = [p for p in points if any(p)]
+            if origin(n) not in points:
+                raise ValueError(f"the simplex has the origin, which {data['vertices']} does not list")
+            points.remove(origin(n))
         return cls(n, tuple(points), with_origin=data["with_origin"])
 
 

@@ -257,8 +257,16 @@ class ReducedForm:
 
     @classmethod
     def from_jsonable(cls, data) -> "ReducedForm":
-        """Refuses two monomials with the same edges and power of b: a
+        """Refuses a rank, edge end, power of b or coefficient that is not
+        an integer, and two monomials with the same edges and power of b: a
         reduced form holds like terms merged."""
+        fields = [("n", data["n"])]
+        for m in data["monomials"]:
+            fields += [("edge end", v) for e in m["edges"] for v in e]
+            fields += [("beta", m["beta"]), ("coeff", m["coeff"])]
+        for name, v in fields:
+            if type(v) is not int:
+                raise ValueError(f"{name} {v!r} is not an integer")
         monos = tuple(
             EdgeMonomial(data["n"], tuple((i, j) for i, j in m["edges"]), m["beta"], m["coeff"])
             for m in data["monomials"]

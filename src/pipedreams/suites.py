@@ -65,12 +65,13 @@ from .subdivision import (
 
 class _Sides:
     """What the identities read about one permutation w, each built on its
-    first read and kept: G^b_w from divided differences and its x = 1
-    specialization with b -> b - 1 in one substitution; the h-polynomial of
-    the pipe dream complex, counted by flips of its facets, which the
+    first read and kept: G^b_w from divided differences; the h-polynomial
+    of the pipe dream complex, counted by flips of its facets, which the
     staircase transfer lists; and the pipe dream side of G^b_w, the same
-    transfer keyed by x-monomials, which lists no pipe dream, with its
-    x = 1 specialization with b -> x - 1 in one substitution."""
+    transfer keyed by x-monomials, which lists no pipe dream.  Each side
+    of G^b_w is read at x = 1 by summing its coefficients per power of b,
+    then shifted by one substitution: b -> b - 1 for G^b_w, b -> x - 1
+    for the pipe dream side."""
 
     def __init__(self, w: Permutation):
         self.w = w
@@ -82,7 +83,7 @@ class _Sides:
     @cached_property
     def shifted(self) -> MultiPolynomial:
         b = MultiPolynomial.variable("b", ("b",))
-        return self.G.substitute({**dict.fromkeys(self.G.vars[:-1], 1), "b": b - 1}, ("b",))
+        return _at_x_one(self.G).substitute({"b": b - 1}, ("b",))
 
     @cached_property
     def h(self) -> MultiPolynomial:
@@ -95,7 +96,13 @@ class _Sides:
     @cached_property
     def interior(self) -> MultiPolynomial:
         x = MultiPolynomial.variable("x", ("x",))
-        return self.pipe.substitute({**dict.fromkeys(self.pipe.vars[:-1], 1), "b": x - 1}, ("x",))
+        return _at_x_one(self.pipe).substitute({"b": x - 1}, ("x",))
+
+
+def _at_x_one(p: MultiPolynomial) -> MultiPolynomial:
+    """p with every variable but the last, b, set to 1: the sum of its
+    coefficients at each power of b."""
+    return MultiPolynomial(("b",), (((e[-1],), c) for e, c in p.terms.items()))
 
 
 def _groth_h(s: _Sides) -> dict | None:

@@ -197,8 +197,8 @@ def h_from_interior(C: SimplicialComplex, w: Permutation) -> MultiPolynomial:
 def shifted_groth_beta(beta: MultiPolynomial) -> MultiPolynomial:
     """beta = groth_beta(w) with b -> b - 1 applied; equals the
     h-polynomial of the pipe dream complex of w in the variable b.  The
-    two-pass oracle for `suites._Sides.shifted`, which sets x = 1 and
-    shifts b in one substitution."""
+    two-pass oracle for `suites._Sides.shifted`, which sets x = 1 by
+    summing coefficients and shifts b in one substitution."""
     b = MultiPolynomial.variable("b", ("b",))
     return beta.substitute({"b": b - 1}, ("b",))
 

@@ -396,3 +396,11 @@ def test_json_vertex_listed_twice_is_refused():
     data = {"vertices": [[1, 1], [1, 1]], "facets": [[0], [1]]}
     with pytest.raises(ValueError, match=r"vertex \[1, 1\] is listed twice"):
         SimplicialComplex.from_jsonable(data)
+
+
+def test_json_vertex_in_no_facet_is_refused():
+    """A vertex that no facet uses would be dropped: the complex holds the
+    vertices of its facets only."""
+    data = {"vertices": [[1, 1], [1, 2]], "facets": [[0]]}
+    with pytest.raises(ValueError, match=r"vertex \[1, 2\] is in no facet"):
+        SimplicialComplex.from_jsonable(data)

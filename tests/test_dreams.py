@@ -166,3 +166,17 @@ def test_canonical_output_order():
 def test_json_round_trip():
     P = PipeDream(4, ((1, 3), (2, 1)))
     assert PipeDream.from_jsonable(P.to_jsonable()) == P
+
+
+@pytest.mark.parametrize("data,named", [
+    ({"n": 4.5, "crosses": [[1, 3]]}, "rank n = 4.5 is not"),
+    ({"n": 4, "crosses": [[1.0, 3]]}, r"box coordinate 1.0 in \[1.0, 3\] is not"),
+    ({"n": -3, "crosses": []}, "rank n = -3 is not"),
+], ids=["fractional-rank", "float-coordinate", "negative-rank"])
+def test_json_refuses_what_no_pipe_dream_writes(data, named):
+    """A pipe dream read from JSON is refused, with the fault named, when
+    its rank is not an integer, a coordinate is not an integer (1.0 would
+    print back as 1.0) or the rank is negative (its permutation would be
+    the empty one)."""
+    with pytest.raises(ValueError, match=named):
+        PipeDream.from_jsonable(data)

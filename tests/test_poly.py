@@ -109,12 +109,18 @@ def test_json_round_trip():
      "variable 'b' is listed twice"),
     ({"vars": ["b"], "terms": [{"exp": [1.5], "coef": "1"}]},
      "exponent 1.5 in"),
-], ids=["like-terms-unmerged", "variable-twice", "fractional-exponent"])
+    ({"vars": ["b"], "terms": [{"exp": [1], "coef": 2.7}]},
+     "coefficient 2.7 is not"),
+    ({"vars": ["b"], "terms": [{"exp": [1], "coef": "0"}]},
+     "coefficient '0' is not"),
+], ids=["like-terms-unmerged", "variable-twice", "fractional-exponent",
+        "fractional-coefficient", "zero-coefficient"])
 def test_json_refuses_what_no_polynomial_writes(data, named):
     """A polynomial read from JSON is refused, with the fault named, when
     two terms share an exponent vector (b + 2b would read as 2*b), a
-    variable is listed twice (b + b, unequal to 2*b) or an exponent is not
-    an integer (b^1.5)."""
+    variable is listed twice (b + b, unequal to 2*b), an exponent is not
+    an integer (b^1.5), or a coefficient is not the decimal string of a
+    nonzero integer (2.7 would read as 2, and "0" would be dropped)."""
     with pytest.raises(ValueError, match=named):
         MultiPolynomial.from_jsonable(data)
 

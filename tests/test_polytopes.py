@@ -310,3 +310,20 @@ def test_simplex_json():
 def test_simplex_json_with_no_vertices_is_refused(with_origin):
     with pytest.raises(ValueError, match="vertex list is empty"):
         Simplex.from_jsonable({"vertices": [], "with_origin": with_origin})
+
+
+@pytest.mark.parametrize("vertices,with_origin,named", [
+    ([["1", "-1"]], True, "the simplex has the origin, which"),
+    ([["0", "0"], ["1", "-1"], ["0", "0"]], True, r"vertex \['0', '0'\] is listed twice"),
+    ([["1", "-1"], ["1", "-1"]], False, r"vertex \['1', '-1'\] is listed twice"),
+    ([["1", "-1"], ["1", "0", "-1"]], False, "has 3 coordinates, not 2"),
+    ([["0", "0"], ["1", "-1"]], "yes", "with_origin 'yes' is not true or false"),
+], ids=["origin-missing", "origin-twice", "vertex-twice", "lengths-differ", "with-origin-not-a-bool"])
+def test_simplex_json_refuses_what_no_simplex_writes(vertices, with_origin, named):
+    """A simplex read from JSON is refused, with the fault named, when a
+    with-origin list leaves the origin out (it would print back with the
+    origin added) or names it twice (collapsed to one), a vertex is listed
+    twice (kept as two generators), the vertices differ in length, or
+    with_origin is not a boolean (it would print back as read)."""
+    with pytest.raises(ValueError, match=named):
+        Simplex.from_jsonable({"vertices": vertices, "with_origin": with_origin})

@@ -242,3 +242,22 @@ def test_reduced_form_json_with_like_terms_unmerged_is_refused():
         ReducedForm.from_jsonable(data)
     data["monomials"][1]["beta"] = 1
     assert len(ReducedForm.from_jsonable(data).monomials) == 2
+
+
+MONOMIAL = {"edges": [[1, 3], [1, 4]], "beta": 0, "coeff": 1}
+
+
+@pytest.mark.parametrize("data,named", [
+    ({"n": 4, "monomials": [{**MONOMIAL, "coeff": 1.5}]}, "coeff 1.5 is not an integer"),
+    ({"n": 4, "monomials": [{**MONOMIAL, "beta": 0.5}]}, "beta 0.5 is not an integer"),
+    ({"n": 4, "monomials": [{**MONOMIAL, "edges": [[1.0, 3], [1, 4]]}]}, "edge end 1.0 is not an integer"),
+    ({"n": 4.5, "monomials": [MONOMIAL]}, "n 4.5 is not an integer"),
+], ids=["coeff", "beta", "edge-end", "rank"])
+def test_reduced_form_json_with_a_fractional_number_is_refused(data, named):
+    """A coefficient, power of b, edge end or rank that is not an integer
+    would print back as it was read (1.5*x13*x14, b^0.5*x13*x14,
+    x1.03*x14)."""
+    from pipedreams.subdivision import ReducedForm
+
+    with pytest.raises(ValueError, match=named):
+        ReducedForm.from_jsonable(data)

@@ -243,8 +243,11 @@ def all_of_s1_to_s5():
 
 
 def test_sides_shift_substitutes_once(monkeypatch):
-    """G^b_w(1) with b -> b - 1 is one substitute call, equal to the
-    two-pass oracle on the search's G^b_w(1), on all of S_1..S_5."""
+    """Each side of G^b_w at x = 1, shifted, is one substitute call after
+    the coefficient sum, on all of S_1..S_5: G^b_w(1) with b -> b - 1
+    equals the two-pass oracle on the search's G^b_w(1), and the pipe dream
+    side with b -> x - 1 equals the substitution that sets every x_i to 1
+    in the same call."""
     calls = []
     substitute = MultiPolynomial.substitute
 
@@ -252,15 +255,19 @@ def test_sides_shift_substitutes_once(monkeypatch):
         calls.append(tuple(target_vars))
         return substitute(self, images, target_vars)
 
+    x = MultiPolynomial.variable("x", ("x",))
     for w in all_of_s1_to_s5():
         sides = suites._Sides(w)
-        sides.G
-        calls.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(MultiPolynomial, "substitute", counted)
-            shifted = sides.shifted
-        assert calls == [("b",)], w
-        assert shifted == shifted_groth_beta(groth_beta(w)), w
+        sides.G, sides.pipe
+        for name, target in (("shifted", ("b",)), ("interior", ("x",))):
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(MultiPolynomial, "substitute", counted)
+                getattr(sides, name)
+            assert calls == [target], (w, name)
+        assert sides.shifted == shifted_groth_beta(groth_beta(w)), w
+        pipe = sides.pipe
+        assert sides.interior == pipe.substitute({**dict.fromkeys(pipe.vars[:-1], 1), "b": x - 1}, ("x",)), w
 
 
 def test_verify_all_builds_no_double_polynomial(monkeypatch):
