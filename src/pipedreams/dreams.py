@@ -18,11 +18,15 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .perms import Permutation, Window, bruhat_leq, demazure_fold, identity_window
 
 Box = tuple[int, int]
+
+# The digits of a binary numeral as the bytes 0 and 1 that `compress` reads
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 # A listing of Pipes(w) is fast at desk scale but still exponential in
 # principle; refuse ranks past the limit.  `cli.main` sets it from
@@ -43,6 +47,11 @@ def staircase_boxes(n: int) -> tuple[Box, ...]:
     ((1, 2), (1, 1), (2, 1))
     """
     return tuple((r, c) for r in range(1, n) for c in range(n - r, 0, -1))
+
+
+@cache
+def _staircase_set(n: int) -> frozenset[Box]:
+    return frozenset(staircase_boxes(n))
 
 
 def box_letter(box: Box) -> int:
@@ -75,18 +84,21 @@ def staircase_product(n: int, elbows: Iterable[Box]) -> Window:
 
 @dataclass(frozen=True, slots=True)
 class PipeDream:
-    """A set of crossed staircase boxes for rank n."""
+    """A set of crossed staircase boxes for rank n, held sorted.  Refuses
+    a box listed twice and a box that is not a staircase box of rank n."""
 
     n: int
     crosses: tuple[Box, ...]
 
     def __post_init__(self):
-        crosses = tuple(sorted(set(self.crosses)))
-        if len(crosses) != len(tuple(self.crosses)):
+        crosses = tuple(sorted(self.crosses))
+        boxes = set(crosses)
+        if len(boxes) != len(crosses):
             raise ValueError("duplicate cross positions")
-        for r, c in crosses:
-            if r < 1 or c < 1 or r + c > self.n:
-                raise ValueError(f"box {(r, c)} outside the staircase for n={self.n}")
+        staircase = _staircase_set(self.n)
+        if not boxes <= staircase:
+            box = next(b for b in crosses if b not in staircase)
+            raise ValueError(f"box {box} outside the staircase for n={self.n}")
         object.__setattr__(self, "crosses", crosses)
 
     @property
@@ -105,16 +117,18 @@ class PipeDream:
 
     @classmethod
     def from_jsonable(cls, data) -> "PipeDream":
-        """Refuses a rank that is not a nonnegative integer and a box
-        coordinate that is not an integer."""
+        """Refuses a rank that is not a nonnegative integer and a box that
+        is not a pair of integers."""
         n = data["n"]
         if type(n) is not int or n < 0:
             raise ValueError(f"rank n = {n!r} is not a nonnegative integer")
         for box in data["crosses"]:
+            if type(box) is not list or len(box) != 2:
+                raise ValueError(f"box {box!r} is not a pair of integers")
             for v in box:
                 if type(v) is not int:
                     raise ValueError(f"box coordinate {v!r} in {box} is not an integer")
-        return cls(n, tuple((r, c) for r, c in data["crosses"]))
+        return cls(n, tuple(map(tuple, data["crosses"])))
 
 
 def staircase_transfer(w: Permutation, steps: Sequence[int]) -> dict[int, int]:
@@ -162,7 +176,9 @@ def staircase_transfer(w: Permutation, steps: Sequence[int]) -> dict[int, int]:
 def enumerate_pipe_dreams(w: Permutation) -> list[PipeDream]:
     """Every cross set whose Demazure product is w, reduced and nonreduced,
     sorted by (size, cross list): the keys of `staircase_transfer` with
-    step 2^i at reading position i, so that bit i of a key is box i.
+    step 2^(N-1-j) at the box of sorted index j of N.  A key's N-digit
+    binary numeral marks its crosses in sorted order, and at one size a
+    larger key is a smaller cross list, so the keys sort as plain ints.
 
     >>> [p.size for p in enumerate_pipe_dreams(Permutation((1, 4, 3, 2)))]
     [3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 5]
@@ -173,12 +189,12 @@ def enumerate_pipe_dreams(w: Permutation) -> list[PipeDream]:
         raise EnumerationLimitError(
             f"rank {n} exceeds search limit {limit}; raise --limit-n to override"
         )
-    boxes = staircase_boxes(n)
-    keys = staircase_transfer(w, [1 << i for i in range(len(boxes))])
-    dreams = [PipeDream(n, tuple(b for i, b in enumerate(boxes) if key >> i & 1))
-              for key in keys]
-    dreams.sort(key=lambda p: (p.size, p.crosses))
-    return dreams
+    order = sorted(staircase_boxes(n))
+    step = {b: 1 << j for j, b in enumerate(reversed(order))}
+    keys = staircase_transfer(w, [step[b] for b in staircase_boxes(n)])
+    numeral = f"0{len(order)}b"
+    return [PipeDream(n, tuple(compress(order, format(k, numeral).encode().translate(_BITS))))
+            for k in sorted(keys, key=lambda k: (k.bit_count(), -k))]
 
 
 def reduced_pipe_dreams(w: Permutation) -> list[PipeDream]:

@@ -19,6 +19,8 @@ Fomin-Kirillov 1994).  At b = -1 it equals the double polynomial at y = 0.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .dreams import enumerate_pipe_dreams, staircase_boxes, staircase_transfer
 from .perms import Permutation
 from .poly import MultiPolynomial, _merge, _unchecked
@@ -129,4 +131,4 @@ def groth_beta(w: Permutation) -> MultiPolynomial:
     b^2 + 5*b + 5
     """
     l = w.length()
-    return MultiPolynomial(("b",), (((P.size - l,), 1) for P in enumerate_pipe_dreams(w)))
+    return MultiPolynomial(("b",), Counter((P.size - l,) for P in enumerate_pipe_dreams(w)))

@@ -248,12 +248,14 @@ class MultiPolynomial:
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "MultiPolynomial":
-        """Refuses a variable listed twice, an exponent that is not an
-        integer, a coefficient that is not the decimal string of a nonzero
-        integer, and two terms with one exponent vector: a polynomial holds
-        like terms merged."""
+        """Refuses a variable that is not a string or is listed twice, an
+        exponent that is not an integer, a coefficient that is not the
+        decimal string of a nonzero integer, and two terms with one exponent
+        vector: a polynomial holds like terms merged."""
         vars = tuple(data["vars"])
         for k, v in enumerate(vars):
+            if type(v) is not str:
+                raise ValueError(f"variable {v!r} is not a string")
             if v in vars[:k]:
                 raise ValueError(f"variable {v!r} is listed twice in {list(vars)}")
         terms: dict[tuple[int, ...], int] = {}

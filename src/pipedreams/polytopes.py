@@ -66,6 +66,11 @@ class AcyclicGraph:
 
     @classmethod
     def from_jsonable(cls, data) -> "AcyclicGraph":
+        """Refuses a rank or an edge end that is not an integer."""
+        fields = [("n", data["n"])] + [("edge end", v) for e in data["edges"] for v in e]
+        for name, v in fields:
+            if type(v) is not int:
+                raise ValueError(f"{name} {v!r} is not an integer")
         return cls(data["n"], tuple((i, j) for i, j in data["edges"]))
 
     def __str__(self):

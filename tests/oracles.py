@@ -81,6 +81,20 @@ def demazure_bruteforce(letters: Word, n: int) -> Window:
     raise AssertionError("the empty subword is always reduced")
 
 
+def pipe_dream_crosses_box_by_box(n: int, crosses: Sequence) -> tuple[Box, ...]:
+    """Oracle for the `PipeDream` constructor: the cross list it holds, by
+    the plain rule.  Sort the set of boxes, refuse a box listed twice, then
+    range-check each box as a pair (r, c) with r, c >= 1 and r + c <= n;
+    a box that does not unpack to a pair raises ValueError too."""
+    held = tuple(sorted(set(crosses)))
+    if len(held) != len(tuple(crosses)):
+        raise ValueError("duplicate cross positions")
+    for r, c in held:
+        if r < 1 or c < 1 or r + c > n:
+            raise ValueError(f"box {(r, c)} outside the staircase for n={n}")
+    return held
+
+
 def enumerate_pipe_dreams_dfs(w: Permutation) -> list[PipeDream]:
     """Oracle for `dreams.enumerate_pipe_dreams`: a depth-first search over
     the staircase in reading order, carrying the running Demazure product

@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     enumerate_pipe_dreams_bruteforce,
     enumerate_pipe_dreams_dfs,
+    pipe_dream_crosses_box_by_box,
     pipe_dream_weight,
     xy_beta_vars,
 )
@@ -68,6 +71,34 @@ def test_boxes_validated():
         PipeDream(4, ((1, 4),))
     with pytest.raises(ValueError):
         PipeDream(4, ((0, 1),))
+
+
+@st.composite
+def ranks_and_box_lists(draw):
+    """A rank 0..6 and a list of boxes in any order: staircase boxes of that
+    rank, some listed twice, and at most one pair or triple of coordinates
+    from -1 to n + 1, inside the staircase or not."""
+    n = draw(st.integers(0, 6))
+    coord = st.integers(-1, n + 1)
+    inside = draw(st.lists(st.sampled_from(staircase_boxes(n)), max_size=8,
+                           unique=draw(st.booleans()))) if n > 1 else []
+    odd = draw(st.lists(st.tuples(coord, coord) | st.tuples(coord, coord, coord), max_size=1))
+    return n, draw(st.permutations(inside + odd))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(ranks_and_box_lists())
+def test_constructor_keeps_the_box_by_box_rule(case):
+    """The constructor accepts exactly the box lists the box-by-box rule
+    accepts, holding the same sorted crosses, and refuses the rest."""
+    n, crosses = case
+    try:
+        held = pipe_dream_crosses_box_by_box(n, crosses)
+    except ValueError:
+        with pytest.raises(ValueError):
+            PipeDream(n, tuple(crosses))
+    else:
+        assert PipeDream(n, tuple(crosses)).crosses == held
 
 
 def test_census_1432():
@@ -172,11 +203,12 @@ def test_json_round_trip():
     ({"n": 4.5, "crosses": [[1, 3]]}, "rank n = 4.5 is not"),
     ({"n": 4, "crosses": [[1.0, 3]]}, r"box coordinate 1.0 in \[1.0, 3\] is not"),
     ({"n": -3, "crosses": []}, "rank n = -3 is not"),
-], ids=["fractional-rank", "float-coordinate", "negative-rank"])
+    ({"n": 4, "crosses": [[1, 1, 1]]}, r"box \[1, 1, 1\] is not a pair of integers"),
+], ids=["fractional-rank", "float-coordinate", "negative-rank", "three-coordinates"])
 def test_json_refuses_what_no_pipe_dream_writes(data, named):
     """A pipe dream read from JSON is refused, with the fault named, when
     its rank is not an integer, a coordinate is not an integer (1.0 would
-    print back as 1.0) or the rank is negative (its permutation would be
-    the empty one)."""
+    print back as 1.0), the rank is negative (its permutation would be
+    the empty one) or a box is not a pair."""
     with pytest.raises(ValueError, match=named):
         PipeDream.from_jsonable(data)

@@ -113,14 +113,17 @@ def test_json_round_trip():
      "coefficient 2.7 is not"),
     ({"vars": ["b"], "terms": [{"exp": [1], "coef": "0"}]},
      "coefficient '0' is not"),
+    ({"vars": [1], "terms": [{"exp": [2], "coef": "3"}]},
+     "variable 1 is not a string"),
 ], ids=["like-terms-unmerged", "variable-twice", "fractional-exponent",
-        "fractional-coefficient", "zero-coefficient"])
+        "fractional-coefficient", "zero-coefficient", "variable-not-a-string"])
 def test_json_refuses_what_no_polynomial_writes(data, named):
     """A polynomial read from JSON is refused, with the fault named, when
     two terms share an exponent vector (b + 2b would read as 2*b), a
     variable is listed twice (b + b, unequal to 2*b), an exponent is not
-    an integer (b^1.5), or a coefficient is not the decimal string of a
-    nonzero integer (2.7 would read as 2, and "0" would be dropped)."""
+    an integer (b^1.5), a coefficient is not the decimal string of a
+    nonzero integer (2.7 would read as 2, and "0" would be dropped), or a
+    variable is not a string (3*1^2 would print)."""
     with pytest.raises(ValueError, match=named):
         MultiPolynomial.from_jsonable(data)
 

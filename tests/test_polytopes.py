@@ -62,6 +62,17 @@ def test_acyclic_validation():
     assert G.edges == ((1, 2), (3, 4))
 
 
+@pytest.mark.parametrize("data,named", [
+    ({"n": 4.5, "edges": [[1, 2]]}, "n 4.5 is not an integer"),
+    ({"n": 4, "edges": [[1.0, 2]]}, "edge end 1.0 is not an integer"),
+], ids=["fractional-rank", "float-edge-end"])
+def test_acyclic_graph_json_with_a_fractional_number_is_refused(data, named):
+    """A graph read from JSON is refused, with the field named, when its
+    rank or an edge end is not an integer."""
+    with pytest.raises(ValueError, match=named):
+        AcyclicGraph.from_jsonable(data)
+
+
 def test_positive_roots_path():
     G = AcyclicGraph.path(4)
     roots = positive_roots_in_cone(G)
