@@ -5,8 +5,9 @@ and on the working tree, in pairs.
     python3 ladder/run.py --pairs 1 --cap-s 1800 --cases verify-all-7 --out n7.json
 
 Run from anywhere; it is not part of the tier-1 suite.  The parent side is
-`git archive <rev> src tests` extracted to a temporary directory; the
-change side is the working tree.  Each run is one child process, one at a
+`git archive <rev> src tests mutants` extracted to a temporary directory
+(`tests/test_mutant_catalog.py` reads `mutants/catalog.json`, so `tier-1`
+needs it); the change side is the working tree.  Each run is one child process, one at a
 time: `python -m pipedreams.cli <args>` (or pytest for `tier-1`), with
 PYTHONPATH set to that side's `src/`.  Within a pair, each case runs on
 both sides back to back, and the side that runs first swaps from pair to
@@ -69,10 +70,11 @@ AS_BYTES = 4 * 2**30
 
 
 def export_parent(rev: str, dest: Path) -> str:
-    """Extract `src` and `tests` of `rev` into `dest`; the full commit id."""
+    """Extract `src`, `tests` and `mutants` of `rev` into `dest`; the full
+    commit id."""
     commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
                             capture_output=True, text=True, check=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", commit, "src", "tests"], cwd=ROOT,
+    archive = subprocess.run(["git", "archive", commit, "src", "tests", "mutants"], cwd=ROOT,
                              capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return commit

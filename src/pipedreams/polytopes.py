@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .linalg import IntMat, IntVec, Vec, clear_denominators, det_int, inverse, matvec
 from .linalg import solve_unique
 from .subdivision import Edge, EdgeMonomial, ReductionNode, Strategy, Triple, reduction_tree
-from .subdivision import is_alternating
+from .subdivision import _checked_edges, is_alternating
 
 Point = Vec
 
@@ -37,8 +37,8 @@ class AcyclicGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        edges = tuple(sorted({tuple(e) for e in self.edges}))
-        if len(edges) != len(self.edges):
+        edges = _checked_edges(self.n, self.edges)
+        if len(set(edges)) != len(edges):
             raise ValueError(f"edges {tuple(self.edges)} repeat an edge (a 2-cycle)")
         parent = list(range(self.n + 1))
 
@@ -49,8 +49,6 @@ class AcyclicGraph:
             return a
 
         for i, j in edges:
-            if not 1 <= i < j <= self.n:
-                raise ValueError(f"edge {(i, j)} invalid on [{self.n}]")
             ri, rj = find(i), find(j)
             if ri == rj:
                 raise ValueError(f"edges {edges} contain a cycle")
@@ -71,7 +69,7 @@ class AcyclicGraph:
         for name, v in fields:
             if type(v) is not int:
                 raise ValueError(f"{name} {v!r} is not an integer")
-        return cls(data["n"], tuple((i, j) for i, j in data["edges"]))
+        return cls(data["n"], tuple(map(tuple, data["edges"])))
 
     def __str__(self):
         return "{" + ",".join(f"{i}{j}" if j <= 9 else f"({i},{j})" for i, j in self.edges) + "}"

@@ -16,8 +16,11 @@ which reduce_once asserts.
 
 Invariant: every rewrite step keeps |edges| + (power of b) fixed, so in
 the expansion of one monomial an edge multiset occurs with one power of b
-only.  reduced_form therefore keys its terms by the sorted edge tuple alone
-and reads the power of b off the tuple's length.
+only.  The rewrite therefore runs on bare sorted edge tuples: reduce_once
+maps a tuple to the tuples of its three children, the leaf loop keys its
+terms by the tuple alone, and every caller reads the power of b off the
+tuple's length.  EdgeMonomial objects are made only at the output of
+reduced_form and reduction_tree.
 """
 
 from __future__ import annotations
@@ -46,16 +49,10 @@ class EdgeMonomial:
     coeff: int = 1
 
     def __post_init__(self):
-        edges = tuple(sorted(tuple(e) for e in self.edges))
-        for i, j in edges:
-            if not 1 <= i < j <= self.n:
-                raise ValueError(f"edge {(i, j)} invalid on [{self.n}]")
+        edges = _checked_edges(self.n, self.edges)
         if self.beta < 0:
             raise ValueError("negative beta power")
         object.__setattr__(self, "edges", edges)
-
-    def potential(self) -> int:
-        return len(self.edges) * (self.n - 1) + sum(starmap(sub, self.edges))  # sum of i - j
 
     def __str__(self):
         parts = []
@@ -67,6 +64,29 @@ class EdgeMonomial:
             parts.append(f"b^{self.beta}")
         parts.extend(edge_var(e) for e in self.edges)
         return "*".join(parts)
+
+
+def _checked_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
+    """The edges as a sorted tuple of pairs (i, j), 1 <= i < j <= n.
+    Refuses a negative rank, an edge that does not have exactly two ends,
+    and an edge off [n]."""
+    if n < 0:
+        raise ValueError(f"rank {n} is negative")
+    out = []
+    for e in edges:
+        e = tuple(e)
+        if len(e) != 2:
+            raise ValueError(f"edge {e} does not have two ends")
+        i, j = e
+        if not 1 <= i < j <= n:
+            raise ValueError(f"edge {e} invalid on [{n}]")
+        out.append(e)
+    return tuple(sorted(out))
+
+
+def _potential(n: int, edges: Sequence[Edge]) -> int:
+    """|edges| * (n - 1) - sum(j - i over edges), nonnegative on [n]."""
+    return len(edges) * (n - 1) + sum(starmap(sub, edges))
 
 
 def edge_var(e: Edge) -> str:
@@ -185,31 +205,35 @@ def _unchecked(n: int, edges: tuple[Edge, ...], beta: int, coeff: int) -> EdgeMo
     return out
 
 
-def reduce_once(m: EdgeMonomial, triple: Triple) -> tuple[EdgeMonomial, EdgeMonomial, EdgeMonomial]:
-    """Apply x_ij x_jk -> x_ik (x_ij + x_jk + b) at one occurrence.
+def reduce_once(
+    n: int, edges: tuple[Edge, ...], triple: Triple
+) -> tuple[tuple[Edge, ...], tuple[Edge, ...], tuple[Edge, ...]]:
+    """Apply x_ij x_jk -> x_ik (x_ij + x_jk + b) at one occurrence in the
+    sorted edge tuple `edges` on [n].
 
-    Each child is m's sorted edge tuple less one copy of (j, k), of (i, j)
-    or of both, with (i, k) inserted in order.  A child differs from m only
-    by that new edge, which is checked here, so the children skip the
-    EdgeMonomial validation."""
+    Returns the sorted tuples of the children G1, G2, G3: `edges` less one
+    copy of (j, k), of (i, j) or of both, with (i, k) inserted in order.
+    G3 carries one more power of b than its parent, which its length
+    shows.  Refuses a triple whose pair is not present and a new edge off
+    [n]; a child differs from its parent only by that edge.  Asserts that
+    the potential drops on every branch."""
     i, j, k = triple
-    edges = m.edges
     a = bisect_left(edges, (i, j))
     c = bisect_left(edges, (j, k))
     if edges[a:a + 1] != ((i, j),) or edges[c:c + 1] != ((j, k),):
         raise ValueError(f"pair ({i},{j}),({j},{k}) not in {edges}")
-    if not 1 <= i < k <= m.n:
-        raise ValueError(f"edge {(i, k)} invalid on [{m.n}]")
+    if not 1 <= i < k <= n:
+        raise ValueError(f"edge {(i, k)} invalid on [{n}]")
     p = bisect_left(edges, (i, k), a, c)  # (i, j) < (i, k) < (j, k)
     left, right = edges[:p], edges[p:]
     left_less = left[:a] + left[a + 1:]
     right_less = right[:c - p] + right[c - p + 1:]
     new = ((i, k),)
-    g1 = _unchecked(m.n, left + new + right_less, m.beta, m.coeff)
-    g2 = _unchecked(m.n, left_less + new + right, m.beta, m.coeff)
-    g3 = _unchecked(m.n, left_less + new + right_less, m.beta + 1, m.coeff)
-    phi = m.potential()
-    assert all(g.potential() < phi for g in (g1, g2, g3)), "potential must drop"
+    g1 = left + new + right_less
+    g2 = left_less + new + right
+    g3 = left_less + new + right_less
+    phi = _potential(n, edges)
+    assert max(_potential(n, g1), _potential(n, g2), _potential(n, g3)) < phi, "potential must drop"
     return g1, g2, g3
 
 
@@ -222,6 +246,8 @@ class ReducedForm:
     monomials: tuple[EdgeMonomial, ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"rank {self.n} is negative")
         monos = tuple(sorted(self.monomials, key=lambda m: (m.beta, m.edges)))
         for m in monos:
             if m.coeff == 0:
@@ -268,7 +294,7 @@ class ReducedForm:
             if type(v) is not int:
                 raise ValueError(f"{name} {v!r} is not an integer")
         monos = tuple(
-            EdgeMonomial(data["n"], tuple((i, j) for i, j in m["edges"]), m["beta"], m["coeff"])
+            EdgeMonomial(data["n"], tuple(map(tuple, m["edges"])), m["beta"], m["coeff"])
             for m in data["monomials"]
         )
         seen = set()
@@ -280,38 +306,43 @@ class ReducedForm:
         return cls(data["n"], monos)
 
 
-def reduced_form(m: EdgeMonomial, strategy: Strategy | None = None) -> ReducedForm:
-    """Rewrite until every monomial is alternating, merging like terms
-    after each layer.  Monomials are processed in sorted order so scripted
-    and seeded strategies are reproducible.
-
-    Pending and finished terms are keyed by their sorted edge tuple alone:
-    |edges| + beta is the same for every term of the expansion, so beta is
-    that sum less the number of edges."""
-    if strategy is None:
-        strategy = LexFirst()
-    n, size = m.n, len(m.edges) + m.beta
-    pending: dict[tuple[Edge, ...], int] = {m.edges: m.coeff}
+def _leaves(n: int, edges: tuple[Edge, ...], coeff: int,
+            strategy: Strategy | None) -> dict[tuple[Edge, ...], int]:
+    """The leaves of the rewrite of coeff * x^edges, as {sorted edge tuple:
+    coefficient}, like terms merged after each layer.  Each layer is
+    processed in sorted order, so scripted and seeded strategies are
+    reproducible.  A leaf is a tuple the strategy chooses no triple for.
+    Every coefficient is coeff times a positive count, so none is zero."""
+    choose = (strategy or LexFirst()).choose
+    pending = {edges: coeff} if coeff else {}
     done: dict[tuple[Edge, ...], int] = {}
     while pending:
         nxt: dict[tuple[Edge, ...], int] = {}
         for edges in sorted(pending):
             coeff = pending[edges]
-            if coeff == 0:
-                continue
-            triple = strategy.choose(edges)
+            triple = choose(edges)
             if triple is None:
                 done[edges] = done.get(edges, 0) + coeff
                 continue
-            for child in reduce_once(_unchecked(n, edges, size - len(edges), coeff), triple):
-                nxt[child.edges] = nxt.get(child.edges, 0) + coeff
+            for child in reduce_once(n, edges, triple):
+                nxt[child] = nxt.get(child, 0) + coeff
         pending = nxt
-    monos = tuple(
-        EdgeMonomial(n, edges, size - len(edges), coeff)
-        for edges, coeff in done.items()
-        if coeff
-    )
-    return ReducedForm(n, monos)
+    return done
+
+
+def reduced_form(m: EdgeMonomial, strategy: Strategy | None = None) -> ReducedForm:
+    """Rewrite until every monomial is alternating, merging like terms
+    after each layer (lex-first by default).  The rewrite runs on edge
+    tuples; |edges| + beta is the same for every term of the expansion, so
+    each leaf's beta is that sum less its number of edges.  Leaves become
+    EdgeMonomials only here, unchecked: every edge is one of m's or was
+    checked by reduce_once when it was added.  ReducedForm checks that
+    each is alternating."""
+    n, size = m.n, len(m.edges) + m.beta
+    return ReducedForm(n, tuple(
+        _unchecked(n, edges, size - len(edges), coeff)
+        for edges, coeff in _leaves(n, m.edges, m.coeff, strategy).items()
+    ))
 
 
 _LABELS = ("G1", "G2", "G3")
@@ -381,16 +412,17 @@ def reduction_tree(m: EdgeMonomial, strategy: Strategy | None = None) -> Reducti
     >>> tree.triple, [str(m) for m in tree.leaves()]
     ((1, 2, 3), ['x12*x13', 'x13*x23', 'b*x13'])
     """
-    if strategy is None:
-        strategy = LexFirst()
+    choose = (strategy or LexFirst()).choose
+    n, size = m.n, len(m.edges) + m.beta
 
-    def expand(mono: EdgeMonomial) -> ReductionNode:
-        triple = strategy.choose(mono.edges)
+    def expand(edges: tuple[Edge, ...]) -> ReductionNode:
+        mono = _unchecked(n, edges, size - len(edges), m.coeff)
+        triple = choose(edges)
         if triple is None:
             return ReductionNode(mono)
-        return ReductionNode(mono, triple, tuple(expand(c) for c in reduce_once(mono, triple)))
+        return ReductionNode(mono, triple, tuple(map(expand, reduce_once(n, edges, triple))))
 
-    return expand(m)
+    return expand(m.edges)
 
 
 def q_polynomial(
@@ -399,10 +431,22 @@ def q_polynomial(
     """The reduced form of the edge product specialized at x = 1, as a
     polynomial in b.  Independent of the strategy.
 
+    Sums the coefficients of the leaves of the rewrite per power of b,
+    read off each leaf's length, and builds no EdgeMonomial or
+    ReducedForm.  Refuses a leaf that is not alternating.
+
     >>> print(q_polynomial(4, [(1, 2), (2, 3), (3, 4)]))
     b^2 + 5*b + 5
     """
-    return reduced_form(EdgeMonomial(n, edges), strategy).beta_specialization()
+    edges = _checked_edges(n, edges)
+    size = len(edges)
+    by_power: dict[tuple[int], int] = {}
+    for leaf, coeff in _leaves(n, edges, 1, strategy).items():
+        if not is_alternating(leaf):
+            raise ValueError(f"leaf {leaf} is still reducible")
+        power = (size - len(leaf),)
+        by_power[power] = by_power.get(power, 0) + coeff
+    return MultiPolynomial(("b",), by_power)
 
 
 def path_edges(n: int) -> tuple[Edge, ...]:

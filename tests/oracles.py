@@ -462,8 +462,12 @@ def _reduce_once_validated(m: EdgeMonomial, triple: tuple[int, int, int]) -> lis
         EdgeMonomial(m.n, tuple(without_ij) + ((i, k),), m.beta, m.coeff),
         EdgeMonomial(m.n, tuple(both) + ((i, k),), m.beta + 1, m.coeff),
     ]
-    phi = m.potential()
-    assert all(g.potential() < phi for g in children), "potential must drop"
+
+    def potential(g: EdgeMonomial) -> int:
+        return sum(g.n - 1 - (j - i) for i, j in g.edges)
+
+    phi = potential(m)
+    assert all(potential(g) < phi for g in children), "potential must drop"
     return children
 
 

@@ -73,6 +73,21 @@ def test_acyclic_graph_json_with_a_fractional_number_is_refused(data, named):
         AcyclicGraph.from_jsonable(data)
 
 
+@pytest.mark.parametrize("n,edges,named", [
+    (-2, (), r"rank -2 is negative"),
+    (3, ((1, 2, 3),), r"edge \(1, 2, 3\) does not have two ends"),
+    (3, ((1, 2), (3,)), r"edge \(3,\) does not have two ends"),
+], ids=["negative-rank", "three-ends", "one-end"])
+def test_acyclic_graph_refuses_a_negative_rank_and_a_malformed_edge(n, edges, named):
+    """The constructor refuses them, and so does the JSON reader through it:
+    {"n": -2, "edges": []} used to read as a graph that prints {}, and an
+    edge with three ends failed only as a tuple unpacking."""
+    with pytest.raises(ValueError, match=named):
+        AcyclicGraph(n, edges)
+    with pytest.raises(ValueError, match=named):
+        AcyclicGraph.from_jsonable({"n": n, "edges": [list(e) for e in edges]})
+
+
 def test_positive_roots_path():
     G = AcyclicGraph.path(4)
     roots = positive_roots_in_cone(G)

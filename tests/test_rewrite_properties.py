@@ -85,6 +85,31 @@ def test_dissection_census_is_q_polynomial(case):
 
 
 @st.composite
+def forests_and_strategy_texts(draw):
+    """A forest with a strategy as the CLI spells it, and a seed."""
+    G = draw(forests())
+    text = draw(st.sampled_from(("lex", "rlex", "random", "script")))
+    if text == "script":
+        triples = [(i, j, k) for i in range(1, G.n + 1)
+                   for j in range(i + 1, G.n + 1) for k in range(j + 1, G.n + 1)]
+        script = draw(st.lists(st.sampled_from(triples), min_size=1, max_size=4)) if triples else []
+        text = "script:" + ";".join(",".join(map(str, t)) for t in script) if script else "lex"
+    return G, text, draw(st.integers(0, 50))
+
+
+@PROPERTY
+@given(forests_and_strategy_texts())
+def test_q_polynomial_equals_pairwise_oracle_at_x_1(case):
+    """q_polynomial sums the leaves of the same loop reduced_form reads, so
+    it is compared with the pairwise oracle, summed per power of b."""
+    G, text, seed = case
+    summed: dict = {}
+    for mono in reduced_form_pairwise(G.n, G.edges, text, seed)["monomials"]:
+        summed[(mono["beta"],)] = summed.get((mono["beta"],), 0) + mono["coeff"]
+    assert q_polynomial(G.n, G.edges, parse_strategy(text, seed)).terms == summed
+
+
+@st.composite
 def edge_multisets(draw, max_n=7, max_edges=6):
     """n and a sorted edge multiset on [n], parallel edges allowed."""
     n = draw(st.integers(2, max_n))

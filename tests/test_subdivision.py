@@ -11,9 +11,11 @@ from pipedreams.subdivision import (
     PATH4_SCRIPT,
     EdgeMonomial,
     LexFirst,
+    ReducedForm,
     ReverseLex,
     Scripted,
     SeededRandom,
+    Strategy,
     parse_strategy,
     path_edges,
     q_polynomial,
@@ -35,35 +37,42 @@ def test_reducible_pair_examples():
 
 
 def test_reduce_once_base_relation():
-    m = EdgeMonomial(3, [(1, 2), (2, 3)])
-    g1, g2, g3 = reduce_once(m, (1, 2, 3))
-    assert g1.edges == ((1, 2), (1, 3)) and g1.beta == 0
-    assert g2.edges == ((1, 3), (2, 3)) and g2.beta == 0
-    assert g3.edges == ((1, 3),) and g3.beta == 1
+    g1, g2, g3 = reduce_once(3, ((1, 2), (2, 3)), (1, 2, 3))
+    assert g1 == ((1, 2), (1, 3))
+    assert g2 == ((1, 3), (2, 3))
+    assert g3 == ((1, 3),)  # one edge fewer: one more power of b
 
 
 def test_reduce_once_path4_first_step():
-    m = EdgeMonomial(4, path_edges(4))
-    g1, g2, g3 = reduce_once(m, (2, 3, 4))
-    assert g1.edges == ((1, 2), (2, 3), (2, 4))
-    assert g2.edges == ((1, 2), (2, 4), (3, 4))
-    assert g3.edges == ((1, 2), (2, 4)) and g3.beta == 1
+    g1, g2, g3 = reduce_once(4, path_edges(4), (2, 3, 4))
+    assert g1 == ((1, 2), (2, 3), (2, 4))
+    assert g2 == ((1, 2), (2, 4), (3, 4))
+    assert g3 == ((1, 2), (2, 4))
 
 
 def test_reduce_once_multiset_semantics():
-    m = EdgeMonomial(3, ((1, 2), (1, 2), (2, 3)))
-    g1, g2, g3 = reduce_once(m, (1, 2, 3))
-    assert g1.edges == ((1, 2), (1, 2), (1, 3))
-    assert g2.edges == ((1, 2), (1, 3), (2, 3))
-    assert g3.edges == ((1, 2), (1, 3)) and g3.beta == 1
+    g1, g2, g3 = reduce_once(3, ((1, 2), (1, 2), (2, 3)), (1, 2, 3))
+    assert g1 == ((1, 2), (1, 2), (1, 3))
+    assert g2 == ((1, 2), (1, 3), (2, 3))
+    assert g3 == ((1, 2), (1, 3))
 
 
 def test_reduce_once_requires_pair():
-    with pytest.raises(ValueError):
-        reduce_once(EdgeMonomial(3, [(1, 2)]), (1, 2, 3))
+    for edges, triple in [(((1, 2),), (1, 2, 3)),  # no (j, k)
+                          (((2, 3),), (1, 2, 3)),  # no (i, j)
+                          (((1, 2), (3, 4)), (1, 2, 4))]:  # (1, 2) present, (2, 4) not
+        i, j, k = triple
+        with pytest.raises(ValueError, match=rf"pair \({i},{j}\),\({j},{k}\) not in"):
+            reduce_once(4, edges, triple)
 
 
 def test_potential_drops_on_every_branch():
+    """The potential, |edges|*(n-1) - sum(j-i over edges), summed edge by
+    edge here."""
+
+    def potential(n, edges):
+        return sum(n - 1 - (j - i) for i, j in edges)
+
     rng = random.Random(2)
     for _ in range(60):
         n = rng.randint(3, 6)
@@ -73,21 +82,60 @@ def test_potential_drops_on_every_branch():
             j = rng.randint(i + 1, n)
             edges.append((i, j))
         m = EdgeMonomial(n, tuple(edges))
-        phi = m.potential()
+        phi = potential(n, m.edges)
         assert phi >= 0
         for triple in reducible_triples(m.edges):
-            for child in reduce_once(m, triple):
-                assert child.potential() < phi
-                # built unchecked, the child is what validation would make of it
-                assert child == EdgeMonomial(n, child.edges, child.beta, child.coeff)
+            children = reduce_once(n, m.edges, triple)
+            assert [len(g) for g in children] == [len(m.edges)] * 2 + [len(m.edges) - 1]
+            for child in children:
+                # sorted and on [n]: what validation would make of it
+                assert child == EdgeMonomial(n, child).edges
+                assert potential(n, child) < phi
 
 
 def test_reduce_once_checks_the_edge_it_adds():
-    """Children skip validation, so reduce_once checks the one edge it adds;
-    a parent with an edge off [n] is caught there."""
-    bad = subdivision._unchecked(3, ((1, 2), (2, 4)), 0, 1)
+    """Children are not validated, so reduce_once checks the one edge it
+    adds; a parent tuple with an edge off [n] is caught there."""
     with pytest.raises(ValueError, match=r"edge \(1, 4\) invalid on \[3\]"):
-        reduce_once(bad, (1, 2, 4))
+        reduce_once(3, ((1, 2), (2, 4)), (1, 2, 4))
+
+
+@pytest.mark.parametrize("n,edges,named", [
+    (-2, (), r"rank -2 is negative"),
+    (3, ((1, 2, 3),), r"edge \(1, 2, 3\) does not have two ends"),
+    (3, ((1, 2), (3,)), r"edge \(3,\) does not have two ends"),
+    (3, ((1, 2), (1, 4)), r"edge \(1, 4\) invalid on \[3\]"),
+], ids=["negative-rank", "three-ends", "one-end", "off-rank"])
+def test_monomial_refuses_a_negative_rank_and_a_malformed_edge(n, edges, named):
+    """So do q_polynomial, which checks its edges without a monomial, and
+    the reduced form's JSON reader, through the constructor."""
+    with pytest.raises(ValueError, match=named):
+        EdgeMonomial(n, edges)
+    with pytest.raises(ValueError, match=named):
+        q_polynomial(n, edges)
+    data = {"n": n, "monomials": [{"edges": [list(e) for e in edges], "beta": 0, "coeff": 1}]}
+    with pytest.raises(ValueError, match=named):
+        ReducedForm.from_jsonable(data)
+    if n < 0:  # with no monomial to refuse it, the reduced form refuses the rank itself
+        with pytest.raises(ValueError, match=named):
+            ReducedForm.from_jsonable({"n": n, "monomials": []})
+
+
+class ChoosesNothing(Strategy):
+    """A broken strategy: it chooses no triple, so every monomial is a leaf."""
+
+    def choose(self, edges):
+        return None
+
+
+def test_a_reducible_leaf_is_refused():
+    """A strategy that stops early leaves x12*x23 as a leaf.  q_polynomial
+    checks every leaf itself, and reduced_form's ReducedForm does."""
+    with pytest.raises(ValueError, match=r"leaf \(\(1, 2\), \(2, 3\)\) is still reducible"):
+        q_polynomial(3, path_edges(3), ChoosesNothing())
+    with pytest.raises(ValueError, match=r"monomial x12\*x23 still reducible"):
+        reduced_form(EdgeMonomial(3, path_edges(3)), ChoosesNothing())
+    assert q_polynomial(3, [(1, 3)], ChoosesNothing()) == MultiPolynomial.one(("b",))
 
 
 # Little Schroeder numbers: Q(1) for the path on n vertices, the leaf count
@@ -160,6 +208,7 @@ def test_q_polynomial_examples():
     assert q_polynomial(4, path_edges(4)) == B**2 + 5 * B + 5
     assert q_polynomial(2, path_edges(2)) == MultiPolynomial.one(("b",))
     assert q_polynomial(3, path_edges(3)) == B + 2
+    assert q_polynomial(3, [(2, 3), (1, 2)]) == B + 2  # sorted before rewriting
 
 
 def test_strategy_independence_of_specialization():
