@@ -17,6 +17,7 @@ from typing import Hashable, Iterable
 from .dreams import Box, enumerate_pipe_dreams, staircase_boxes, staircase_product, triangular_word
 from .perms import Permutation, bruhat_leq, demazure_fold, identity_window
 from .poly import MultiPolynomial
+from .report import read_canonical
 
 Face = frozenset
 
@@ -80,21 +81,10 @@ class SimplicialComplex:
 
     @classmethod
     def from_jsonable(cls, data) -> "SimplicialComplex":
-        vertices = [tuple(v) if isinstance(v, list) else v for v in data["vertices"]]
-        for k, v in enumerate(vertices):
-            if v in vertices[:k]:
-                raise ValueError(f"vertex {data['vertices'][k]!r} is listed twice")
-        for facet in data["facets"]:
-            for k, i in enumerate(facet):
-                if type(i) is not int or not 0 <= i < len(vertices):
-                    raise ValueError(f"facet index {i!r} is not one of the {len(vertices)} vertex indices")
-                if i in facet[:k]:
-                    raise ValueError(f"facet index {i} is repeated in the facet {facet}")
-        C = cls([(vertices[i] for i in facet) for facet in data["facets"]])
-        for v, named in zip(vertices, data["vertices"]):
-            if v not in C.vertices:
-                raise ValueError(f"vertex {named!r} is in no facet")
-        return C
+        def build(d):
+            vertices = [tuple(v) if isinstance(v, list) else v for v in d["vertices"]]
+            return cls([vertices[i] for i in facet] for facet in d["facets"])
+        return read_canonical(cls, data, build)
 
     def __repr__(self):
         return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.facets)} facets)"

@@ -22,6 +22,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .perms import Permutation, Window, bruhat_leq, demazure_fold, identity_window
+from .report import read_canonical
 
 Box = tuple[int, int]
 
@@ -85,12 +86,14 @@ def staircase_product(n: int, elbows: Iterable[Box]) -> Window:
 @dataclass(frozen=True, slots=True)
 class PipeDream:
     """A set of crossed staircase boxes for rank n, held sorted.  Refuses
-    a box listed twice and a box that is not a staircase box of rank n."""
+    a negative rank, a box listed twice and a box off the rank-n staircase."""
 
     n: int
     crosses: tuple[Box, ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"rank {self.n} is negative")
         crosses = tuple(sorted(self.crosses))
         boxes = set(crosses)
         if len(boxes) != len(crosses):
@@ -117,18 +120,8 @@ class PipeDream:
 
     @classmethod
     def from_jsonable(cls, data) -> "PipeDream":
-        """Refuses a rank that is not a nonnegative integer and a box that
-        is not a pair of integers."""
-        n = data["n"]
-        if type(n) is not int or n < 0:
-            raise ValueError(f"rank n = {n!r} is not a nonnegative integer")
-        for box in data["crosses"]:
-            if type(box) is not list or len(box) != 2:
-                raise ValueError(f"box {box!r} is not a pair of integers")
-            for v in box:
-                if type(v) is not int:
-                    raise ValueError(f"box coordinate {v!r} in {box} is not an integer")
-        return cls(n, tuple(map(tuple, data["crosses"])))
+        return read_canonical(cls, data, lambda d: cls(
+            int(d["n"]), tuple(tuple(map(int, box)) for box in d["crosses"])))
 
 
 def staircase_transfer(w: Permutation, steps: Sequence[int]) -> dict[int, int]:

@@ -8,9 +8,10 @@ immutable: every operation returns a new polynomial.
 
 from __future__ import annotations
 
-import re
 from operator import add, itemgetter
 from typing import Hashable, Iterable, Mapping, Union
+
+from .report import read_canonical
 
 
 class MultiPolynomial:
@@ -26,6 +27,8 @@ class MultiPolynomial:
 
     def __init__(self, vars: Iterable[str], terms: Union[Mapping, Iterable] = ()):
         self.vars = tuple(vars)
+        if len(set(self.vars)) != len(self.vars):
+            raise ValueError(f"variables {self.vars} name one variable twice")
 
         def checked(items):
             for exps, coef in items:
@@ -199,11 +202,8 @@ class MultiPolynomial:
         return _unchecked(target, {t: c for (_, t), c in acc.items()})
 
     def rename(self, mapping: Mapping[str, str]) -> "MultiPolynomial":
-        """Rename variables in place (the exponent data is untouched)."""
-        new_vars = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(new_vars)) != len(new_vars):
-            raise ValueError(f"renaming collides: {new_vars}")
-        return _unchecked(new_vars, dict(self.terms))
+        """Rename variables (the constructor refuses a name given twice); the terms are untouched."""
+        return _unchecked(MultiPolynomial(mapping.get(v, v) for v in self.vars).vars, dict(self.terms))
 
     # -- presentation ------------------------------------------------------
 
@@ -248,30 +248,8 @@ class MultiPolynomial:
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "MultiPolynomial":
-        """Refuses a variable that is not a string or is listed twice, an
-        exponent that is not an integer, a coefficient that is not the
-        decimal string of a nonzero integer, and two terms with one exponent
-        vector: a polynomial holds like terms merged."""
-        vars = tuple(data["vars"])
-        for k, v in enumerate(vars):
-            if type(v) is not str:
-                raise ValueError(f"variable {v!r} is not a string")
-            if v in vars[:k]:
-                raise ValueError(f"variable {v!r} is listed twice in {list(vars)}")
-        terms: dict[tuple[int, ...], int] = {}
-        for t in data["terms"]:
-            exps = tuple(t["exp"])
-            for e in exps:
-                if type(e) is not int:
-                    raise ValueError(f"exponent {e!r} in {list(exps)} is not an integer")
-            if exps in terms:
-                raise ValueError(f"exponent vector {list(exps)} is listed twice; "
-                                 "a polynomial holds like terms merged")
-            coef = t["coef"]
-            if type(coef) is not str or not re.fullmatch(r"-?[1-9][0-9]*", coef):
-                raise ValueError(f"coefficient {coef!r} is not the decimal string of a nonzero integer")
-            terms[exps] = int(coef)
-        return cls(vars, terms)
+        return read_canonical(cls, data, lambda d: cls(
+            map(str, d["vars"]), [(map(int, t["exp"]), int(t["coef"])) for t in d["terms"]]))
 
 
 def _merge(pairs: Iterable[tuple[Hashable, int]], into: dict | None = None) -> dict:

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .linalg import IntMat, IntVec, Vec, clear_denominators, det_int, inverse, matvec
 from .linalg import solve_unique
+from .report import read_canonical
 from .subdivision import Edge, EdgeMonomial, ReductionNode, Strategy, Triple, reduction_tree
 from .subdivision import _checked_edges, is_alternating
 
@@ -64,12 +65,8 @@ class AcyclicGraph:
 
     @classmethod
     def from_jsonable(cls, data) -> "AcyclicGraph":
-        """Refuses a rank or an edge end that is not an integer."""
-        fields = [("n", data["n"])] + [("edge end", v) for e in data["edges"] for v in e]
-        for name, v in fields:
-            if type(v) is not int:
-                raise ValueError(f"{name} {v!r} is not an integer")
-        return cls(data["n"], tuple(map(tuple, data["edges"])))
+        return read_canonical(cls, data, lambda d: cls(
+            int(d["n"]), tuple(tuple(map(int, e)) for e in d["edges"])))
 
     def __str__(self):
         return "{" + ",".join(f"{i}{j}" if j <= 9 else f"({i},{j})" for i, j in self.edges) + "}"
@@ -319,16 +316,22 @@ def location(c: Optional[Sequence], scale: int = 1) -> int:
 
 @dataclass(frozen=True, slots=True)
 class Simplex:
-    """Simplex spanned by linearly independent generator points, together
-    with the origin when with_origin is set."""
+    """Simplex spanned by distinct, linearly independent generator points
+    of R^n, together with the origin when with_origin is set."""
 
     n: int
     generators: tuple[Point, ...]
     with_origin: bool = True
 
     def __post_init__(self):
-        gens = tuple(tuple(Fraction(c) for c in g) for g in self.generators)
-        object.__setattr__(self, "generators", tuple(sorted(gens)))
+        gens = tuple(sorted(tuple(c if type(c) is Fraction else Fraction(c) for c in g)
+                            for g in self.generators))
+        for k, g in enumerate(gens):
+            if len(g) != self.n:
+                raise ValueError(f"generator {list(map(str, g))} has {len(g)} coordinates, not n = {self.n}")
+            if g in gens[k + 1:k + 2]:
+                raise ValueError(f"generator {list(map(str, g))} is listed twice")
+        object.__setattr__(self, "generators", gens)
 
     def vertex_points(self) -> tuple[Point, ...]:
         pts = list(self.generators)
@@ -344,25 +347,11 @@ class Simplex:
 
     @classmethod
     def from_jsonable(cls, data) -> "Simplex":
-        """Refuses an empty vertex list, vertices of different lengths, a
-        vertex listed twice, a with-origin list without the origin, and a
-        with_origin that is not true or false."""
-        if type(data["with_origin"]) is not bool:
-            raise ValueError(f"with_origin {data['with_origin']!r} is not true or false")
-        points = [tuple(Fraction(c) for c in p) for p in data["vertices"]]
-        if not points:
-            raise ValueError("a simplex needs vertices: the vertex list is empty")
-        n = len(points[0])
-        for k, p in enumerate(points):
-            if len(p) != n:
-                raise ValueError(f"vertex {data['vertices'][k]} has {len(p)} coordinates, not {n}")
-            if p in points[:k]:
-                raise ValueError(f"vertex {data['vertices'][k]} is listed twice")
-        if data["with_origin"]:
-            if origin(n) not in points:
-                raise ValueError(f"the simplex has the origin, which {data['vertices']} does not list")
-            points.remove(origin(n))
-        return cls(n, tuple(points), with_origin=data["with_origin"])
+        def build(d):
+            points = [tuple(map(Fraction, p)) for p in d["vertices"]]
+            n, with_origin = len(points[0]), bool(d["with_origin"])
+            return cls(n, tuple(p for p in points if not with_origin or p != origin(n)), with_origin)
+        return read_canonical(cls, data, build)
 
 
 def tree_simplex(T: AcyclicGraph) -> Simplex:

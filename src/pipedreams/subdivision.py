@@ -34,6 +34,7 @@ from operator import sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .poly import MultiPolynomial
+from .report import read_canonical
 
 Edge = tuple[int, int]
 Triple = tuple[int, int, int]
@@ -240,7 +241,7 @@ def reduce_once(
 @dataclass(frozen=True, slots=True)
 class ReducedForm:
     """A fully rewritten polynomial: alternating monomials with merged
-    coefficients, keyed by (edge multiset, beta power)."""
+    nonzero coefficients, keyed by (edge multiset, beta power), no key twice."""
 
     n: int
     monomials: tuple[EdgeMonomial, ...]
@@ -254,6 +255,10 @@ class ReducedForm:
                 raise ValueError("zero coefficient stored")
             if not is_alternating(m.edges):
                 raise ValueError(f"monomial {m} still reducible")
+        for a, b in zip(monos, monos[1:]):
+            if a.edges == b.edges and a.beta == b.beta:
+                raise ValueError(f"edges {list(a.edges)} with b^{a.beta} are listed twice; "
+                                 "a reduced form holds like terms merged")
         object.__setattr__(self, "monomials", monos)
 
     def beta_specialization(self) -> MultiPolynomial:
@@ -283,27 +288,9 @@ class ReducedForm:
 
     @classmethod
     def from_jsonable(cls, data) -> "ReducedForm":
-        """Refuses a rank, edge end, power of b or coefficient that is not
-        an integer, and two monomials with the same edges and power of b: a
-        reduced form holds like terms merged."""
-        fields = [("n", data["n"])]
-        for m in data["monomials"]:
-            fields += [("edge end", v) for e in m["edges"] for v in e]
-            fields += [("beta", m["beta"]), ("coeff", m["coeff"])]
-        for name, v in fields:
-            if type(v) is not int:
-                raise ValueError(f"{name} {v!r} is not an integer")
-        monos = tuple(
-            EdgeMonomial(data["n"], tuple(map(tuple, m["edges"])), m["beta"], m["coeff"])
-            for m in data["monomials"]
-        )
-        seen = set()
-        for m in monos:
-            if (m.edges, m.beta) in seen:
-                raise ValueError(f"edges {list(m.edges)} with b^{m.beta} are listed twice; "
-                                 "a reduced form holds like terms merged")
-            seen.add((m.edges, m.beta))
-        return cls(data["n"], monos)
+        return read_canonical(cls, data, lambda d: cls(int(d["n"]), tuple(
+            EdgeMonomial(int(d["n"]), tuple(tuple(map(int, e)) for e in m["edges"]),
+                         int(m["beta"]), int(m["coeff"])) for m in d["monomials"])))
 
 
 def _leaves(n: int, edges: tuple[Edge, ...], coeff: int,

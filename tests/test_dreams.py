@@ -1,6 +1,7 @@
 """Pipe dreams: staircase, enumeration, weights."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -200,15 +201,23 @@ def test_json_round_trip():
 
 
 @pytest.mark.parametrize("data,named", [
-    ({"n": 4.5, "crosses": [[1, 3]]}, "rank n = 4.5 is not"),
-    ({"n": 4, "crosses": [[1.0, 3]]}, r"box coordinate 1.0 in \[1.0, 3\] is not"),
-    ({"n": -3, "crosses": []}, "rank n = -3 is not"),
-    ({"n": 4, "crosses": [[1, 1, 1]]}, r"box \[1, 1, 1\] is not a pair of integers"),
+    ({"n": 4.5, "crosses": [[1, 3]]}, "PipeDream: $['n'] reads 4.5 but writes 4"),
+    ({"n": 4, "crosses": [[1.0, 3]]}, "PipeDream: $['crosses'][0][0] reads 1.0 but writes 1"),
+    ({"n": -3, "crosses": []}, "PipeDream: ValueError: rank -3 is negative"),
+    ({"n": 4, "crosses": [[1, 1, 1]]}, "PipeDream: ValueError: box (1, 1, 1) outside the staircase for n=4"),
 ], ids=["fractional-rank", "float-coordinate", "negative-rank", "three-coordinates"])
 def test_json_refuses_what_no_pipe_dream_writes(data, named):
-    """A pipe dream read from JSON is refused, with the fault named, when
-    its rank is not an integer, a coordinate is not an integer (1.0 would
-    print back as 1.0), the rank is negative (its permutation would be
-    the empty one) or a box is not a pair."""
-    with pytest.raises(ValueError, match=named):
+    """A pipe dream read from JSON is refused, with the type and the path
+    or the constructor's fault named, when it is not what the pipe dream
+    it builds writes back (a rank or coordinate of 4.5 or 1.0), or when
+    the constructor refuses it (a negative rank, a box of three ends)."""
+    with pytest.raises(ValueError, match=re.escape(named)):
         PipeDream.from_jsonable(data)
+
+
+def test_negative_rank_is_refused():
+    """PipeDream(-1, ()) would print as a pipe dream of the empty permutation."""
+    with pytest.raises(ValueError, match="rank -1 is negative"):
+        PipeDream(-1, ())
+    with pytest.raises(ValueError, match="PipeDream: ValueError: rank -1 is negative"):
+        PipeDream.from_jsonable({"n": -1, "crosses": []})

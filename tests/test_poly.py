@@ -1,5 +1,7 @@
 """Polynomial arithmetic, substitution, and serialization."""
 
+import re
+
 import pytest
 
 from pipedreams.poly import MultiPolynomial, poly_diff
@@ -104,27 +106,38 @@ def test_json_round_trip():
 
 @pytest.mark.parametrize("data,named", [
     ({"vars": ["b"], "terms": [{"exp": [1], "coef": "1"}, {"exp": [1], "coef": "2"}]},
-     r"exponent vector \[1\] is listed twice"),
+     """MultiPolynomial: $['terms'] reads [{"exp": [1], "coef": "1"}, {"exp": [1], "coef": "2"}] """
+     """but writes [{"exp": [1], "coef": "3"}]"""),
     ({"vars": ["b", "b"], "terms": [{"exp": [1, 0], "coef": "1"}, {"exp": [0, 1], "coef": "1"}]},
-     "variable 'b' is listed twice"),
+     "MultiPolynomial: ValueError: variables ('b', 'b') name one variable twice"),
     ({"vars": ["b"], "terms": [{"exp": [1.5], "coef": "1"}]},
-     "exponent 1.5 in"),
+     "MultiPolynomial: $['terms'][0]['exp'][0] reads 1.5 but writes 1"),
     ({"vars": ["b"], "terms": [{"exp": [1], "coef": 2.7}]},
-     "coefficient 2.7 is not"),
+     "MultiPolynomial: $['terms'][0]['coef'] reads 2.7 but writes \"2\""),
     ({"vars": ["b"], "terms": [{"exp": [1], "coef": "0"}]},
-     "coefficient '0' is not"),
+     """MultiPolynomial: $['terms'] reads [{"exp": [1], "coef": "0"}] but writes []"""),
     ({"vars": [1], "terms": [{"exp": [2], "coef": "3"}]},
-     "variable 1 is not a string"),
+     "MultiPolynomial: $['vars'][0] reads 1 but writes \"1\""),
 ], ids=["like-terms-unmerged", "variable-twice", "fractional-exponent",
         "fractional-coefficient", "zero-coefficient", "variable-not-a-string"])
 def test_json_refuses_what_no_polynomial_writes(data, named):
-    """A polynomial read from JSON is refused, with the fault named, when
-    two terms share an exponent vector (b + 2b would read as 2*b), a
-    variable is listed twice (b + b, unequal to 2*b), an exponent is not
-    an integer (b^1.5), a coefficient is not the decimal string of a
+    """A polynomial read from JSON is refused, with the type and the first
+    path at which it differs from what it writes back named, when two terms
+    share an exponent vector (b + 2b would read as 3*b), an exponent is
+    not an integer (b^1.5), a coefficient is not the decimal string of a
     nonzero integer (2.7 would read as 2, and "0" would be dropped), or a
-    variable is not a string (3*1^2 would print)."""
-    with pytest.raises(ValueError, match=named):
+    variable is not a string (3*1^2 would print); and with the
+    constructor's fault named when a variable is listed twice."""
+    with pytest.raises(ValueError, match=re.escape(named)):
+        MultiPolynomial.from_jsonable(data)
+
+
+def test_a_variable_listed_twice_is_refused():
+    """b + b over the variables (b, b) would print unequal to 2*b."""
+    with pytest.raises(ValueError, match=re.escape("variables ('b', 'b') name one variable twice")):
+        MultiPolynomial(("b", "b"), {(1, 0): 1})
+    data = {"vars": ["b", "b"], "terms": [{"exp": [1, 0], "coef": "1"}]}
+    with pytest.raises(ValueError, match=re.escape("MultiPolynomial: ValueError: variables ('b', 'b')")):
         MultiPolynomial.from_jsonable(data)
 
 

@@ -1,6 +1,7 @@
 """Root polytopes, flows, dissections, trees, triangulations."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -63,13 +64,14 @@ def test_acyclic_validation():
 
 
 @pytest.mark.parametrize("data,named", [
-    ({"n": 4.5, "edges": [[1, 2]]}, "n 4.5 is not an integer"),
-    ({"n": 4, "edges": [[1.0, 2]]}, "edge end 1.0 is not an integer"),
+    ({"n": 4.5, "edges": [[1, 2]]}, "AcyclicGraph: $['n'] reads 4.5 but writes 4"),
+    ({"n": 4, "edges": [[1.0, 2]]}, "AcyclicGraph: $['edges'][0][0] reads 1.0 but writes 1"),
 ], ids=["fractional-rank", "float-edge-end"])
 def test_acyclic_graph_json_with_a_fractional_number_is_refused(data, named):
-    """A graph read from JSON is refused, with the field named, when its
-    rank or an edge end is not an integer."""
-    with pytest.raises(ValueError, match=named):
+    """A graph read from JSON is refused, with the type and the path named,
+    when its rank or an edge end is not an integer: it would not print
+    back as read."""
+    with pytest.raises(ValueError, match=re.escape(named)):
         AcyclicGraph.from_jsonable(data)
 
 
@@ -334,22 +336,44 @@ def test_simplex_json():
 
 @pytest.mark.parametrize("with_origin", [False, True])
 def test_simplex_json_with_no_vertices_is_refused(with_origin):
-    with pytest.raises(ValueError, match="vertex list is empty"):
+    """With no vertex there is no rank to read: indexing the first fails."""
+    with pytest.raises(ValueError, match="Simplex: IndexError: list index out of range"):
         Simplex.from_jsonable({"vertices": [], "with_origin": with_origin})
 
 
 @pytest.mark.parametrize("vertices,with_origin,named", [
-    ([["1", "-1"]], True, "the simplex has the origin, which"),
-    ([["0", "0"], ["1", "-1"], ["0", "0"]], True, r"vertex \['0', '0'\] is listed twice"),
-    ([["1", "-1"], ["1", "-1"]], False, r"vertex \['1', '-1'\] is listed twice"),
-    ([["1", "-1"], ["1", "0", "-1"]], False, "has 3 coordinates, not 2"),
-    ([["0", "0"], ["1", "-1"]], "yes", "with_origin 'yes' is not true or false"),
-], ids=["origin-missing", "origin-twice", "vertex-twice", "lengths-differ", "with-origin-not-a-bool"])
+    ([["1", "-1"]], True,
+     """Simplex: $['vertices'] reads [["1", "-1"]] but writes [["0", "0"], ["1", "-1"]]"""),
+    ([["0", "0"], ["1", "-1"], ["0", "0"]], True,
+     """Simplex: $['vertices'] reads [["0", "0"], ["1", "-1"], ["0", "0"]] """
+     """but writes [["0", "0"], ["1", "-1"]]"""),
+    ([["1", "-1"], ["1", "-1"]], False, "Simplex: ValueError: generator ['1', '-1'] is listed twice"),
+    ([["1", "-1"], ["1", "0", "-1"]], False,
+     "Simplex: ValueError: generator ['1', '0', '-1'] has 3 coordinates, not n = 2"),
+    ([["0", "0"], ["1", "-1"]], "yes", """Simplex: $['with_origin'] reads "yes" but writes true"""),
+    ([["1/0", "0"]], False, "Simplex: ZeroDivisionError: Fraction(1, 0)"),
+], ids=["origin-missing", "origin-twice", "vertex-twice", "lengths-differ", "with-origin-not-a-bool",
+        "zero-denominator"])
 def test_simplex_json_refuses_what_no_simplex_writes(vertices, with_origin, named):
-    """A simplex read from JSON is refused, with the fault named, when a
-    with-origin list leaves the origin out (it would print back with the
-    origin added) or names it twice (collapsed to one), a vertex is listed
-    twice (kept as two generators), the vertices differ in length, or
-    with_origin is not a boolean (it would print back as read)."""
-    with pytest.raises(ValueError, match=named):
+    """A simplex read from JSON is refused, with the type and the path
+    named, when it would not print back as read: a with-origin list leaves
+    the origin out (it would print with the origin added) or names it
+    twice (collapsed to one), or with_origin is not a boolean.  It is
+    refused with the constructor's fault named when a vertex is listed
+    twice or the vertices differ in length, and with the build's error
+    named when a coordinate has a zero denominator."""
+    with pytest.raises(ValueError, match=re.escape(named)):
         Simplex.from_jsonable({"vertices": vertices, "with_origin": with_origin})
+
+
+@pytest.mark.parametrize("generators,named", [
+    (((1, -1), (1, -1)), "generator ['1', '-1'] is listed twice"),
+    (((1, -1), (1, 0, -1)), "generator ['1', '0', '-1'] has 3 coordinates, not n = 2"),
+], ids=["repeated", "wrong-length"])
+def test_simplex_refuses_a_repeated_or_misshapen_generator(generators, named):
+    """Such a simplex would print a vertex twice, or vertices of two lengths."""
+    with pytest.raises(ValueError, match=re.escape(named)):
+        Simplex(2, generators, with_origin=False)
+    data = {"vertices": [[str(c) for c in g] for g in generators], "with_origin": False}
+    with pytest.raises(ValueError, match=re.escape("Simplex: ValueError: " + named)):
+        Simplex.from_jsonable(data)

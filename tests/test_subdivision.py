@@ -1,6 +1,7 @@
 """The subdivision algebra rewriting engine."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -279,34 +280,66 @@ def test_json_round_trip():
     assert ReducedForm.from_jsonable(rf.to_jsonable()) == rf
 
 
+LIKE_TERMS = "edges [(1, 3), (1, 4)] with b^0 are listed twice; a reduced form holds like terms merged"
+
+
 def test_reduced_form_json_with_like_terms_unmerged_is_refused():
     """Two monomials with the same edges and power of b would print as
     x13*x14 + 2*x13*x14; reading them from JSON is refused, whatever order
-    each lists its edges in."""
+    each lists its edges in, with the constructor's fault named."""
     from pipedreams.subdivision import ReducedForm
 
     data = {"n": 4, "monomials": [{"edges": [[1, 3], [1, 4]], "beta": 0, "coeff": 1},
                                   {"edges": [[1, 4], [1, 3]], "beta": 0, "coeff": 2}]}
-    with pytest.raises(ValueError, match=r"edges \[\(1, 3\), \(1, 4\)\] with b\^0 are listed twice"):
+    with pytest.raises(ValueError, match=re.escape("ReducedForm: ValueError: " + LIKE_TERMS)):
         ReducedForm.from_jsonable(data)
-    data["monomials"][1]["beta"] = 1
+
+
+def test_reduced_form_json_reads_edges_in_sorted_order_only():
+    """Monomials with one edge multiset and different powers of b are two
+    terms; edges listed out of order are refused, with the path named,
+    since the reduced form writes them sorted."""
+    from pipedreams.subdivision import ReducedForm
+
+    data = {"n": 4, "monomials": [{"edges": [[1, 3], [1, 4]], "beta": 0, "coeff": 1},
+                                  {"edges": [[1, 3], [1, 4]], "beta": 1, "coeff": 2}]}
     assert len(ReducedForm.from_jsonable(data).monomials) == 2
+    data["monomials"][1]["edges"] = [[1, 4], [1, 3]]
+    named = "ReducedForm: $['monomials'][1]['edges'][0][1] reads 4 but writes 3"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ReducedForm.from_jsonable(data)
+
+
+def test_reduced_form_refuses_like_terms_unmerged():
+    """The constructor refuses two monomials with one key, and so does the
+    JSON reader through it, with the edges listed in order."""
+    from pipedreams.subdivision import ReducedForm
+
+    m = EdgeMonomial(4, ((1, 3), (1, 4)))
+    with pytest.raises(ValueError, match=re.escape(LIKE_TERMS)):
+        ReducedForm(4, (m, m))
+    data = {"n": 4, "monomials": [{"edges": [[1, 3], [1, 4]], "beta": 0, "coeff": c} for c in (1, 2)]}
+    with pytest.raises(ValueError, match=re.escape("ReducedForm: ValueError: " + LIKE_TERMS)):
+        ReducedForm.from_jsonable(data)
 
 
 MONOMIAL = {"edges": [[1, 3], [1, 4]], "beta": 0, "coeff": 1}
 
 
 @pytest.mark.parametrize("data,named", [
-    ({"n": 4, "monomials": [{**MONOMIAL, "coeff": 1.5}]}, "coeff 1.5 is not an integer"),
-    ({"n": 4, "monomials": [{**MONOMIAL, "beta": 0.5}]}, "beta 0.5 is not an integer"),
-    ({"n": 4, "monomials": [{**MONOMIAL, "edges": [[1.0, 3], [1, 4]]}]}, "edge end 1.0 is not an integer"),
-    ({"n": 4.5, "monomials": [MONOMIAL]}, "n 4.5 is not an integer"),
+    ({"n": 4, "monomials": [{**MONOMIAL, "coeff": 1.5}]},
+     "ReducedForm: $['monomials'][0]['coeff'] reads 1.5 but writes 1"),
+    ({"n": 4, "monomials": [{**MONOMIAL, "beta": 0.5}]},
+     "ReducedForm: $['monomials'][0]['beta'] reads 0.5 but writes 0"),
+    ({"n": 4, "monomials": [{**MONOMIAL, "edges": [[1.0, 3], [1, 4]]}]},
+     "ReducedForm: $['monomials'][0]['edges'][0][0] reads 1.0 but writes 1"),
+    ({"n": 4.5, "monomials": [MONOMIAL]}, "ReducedForm: $['n'] reads 4.5 but writes 4"),
 ], ids=["coeff", "beta", "edge-end", "rank"])
 def test_reduced_form_json_with_a_fractional_number_is_refused(data, named):
     """A coefficient, power of b, edge end or rank that is not an integer
-    would print back as it was read (1.5*x13*x14, b^0.5*x13*x14,
-    x1.03*x14)."""
+    would not print back as it was read (1.5*x13*x14, b^0.5*x13*x14,
+    x1.03*x14); the type and the path are named."""
     from pipedreams.subdivision import ReducedForm
 
-    with pytest.raises(ValueError, match=named):
+    with pytest.raises(ValueError, match=re.escape(named)):
         ReducedForm.from_jsonable(data)
