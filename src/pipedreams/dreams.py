@@ -10,7 +10,9 @@ A pipe dream is a set of crossed boxes; its permutation is the Demazure
 product of the letters at the crosses, taken in reading order.
 `staircase_transfer` is the one walk over the staircase towards a
 permutation w: it counts the cross sets that fold to w under a key the
-caller chooses, so one kernel lists Pipes(w) and counts its crosses by row.
+caller chooses.  A step is a tuple of key offsets, and a cross picks one
+of them, so one kernel lists Pipes(w), counts its crosses by row, and
+expands the product of (x_r - y_c) over each cross set.
 """
 
 from __future__ import annotations
@@ -29,15 +31,21 @@ Box = tuple[int, int]
 # The digits of a binary numeral as the bytes 0 and 1 that `compress` reads
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
-# A listing of Pipes(w) is fast at desk scale but still exponential in
-# principle; refuse ranks past the limit.  `cli.main` sets it from
-# `--limit-n`; a library caller sets it with `LIMIT_N.set(n)`.
+# An expansion over the cross sets of Pipes(w) is fast at desk scale but
+# still exponential in principle; refuse ranks past the limit.  `cli.main`
+# sets it from `--limit-n`; a library caller sets it with `LIMIT_N.set(n)`.
 DEFAULT_LIMIT_N = 9
 LIMIT_N: ContextVar[int] = ContextVar("LIMIT_N", default=DEFAULT_LIMIT_N)
 
 
 class EnumerationLimitError(ValueError):
     """Rank exceeds the configured pipe dream search limit."""
+
+
+def refuse_past_limit(n: int) -> None:
+    """Raise EnumerationLimitError if rank n is past `LIMIT_N`."""
+    if n > (limit := LIMIT_N.get()):
+        raise EnumerationLimitError(f"rank {n} exceeds search limit {limit}; raise --limit-n to override")
 
 
 @cache
@@ -124,29 +132,31 @@ class PipeDream:
             int(d["n"]), tuple(tuple(map(int, box)) for box in d["crosses"])))
 
 
-def staircase_transfer(w: Permutation, steps: Sequence[int]) -> dict[int, int]:
+def staircase_transfer(w: Permutation, steps: Sequence[tuple[int, ...]]) -> dict[int, int]:
     """The one walk over the staircase towards w: a transfer in reading
     order over running Demazure products (the Fomin-Kirillov product in
-    the 0-Hecke algebra).  Each state u maps the key of every cross set
-    read so far that folds to u to the number of such sets: an elbow keeps
-    u and the key, a cross at reading position i folds in its letter and
-    adds steps[i] to the key.  Returns the keys that end at w.
+    the 0-Hecke algebra).  Each state u maps the key of every term read so
+    far whose cross set folds to u to the number of such terms: an elbow
+    keeps u and the key, a cross at reading position i folds in its letter
+    and picks one offset of the tuple steps[i] to add to the key, so each
+    term goes on once per offset.  Keys that meet have their counts added.
+    Returns the keys that end at w.
 
     A state is cut unless it can still end at w: the final product
     dominates u, so u <= w, and it is dominated by the fold of u with every
     letter still to come, so w <= that fold.  The first test is memoized
     per u; the second runs once per state.
 
-    With every step 1, a key is a number of crosses:
+    With every step (1,), a key is a number of crosses:
 
-    >>> sorted(staircase_transfer(Permutation((1, 4, 3, 2)), [1] * 6).items())
+    >>> sorted(staircase_transfer(Permutation((1, 4, 3, 2)), [(1,)] * 6).items())
     [(3, 5), (4, 5), (5, 1)]
     """
     target = w.window
     letters = triangular_word(w.n)
     below: dict[Window, bool] = {}
     states = {identity_window(w.n): {0: 1}}
-    for i, (a, step) in enumerate(zip(letters, steps)):
+    for i, (a, (first, *more)) in enumerate(zip(letters, steps)):
         nxt: dict[Window, dict[int, int]] = {}
         for u, keys in states.items():
             ok = below.get(u)
@@ -154,7 +164,10 @@ def staircase_transfer(w: Permutation, steps: Sequence[int]) -> dict[int, int]:
                 ok = below[u] = bruhat_leq(u, target)
             if not ok or not bruhat_leq(target, demazure_fold(u, letters[i:])):
                 continue
-            crossed = {k + step: c for k, c in keys.items()}
+            crossed = {k + first: c for k, c in keys.items()}
+            for d in more:
+                for k, c in keys.items():
+                    crossed[k + d] = crossed.get(k + d, 0) + c
             # the elbow passes u's dict on uncopied: nothing merges into it
             # before u's own step is done
             for v, t in ((u, keys), (demazure_fold(u, (a,)), crossed)):
@@ -169,7 +182,7 @@ def staircase_transfer(w: Permutation, steps: Sequence[int]) -> dict[int, int]:
 def enumerate_pipe_dreams(w: Permutation) -> list[PipeDream]:
     """Every cross set whose Demazure product is w, reduced and nonreduced,
     sorted by (size, cross list): the keys of `staircase_transfer` with
-    step 2^(N-1-j) at the box of sorted index j of N.  A key's N-digit
+    step (2^(N-1-j),) at the box of sorted index j of N.  A key's N-digit
     binary numeral marks its crosses in sorted order, and at one size a
     larger key is a smaller cross list, so the keys sort as plain ints.
 
@@ -177,13 +190,9 @@ def enumerate_pipe_dreams(w: Permutation) -> list[PipeDream]:
     [3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 5]
     """
     n = w.n
-    limit = LIMIT_N.get()
-    if n > limit:
-        raise EnumerationLimitError(
-            f"rank {n} exceeds search limit {limit}; raise --limit-n to override"
-        )
+    refuse_past_limit(n)
     order = sorted(staircase_boxes(n))
-    step = {b: 1 << j for j, b in enumerate(reversed(order))}
+    step = {b: (1 << j,) for j, b in enumerate(reversed(order))}
     keys = staircase_transfer(w, [step[b] for b in staircase_boxes(n)])
     numeral = f"0{len(order)}b"
     return [PipeDream(n, tuple(compress(order, format(k, numeral).encode().translate(_BITS))))

@@ -7,8 +7,9 @@ of P, codim(P) being the number of crosses beyond l(w): the pipe dream
 formula at beta = -1 (Fomin-Kirillov 1994; Knutson-Miller 2005).
 `groth_beta` counts Pipes(w) by codimension, and `specialize_qt` sets every
 x to q and every y to t in the b-graded sum through that count.  The pipe
-dream formula's side of the single polynomial reads the staircase transfer
-of `dreams` with one key per x-monomial, and lists no pipe dream.
+dream formula's sides of the double and the single polynomial read the
+staircase transfer of `dreams` with one key per monomial, packed one
+base-n digit per variable, and list no pipe dream.
 
 The single polynomial G^b_w comes from the algebraic definition, with no
 pipe dream: G^b_w0 = x1^(n-1) x2^(n-2) ... x(n-1), and whenever
@@ -21,11 +22,21 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .dreams import enumerate_pipe_dreams, staircase_boxes, staircase_transfer
+from .dreams import enumerate_pipe_dreams, refuse_past_limit, staircase_boxes, staircase_transfer
 from .perms import Permutation
 from .poly import MultiPolynomial, _merge, _unchecked
 
 QT_VARS = ("q", "t", "b")
+
+
+def _digits(key: int, n: int, count: int) -> list[int]:
+    """The first `count` base-n digits of a packed monomial, lowest first:
+    the exponent of the variable at digit k is digit k."""
+    out = []
+    for _ in range(count):
+        key, d = divmod(key, n)
+        out.append(d)
+    return out
 
 
 def pipe_dream_beta_grothendieck(w: Permutation) -> MultiPolynomial:
@@ -41,32 +52,35 @@ def pipe_dream_beta_grothendieck(w: Permutation) -> MultiPolynomial:
     x1*x2*b + x1 + x2
     """
     n, l = w.n, w.length()
-    monomials = staircase_transfer(w, [n ** (r - 1) for r, _c in staircase_boxes(n)])
+    monomials = staircase_transfer(w, [(n ** (r - 1),) for r, _c in staircase_boxes(n)])
     out = {}
     for e, c in monomials.items():
-        x = [e // n ** k % n for k in range(n - 1)]
+        x = _digits(e, n, n - 1)
         out[(*x, sum(x) - l)] = c
     return _unchecked(tuple([f"x{i}" for i in range(1, n)] + ["b"]), out)
 
 
 def double_grothendieck(w: Permutation) -> MultiPolynomial:
     """Sum over Pipes(w) of (-1)^codim * product of (x_r - y_c) over the
-    crosses, over x1.., y1..: the generating polynomial of Pipes(w) over one
-    variable z_(r,c) per staircase box, each term signed (-1)^codim,
-    expanded by one substitution z_(r,c) -> x_r - y_c.
+    crosses, over x1.., y1..: `staircase_transfer` with the step
+    (n^(r-1), n^(n+c-2)) at box (r, c), so a cross picks x_r or y_c and a
+    key is a monomial, x_r at base-n digit r - 1 and y_c at digit
+    n + c - 2 (no exponent reaches n).  A term with s crosses that picks y
+    at k of them is signed (-1)^(s - l(w) + k) = (-1)^(deg_x - l(w)), so no
+    two terms of a monomial cancel and the sign is read from the key.
 
     >>> print(double_grothendieck(Permutation((1, 3, 2))))
     -x1*x2 + x1*y1 + x2*y2 - y1*y2 + x1 + x2 - y1 - y2
     """
     n, l = w.n, w.length()
-    vars = tuple([f"x{i}" for i in range(1, n)] + [f"y{j}" for j in range(1, n)])
-    boxes = staircase_boxes(n)
-    images = {f"z{r},{c}": MultiPolynomial.variable(f"x{r}", vars)
-              - MultiPolynomial.variable(f"y{c}", vars) for r, c in boxes}
-    generating = MultiPolynomial(tuple(images), (
-        (tuple(int(box in P.crosses) for box in boxes), (-1) ** (P.size - l))
-        for P in enumerate_pipe_dreams(w)))
-    return generating.substitute(images, vars)
+    refuse_past_limit(n)
+    monomials = staircase_transfer(
+        w, [(n ** (r - 1), n ** (n + c - 2)) for r, c in staircase_boxes(n)])
+    out = {}
+    for e, c in monomials.items():
+        xy = _digits(e, n, 2 * n - 2)
+        out[tuple(xy)] = c if (sum(xy[:n - 1]) - l) % 2 == 0 else -c
+    return _unchecked(tuple([f"x{i}" for i in range(1, n)] + [f"y{j}" for j in range(1, n)]), out)
 
 
 def specialize_qt(w: Permutation, beta: MultiPolynomial) -> MultiPolynomial:

@@ -27,6 +27,9 @@ class MultiPolynomial:
 
     def __init__(self, vars: Iterable[str], terms: Union[Mapping, Iterable] = ()):
         self.vars = tuple(vars)
+        for v in self.vars:
+            if not isinstance(v, str):
+                raise ValueError(f"variable {v!r} is not a string")
         if len(set(self.vars)) != len(self.vars):
             raise ValueError(f"variables {self.vars} name one variable twice")
 

@@ -441,12 +441,16 @@ def test_limit_guard_exit(capsys):
 IDENTITY_10 = "1,2,3,4,5,6,7,8,9,10"
 
 
-def test_limit_override_flag(capsys):
-    assert main(["groth", IDENTITY_10]) == 2
+@pytest.mark.parametrize("flags,printed", [((), "beta: 1\n"), (("--double",), "double: 1\n")],
+                         ids=["beta", "double"])
+def test_limit_override_flag(capsys, flags, printed):
+    """Each builder that expands over the cross sets of Pipes(w) refuses a
+    rank past the limit, and `--limit-n` lifts the refusal."""
+    assert main(["groth", IDENTITY_10, *flags]) == 2
     assert "--limit-n" in capsys.readouterr().err
-    code, out = run(capsys, "groth", IDENTITY_10, "--limit-n", "10")
+    code, out = run(capsys, "groth", IDENTITY_10, *flags, "--limit-n", "10")
     assert code == 0
-    assert out == "beta: 1\n"
+    assert out == printed
 
 
 def test_limit_override_does_not_outlive_main(capsys):

@@ -21,6 +21,7 @@ from pipedreams.dreams import (
     enumerate_pipe_dreams,
     reduced_pipe_dreams,
     staircase_boxes,
+    staircase_transfer,
     triangular_word,
 )
 from pipedreams.perms import Permutation, all_windows, catalan_permutation, identity_window
@@ -132,6 +133,18 @@ def test_listing_matches_the_depth_first_search_on_all_of_rank(n):
 def test_listing_matches_the_depth_first_search_on_catalan(n):
     w = catalan_permutation(n)
     assert enumerate_pipe_dreams(w) == enumerate_pipe_dreams_dfs(w)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_offsets_that_meet_add_their_counts(n):
+    """With the step (1, 1) at every box, a cross set of k crosses goes on
+    2^k times, every time under the key k: the offsets of a step meet, and
+    their counts add rather than overwrite."""
+    N = len(staircase_boxes(n))
+    for window in all_windows(n):
+        w = Permutation(window)
+        once = staircase_transfer(w, [(1,)] * N)
+        assert staircase_transfer(w, [(1, 1)] * N) == {k: 2**k * c for k, c in once.items()}, w
 
 
 def test_identity_has_single_empty_dream():

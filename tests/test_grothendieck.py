@@ -124,20 +124,18 @@ def test_double_grothendieck_is_beta_minus_one():
         assert g.substitute(images, QT_VARS) == expected, w
 
 
-def test_double_grothendieck_substitutes_once(monkeypatch):
-    """The sign is in each term of the generating polynomial, so the double
-    polynomial takes one substitute call, straight to the x, y variables."""
-    calls = []
-    substitute = MultiPolynomial.substitute
-
-    def counted(self, images, target_vars):
-        calls.append(tuple(target_vars))
-        return substitute(self, images, target_vars)
-
+def test_double_grothendieck_lists_and_substitutes_nothing(monkeypatch):
+    """The double polynomial is read from the staircase transfer: with the
+    listing of Pipes(w) and every substitution made to raise, it is still
+    the per-dream oracle's b-graded sum at b = -1."""
     expected = at_minus_one(double_beta_grothendieck_per_dream(W1432))
-    monkeypatch.setattr(MultiPolynomial, "substitute", counted)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("double_grothendieck must not call this")
+
+    monkeypatch.setattr(grothendieck, "enumerate_pipe_dreams", refused)
+    monkeypatch.setattr(MultiPolynomial, "substitute", refused)
     assert double_grothendieck(W1432) == expected
-    assert calls == [xy_beta_vars(4)[:-1]]
 
 
 def test_specialize_qt_1432():

@@ -141,6 +141,14 @@ def test_a_variable_listed_twice_is_refused():
         MultiPolynomial.from_jsonable(data)
 
 
+def test_a_variable_that_is_not_a_string_is_refused():
+    """3*1^2 would print, and write a text that reads back unequal."""
+    with pytest.raises(ValueError, match=re.escape("variable 1 is not a string")):
+        MultiPolynomial((1,), {(2,): 3})
+    with pytest.raises(ValueError, match=re.escape("variable None is not a string")):
+        MultiPolynomial(("b", None))
+
+
 def test_poly_diff_reports_mismatches():
     x, y = var("x"), var("y")
     d = poly_diff(x + y, x - y)
