@@ -149,12 +149,15 @@ def _cmd_reduce(args, report: RunReport) -> None:
     edges = parse_edges(args.edges)
     n = max(j for _i, j in edges) if args.n is None else args.n
     strategy = parse_strategy(args.strategy, args.seed)
-    rf = reduced_form(EdgeMonomial(n, edges), strategy)
+    if args.tree:
+        tree = reduction_tree(EdgeMonomial(n, edges), strategy)
+        rf = tree.reduced_form()
+    else:
+        rf = reduced_form(EdgeMonomial(n, edges), strategy)
     report.inputs = {"n": n, "edges": edges, "strategy": args.strategy}
     report.results["reduced_form"] = rf
     report.results["q"] = rf.beta_specialization()
     if args.tree:
-        tree = reduction_tree(EdgeMonomial(n, edges), parse_strategy(args.strategy, args.seed))
         report.results["tree"] = tree if args.json else tree.outline()
 
 

@@ -4,8 +4,10 @@ complex of a permutation.
 The pipe dream complex of w has the staircase boxes as potential vertices;
 a set of boxes is a face when the letters on the complementary boxes still
 contain w, and the facets are the elbow sets of the reduced pipe dreams.
-Interior faces are the elbow sets of the pipe dreams of w, listed by the
-search; the face closure `faces()` serves `realize` alone.
+The h-polynomial counts each facet's decreasing flips: one Demazure fold
+per cross and one comparison per elbow.  Interior faces are the elbow sets
+of the pipe dreams of w, listed by the search; the face closure `faces()`
+serves `realize` alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable
 
-from .dreams import Box, enumerate_pipe_dreams, staircase_boxes, staircase_product, triangular_word
+from .dreams import (
+    Box,
+    enumerate_pipe_dreams,
+    reduced_pipe_dreams,
+    staircase_boxes,
+    staircase_product,
+    triangular_word,
+)
 from .perms import Permutation, bruhat_leq, demazure_fold, identity_window
 from .poly import MultiPolynomial
 from .report import read_canonical
@@ -91,15 +100,23 @@ class SimplicialComplex:
 
 
 def h_polynomial(C: SimplicialComplex, w: Permutation) -> MultiPolynomial:
-    """h-polynomial sum h_k x^k of the pipe dream complex C of w, by flips.
+    """h-polynomial sum h_k x^k of the pipe dream complex C of w, by
+    decreasing flips: h_k counts the facets with k of them.  w gives n.
 
-    C is the subword complex of the triangular word and w, which is
-    shellable; h_k counts its facets with k increasing flips (Knutson-Miller
-    2004; Ceballos-Labbe-Stump 2014).  An elbow i of a facet, with letter
-    s_a and u the product of the crosses before i, is an increasing flip
-    when the Demazure product of the crosses with i added is still w (the
-    ridge without i is interior) and u s_a > u (the cross that leaves in
-    the flip comes after i).
+    C is the subword complex of the triangular word and w.  Let i be an
+    elbow of a facet, with letter s_a, u the product of the crosses before
+    i and v = u^-1 w that of those after; l(u) + l(v) = l(w).  i is a
+    decreasing flip exactly when u s_a < u, that is u(a) > u(a+1):
+    1. If u s_a < u, the Demazure product of the crosses with i added skips
+       s_a and is still w, so the ridge without i is interior (Knutson-Miller
+       2004, Thm 3.7); by the exchange property the cross that leaves in
+       the flip comes before i.
+    2. If u s_a > u and a cross j before i left in the flip, deleting j
+       would give u = u' s_a with l(u') < l(u), against u s_a > u.
+    3. Reversing the word and inverting w carries C onto the subword
+       complex of the reversed word and w^-1 and decreasing flips onto
+       increasing ones, whose count per facet gives h (Knutson-Miller 2004;
+       Ceballos-Labbe-Stump 2014).
 
     >>> w = Permutation((1, 4, 3, 2))
     >>> print(h_polynomial(build_pdc(w), w))
@@ -109,14 +126,12 @@ def h_polynomial(C: SimplicialComplex, w: Permutation) -> MultiPolynomial:
     reading = tuple(zip(staircase_boxes(n), triangular_word(n)))
     h = [0] * (C.dim + 2)
     for facet in C.facets:
-        crosses = [a for b, a in reading if b not in facet]
         u = identity_window(n)
-        seen = flips = 0
+        flips = 0
         for b, a in reading:
             if b not in facet:
                 u = demazure_fold(u, (a,))
-                seen += 1
-            elif u[a - 1] < u[a] and demazure_fold(u, (a, *crosses[seen:])) == w.window:
+            elif u[a - 1] > u[a]:
                 flips += 1
         h[flips] += 1
     return MultiPolynomial(("x",), {(k,): c for k, c in enumerate(h) if c})
@@ -137,15 +152,14 @@ def f_vector(h: MultiPolynomial, d: int) -> tuple[int, ...]:
 
 
 def build_pdc(w: Permutation) -> SimplicialComplex:
-    """The pipe dream complex of w: the elbow sets of the reduced dreams
-    of one search of Pipes(w).
+    """The pipe dream complex of w: the elbow sets of its reduced pipe
+    dreams.
 
     >>> C = build_pdc(Permutation((1, 4, 3, 2)))
     >>> len(C.vertices), len(C.facets)
     (6, 5)
     """
-    l = w.length()
-    return SimplicialComplex(P.elbows() for P in enumerate_pipe_dreams(w) if P.size == l)
+    return SimplicialComplex(P.elbows() for P in reduced_pipe_dreams(w))
 
 
 def is_face_of_pdc(boxes: Iterable[Box], w: Permutation) -> bool:

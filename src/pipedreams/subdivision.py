@@ -33,7 +33,7 @@ from itertools import starmap
 from operator import sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .poly import MultiPolynomial
+from .poly import MultiPolynomial, _merge
 from .report import read_canonical
 
 Edge = tuple[int, int]
@@ -294,42 +294,46 @@ class ReducedForm:
 
 
 def _leaves(n: int, edges: tuple[Edge, ...], coeff: int,
-            strategy: Strategy | None) -> dict[tuple[Edge, ...], int]:
-    """The leaves of the rewrite of coeff * x^edges, as {sorted edge tuple:
-    coefficient}, like terms merged after each layer.  Each layer is
+            strategy: Strategy | None) -> Iterator[tuple[tuple[Edge, ...], int]]:
+    """The leaves of the rewrite of coeff * x^edges, as (sorted edge tuple,
+    coefficient) pairs, like terms merged within each layer.  Each layer is
     processed in sorted order, so scripted and seeded strategies are
-    reproducible.  A leaf is a tuple the strategy chooses no triple for.
-    Every coefficient is coeff times a positive count, so none is zero."""
+    reproducible; one tuple can end in more than one layer.  A leaf is a
+    tuple the strategy chooses no triple for.  Every coefficient is coeff
+    times a positive count."""
     choose = (strategy or LexFirst()).choose
     pending = {edges: coeff} if coeff else {}
-    done: dict[tuple[Edge, ...], int] = {}
     while pending:
         nxt: dict[tuple[Edge, ...], int] = {}
         for edges in sorted(pending):
             coeff = pending[edges]
             triple = choose(edges)
             if triple is None:
-                done[edges] = done.get(edges, 0) + coeff
+                yield edges, coeff
                 continue
             for child in reduce_once(n, edges, triple):
                 nxt[child] = nxt.get(child, 0) + coeff
         pending = nxt
-    return done
+
+
+def _merged_form(root: EdgeMonomial, leaves: Iterable[tuple[tuple[Edge, ...], int]]) -> ReducedForm:
+    """The reduced form of the leaf (edge tuple, coefficient) pairs of the
+    expansion of root, like terms merged: |edges| + beta is the same for
+    every term, so each leaf's beta is root's sum less its number of
+    edges.  Leaves become EdgeMonomials only here, unchecked: every edge is
+    one of root's or was checked by reduce_once when it was added.
+    ReducedForm checks that each is alternating."""
+    n, size = root.n, len(root.edges) + root.beta
+    return ReducedForm(n, tuple(
+        _unchecked(n, edges, size - len(edges), coeff) for edges, coeff in _merge(leaves).items()
+    ))
 
 
 def reduced_form(m: EdgeMonomial, strategy: Strategy | None = None) -> ReducedForm:
     """Rewrite until every monomial is alternating, merging like terms
     after each layer (lex-first by default).  The rewrite runs on edge
-    tuples; |edges| + beta is the same for every term of the expansion, so
-    each leaf's beta is that sum less its number of edges.  Leaves become
-    EdgeMonomials only here, unchecked: every edge is one of m's or was
-    checked by reduce_once when it was added.  ReducedForm checks that
-    each is alternating."""
-    n, size = m.n, len(m.edges) + m.beta
-    return ReducedForm(n, tuple(
-        _unchecked(n, edges, size - len(edges), coeff)
-        for edges, coeff in _leaves(n, m.edges, m.coeff, strategy).items()
-    ))
+    tuples."""
+    return _merged_form(m, _leaves(m.n, m.edges, m.coeff, strategy))
 
 
 _LABELS = ("G1", "G2", "G3")
@@ -358,6 +362,11 @@ class ReductionNode:
     def leaves(self) -> list[EdgeMonomial]:
         """The alternating monomials at the leaves, in preorder."""
         return [node.monomial for node in self.walk() if not node.children]
+
+    def reduced_form(self) -> ReducedForm:
+        """The leaves with like terms merged: the reduced form this tree
+        reaches, whatever strategy chose its triples."""
+        return _merged_form(self.monomial, ((m.edges, m.coeff) for m in self.leaves()))
 
     def to_jsonable(self, head: Callable[[EdgeMonomial], dict] = _monomial_head) -> dict:
         """Nested dicts: head(monomial), then, when reducible, the triple
@@ -428,7 +437,7 @@ def q_polynomial(
     edges = _checked_edges(n, edges)
     size = len(edges)
     by_power: dict[tuple[int], int] = {}
-    for leaf, coeff in _leaves(n, edges, 1, strategy).items():
+    for leaf, coeff in _leaves(n, edges, 1, strategy):
         if not is_alternating(leaf):
             raise ValueError(f"leaf {leaf} is still reducible")
         power = (size - len(leaf),)

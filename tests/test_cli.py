@@ -3,6 +3,7 @@
 import json
 import re
 import time
+from collections import Counter
 from math import comb
 
 import pytest
@@ -211,6 +212,27 @@ def test_reduce_tree(capsys):
     assert tree["triple"] == [1, 2, 3]
     assert set(tree["children"]) == {"G1", "G2", "G3"}
     assert tree["children"]["G3"]["beta"] == 1
+
+
+def merged_leaves(node):
+    """{(edges, beta): count} over the leaves of a JSON rewrite tree."""
+    if "children" not in node:
+        return Counter([(tuple(map(tuple, node["edges"])), node["beta"])])
+    return sum(map(merged_leaves, node["children"].values()), Counter())
+
+
+@pytest.mark.parametrize("strategy", ["lex", "rlex", "random", "script:2,3,4;1,2,3"])
+@pytest.mark.parametrize("forest, seed", [("12,23,34,45", "0"), ("13,23,34,45", "5")])
+def test_reduce_tree_prints_its_own_reduced_form(capsys, strategy, forest, seed):
+    """With --tree the printed reduced form is the printed tree's leaves
+    merged, under a seeded strategy too: one rewrite, one draw."""
+    code, out = run(capsys, "reduce", forest, "--strategy", strategy, "--seed", seed,
+                    "--tree", "--json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    printed = {(tuple(map(tuple, m["edges"])), m["beta"]): m["coeff"]
+               for m in results["reduced_form"]["monomials"]}
+    assert printed == dict(merged_leaves(results["tree"]))
 
 
 def test_reduce_tree_text_is_an_outline(capsys):

@@ -170,11 +170,9 @@ def test_flip_h_equals_face_closure_oracle_on_catalan(n):
     assert h_polynomial(C, w) == face_h_polynomial(C)
 
 
-def decreasing_flip_h(C, w):
-    """h counted by decreasing flips: elbows whose cross leaving in the
-    flip comes before them, u s_a < u with u the product of the crosses
-    before the elbow.  Such a ridge is always interior, since the Demazure
-    product ignores a letter that does not lengthen."""
+def flip_h(C, w, is_flip):
+    """h counted by flips: per facet, the elbows where is_flip(u, a) holds,
+    with s_a the elbow's letter and u the product of the crosses before it."""
     reading = tuple(zip(staircase_boxes(w.n), triangular_word(w.n)))
     counts = {}
     for facet in C.facets:
@@ -183,7 +181,7 @@ def decreasing_flip_h(C, w):
         for b, a in reading:
             if b not in facet:
                 u = demazure_fold(u, (a,))
-            elif u[a - 1] > u[a]:
+            elif is_flip(u, a):
                 flips += 1
         counts[flips] = counts.get(flips, 0) + 1
     return MultiPolynomial(("x",), {(k,): c for k, c in counts.items()})
@@ -192,11 +190,27 @@ def decreasing_flip_h(C, w):
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(st.permutations(range(1, 8)))
 def test_decreasing_flips_give_the_same_h(window):
-    """The complex of w reversed is the complex of the reversed word and
-    w^-1, so counting decreasing flips gives h too; no face closure needed."""
+    """Decreasing flips, u s_a < u: the cross leaving in the flip comes
+    before the elbow.  Such a ridge is always interior, since the Demazure
+    product ignores a letter that does not lengthen."""
     w = Permutation(tuple(window))
     C = build_pdc(w)
-    assert h_polynomial(C, w) == decreasing_flip_h(C, w)
+    assert h_polynomial(C, w) == flip_h(C, w, lambda u, a: u[a - 1] > u[a])
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.permutations(range(1, 8)))
+def test_increasing_flips_give_the_same_h(window):
+    """Increasing flips, read by the root function: u s_a > u and s_a is a
+    left descent of v = u^-1 w, the product of the crosses after the
+    elbow; that is u(a) < u(a+1) and w^-1(u(a)) > w^-1(u(a+1)).  The
+    complex of w reversed is the complex of the reversed word and w^-1, so
+    they give the kernel's h by a second route."""
+    w = Permutation(tuple(window))
+    inverse = {x: i for i, x in enumerate(w.window)}
+    C = build_pdc(w)
+    assert h_polynomial(C, w) == flip_h(
+        C, w, lambda u, a: u[a - 1] < u[a] and inverse[u[a - 1]] > inverse[u[a]])
 
 
 def test_interior_faces_1432():

@@ -23,6 +23,7 @@ from pipedreams.subdivision import (
     reduce_once,
     reduced_form,
     reducible_triples,
+    reduction_tree,
 )
 from pipedreams.suites import verify_kirillov
 
@@ -167,6 +168,20 @@ def test_rewrite_work_on_the_path(monkeypatch, strategy):
         assert calls["reduce_once"] == (q1 - 1) // 2
         assert calls["choose"] == q1 + (q1 - 1) // 2
         assert all(len(m.edges) + m.beta == n - 1 for m in rf.monomials)
+
+
+def test_a_leaf_reached_in_two_layers_is_merged():
+    """Lex-first rewriting of x12^2*x23*x34 ends at x12*x13*x14 in two
+    layers.  The reduced form holds it once, with the count of the tree's
+    leaves, as the tree's merged leaves do."""
+    m = EdgeMonomial(4, ((1, 2), (1, 2), (2, 3), (3, 4)))
+    leaf = ((1, 2), (1, 3), (1, 4))
+    assert [edges for edges, _ in subdivision._leaves(4, m.edges, 1, LexFirst())].count(leaf) == 2
+    tree = reduction_tree(m)
+    rf = reduced_form(m)
+    assert rf == tree.reduced_form()
+    coeffs = {mono.edges: mono.coeff for mono in rf.monomials}
+    assert coeffs[leaf] == [mono.edges for mono in tree.leaves()].count(leaf) == 2
 
 
 def test_scripted_path4_reduced_form_verbatim():
