@@ -7,13 +7,17 @@ and on the working tree, in pairs.
 Run from anywhere; it is not part of the tier-1 suite.  The parent side is
 `git archive <rev> src tests mutants` extracted to a temporary directory
 (`tests/test_mutant_catalog.py` reads `mutants/catalog.json`, so `tier-1`
-needs it); the change side is the working tree.  Each run is one child process, one at a
-time: `python -m pipedreams.cli <args>` (or pytest for `tier-1`), with
-PYTHONPATH set to that side's `src/`.  Within a pair, each case runs on
-both sides back to back, and the side that runs first swaps from pair to
-pair.  The child alone gets an address-space limit of AS_BYTES (RLIMIT_AS)
-and a wall cap; a run killed at the cap is recorded with `capped: true`,
-not dropped.
+needs it); the change side is the working tree.  Each run is one child
+process, one at a time: `python -m pipedreams.cli <args>` (or pytest for
+`tier-1`), with PYTHONPATH set to that side's `src/` and
+PYTHONPYCACHEPREFIX to that side's own directory, created empty in the
+run's temporary directory.  The export holds no `__pycache__` while the
+working tree may, and with its own prefix neither side reads a bytecode
+cache that the other lacks (under PYTHONDONTWRITEBYTECODE both compile
+every module on every run).  Within a pair, each case runs on both sides
+back to back, and the side that runs first swaps from pair to pair.  The
+child alone gets an address-space limit of AS_BYTES (RLIMIT_AS) and a wall
+cap; a run killed at the cap is recorded with `capped: true`, not dropped.
 
 For each run it records the wall time, the exit code, the SHA-256 of
 stdout and the child's own peak RSS, read from `os.wait4` (RUSAGE_CHILDREN
@@ -80,9 +84,10 @@ def export_parent(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_case(root: Path, args: tuple[str, ...], cap_s: float) -> dict:
-    """One child process running `python args` in `root` with its `src/`."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+def run_case(root: Path, args: tuple[str, ...], cap_s: float, pycache: Path) -> dict:
+    """One child process running `python args` in `root` with its `src/`,
+    its bytecode cache under `pycache`."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONPYCACHEPREFIX=str(pycache))
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (AS_BYTES, AS_BYTES))
@@ -140,15 +145,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp)
+        parent = Path(tmp) / "parent"
+        parent.mkdir()
         commit = export_parent(args.rev, parent)
         sides = {"parent": parent, "change": ROOT}
+        pycache = {side: Path(tmp) / f"pycache-{side}" for side in sides}
+        for path in pycache.values():
+            path.mkdir()
         runs = {name: {"parent": [], "change": []} for name in args.cases}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for name in args.cases:
                 for side in order:
-                    run = run_case(sides[side], CASES[name][0], args.cap_s)
+                    run = run_case(sides[side], CASES[name][0], args.cap_s, pycache[side])
                     runs[name][side].append(run)
                     print(f"pair {pair} {name} {side}: {run['wall_s']} s, exit {run['exit']}, "
                           f"{run['peak_rss_mb']} MB{' (capped)' if run['capped'] else ''}",

@@ -99,6 +99,11 @@ def parse_edges(text: str) -> tuple[Edge, ...]:
     return tuple(edges)
 
 
+def _infer_rank(edges: tuple[Edge, ...], n: int | None) -> int:
+    """n if given, else the largest end of any edge."""
+    return max(map(max, edges)) if n is None else n
+
+
 def _write_svg(report: RunReport, svg: str, path: str) -> None:
     """Write the vertex figure, rendered before any computation so that a
     refused rank costs nothing and leaves an existing file untouched; an
@@ -147,7 +152,7 @@ def _cmd_pdc(args, report: RunReport) -> None:
 
 def _cmd_reduce(args, report: RunReport) -> None:
     edges = parse_edges(args.edges)
-    n = max(j for _i, j in edges) if args.n is None else args.n
+    n = _infer_rank(edges, args.n)
     strategy = parse_strategy(args.strategy, args.seed)
     if args.tree:
         tree = reduction_tree(EdgeMonomial(n, edges), strategy)
@@ -163,7 +168,7 @@ def _cmd_reduce(args, report: RunReport) -> None:
 
 def _cmd_dissect(args, report: RunReport) -> None:
     edges = parse_edges(args.edges)
-    n = max(j for _i, j in edges) if args.n is None else args.n
+    n = _infer_rank(edges, args.n)
     G = AcyclicGraph(n, edges)
     strategy = parse_strategy(args.strategy, args.seed)
     d = dissect(G, strategy)

@@ -132,6 +132,16 @@ class PipeDream:
             int(d["n"]), tuple(tuple(map(int, box)) for box in d["crosses"])))
 
 
+def _trusted(n: int, crosses: tuple[Box, ...]) -> PipeDream:
+    """A PipeDream that skips validation: the caller vouches that n is
+    nonnegative and `crosses` a strictly increasing tuple of boxes on the
+    rank-n staircase."""
+    out = object.__new__(PipeDream)
+    object.__setattr__(out, "n", n)
+    object.__setattr__(out, "crosses", crosses)
+    return out
+
+
 def staircase_transfer(w: Permutation, steps: Sequence[tuple[int, ...]]) -> dict[int, int]:
     """The one walk over the staircase towards w: a transfer in reading
     order over running Demazure products (the Fomin-Kirillov product in
@@ -186,6 +196,13 @@ def enumerate_pipe_dreams(w: Permutation) -> list[PipeDream]:
     binary numeral marks its crosses in sorted order, and at one size a
     larger key is a smaller cross list, so the keys sort as plain ints.
 
+    Every key has at most N bits, since along one path through the
+    staircase each box adds its own bit at most once.  So `compress` reads
+    each key's crosses off `order`: sorted, distinct and on the staircase,
+    and each dream is built without the constructor's checks.  The crosses
+    go into an exact-size tuple: `tuple` of an iterator over-allocates, and
+    pymalloc keeps the slack of a block shrunk by less than a quarter.
+
     >>> [p.size for p in enumerate_pipe_dreams(Permutation((1, 4, 3, 2)))]
     [3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 5]
     """
@@ -195,7 +212,7 @@ def enumerate_pipe_dreams(w: Permutation) -> list[PipeDream]:
     step = {b: (1 << j,) for j, b in enumerate(reversed(order))}
     keys = staircase_transfer(w, [step[b] for b in staircase_boxes(n)])
     numeral = f"0{len(order)}b"
-    return [PipeDream(n, tuple(compress(order, format(k, numeral).encode().translate(_BITS))))
+    return [_trusted(n, tuple([*compress(order, format(k, numeral).encode().translate(_BITS))]))
             for k in sorted(keys, key=lambda k: (k.bit_count(), -k))]
 
 

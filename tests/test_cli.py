@@ -55,6 +55,20 @@ def test_unparsable_text_is_named(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "31,12"], "edge (3, 1) invalid on [3]"),
+    (["dissect", "21"], "edge (2, 1) invalid on [2]"),
+])
+def test_rank_is_inferred_from_both_ends_of_every_edge(capsys, argv, message):
+    """Without --n the rank is the largest end of any edge, so a reversed
+    edge is refused on a rank that its own ends give."""
+    args = cli.PARSER.parse_args(argv)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        args.func(args, cli.RunReport(args.command, seed=args.seed))
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_unparsable_edge_exits_2(capsys):
     assert main(["reduce", "(1,2,3)"]) == 2
     assert "cannot parse edge '(1,2,3)'" in capsys.readouterr().err

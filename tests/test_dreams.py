@@ -135,6 +135,18 @@ def test_listing_matches_the_depth_first_search_on_catalan(n):
     assert enumerate_pipe_dreams(w) == enumerate_pipe_dreams_dfs(w)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_listed_dreams_pass_the_constructor(n):
+    """The listing builds its dreams unchecked; each equals its checked
+    construction, with crosses strictly increasing, on all of S_n for
+    n <= 5 and on 1 n n-1 ... 2 beyond."""
+    perms = [Permutation(window) for window in all_windows(n)] if n <= 5 else [catalan_permutation(n)]
+    for w in perms:
+        for P in enumerate_pipe_dreams(w):
+            assert PipeDream(P.n, P.crosses) == P, w
+            assert all(a < b for a, b in zip(P.crosses, P.crosses[1:])), P
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_offsets_that_meet_add_their_counts(n):
     """With the step (1, 1) at every box, a cross set of k crosses goes on
