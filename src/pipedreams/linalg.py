@@ -1,8 +1,9 @@
 """Small exact linear algebra over the rationals.
 
 Vectors are tuples of Fractions; matrices are tuples of row tuples.  Every
-solve runs one fraction-free Gauss-Jordan elimination on integer rows, and
-builds Fractions only for the answer.
+solve and determinant runs one fraction-free Gauss-Jordan elimination on
+integer rows, and builds Fractions only for the answer.  No matrix is
+inverted: `polytopes` reads a tree simplex's coefficients off the tree.
 """
 
 from __future__ import annotations
@@ -85,17 +86,6 @@ def solve_in_span(columns: Sequence[Vec], target: Sequence[Fraction]) -> Optiona
     if any(row[k] for row in M[k:]):
         return None
     return tuple(Fraction(row[k], d) for row in M[:k])
-
-
-def inverse(A: Mat) -> Optional[Mat]:
-    """Inverse of square A from one elimination of [A | I]; None when A
-    is singular."""
-    n = _square(A)
-    done = _eliminate([(*row, *(int(i == j) for j in range(n))) for i, row in enumerate(A)], n)
-    if done is None:
-        return None
-    M, d, _ = done
-    return tuple(tuple(Fraction(v, d) for v in row[n:]) for row in M)
 
 
 def det_int(A: Sequence[Sequence[int]]) -> int:

@@ -17,11 +17,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .linalg import IntMat, IntVec, Vec, clear_denominators, det_int, inverse, matvec
+from .linalg import IntMat, IntVec, Vec, clear_denominators, det_int, matvec
 from .linalg import solve_unique
 from .report import read_canonical
 from .subdivision import Edge, EdgeMonomial, ReductionNode, Strategy, Triple, reduction_tree
@@ -362,11 +361,12 @@ def tree_simplex(T: AcyclicGraph) -> Simplex:
 
 def is_unimodular(S: Simplex) -> bool:
     """Determinant of the generators restricted to coordinates 1..n-1 is
-    +-1 (the root lattice maps isomorphically onto Z^(n-1) there)."""
-    rows = [[int(c) for c in g[:-1]] for g in S.generators]
-    if len(rows) != S.n - 1:
+    +-1 (the root lattice maps isomorphically onto Z^(n-1) there).  False
+    unless each of the n-1 generators is an integer point with sum 0."""
+    gens = S.generators
+    if len(gens) != S.n - 1 or any(c.denominator != 1 for g in gens for c in g) or any(map(sum, gens)):
         return False
-    return abs(det_int(rows)) == 1
+    return abs(det_int([[c.numerator for c in g[:-1]] for g in gens])) == 1
 
 
 def canonical_triangulation(n: int) -> list[Simplex]:
@@ -410,54 +410,61 @@ def vertex_figure_simplices(n: int) -> list[Simplex]:
     return [vertex_figure(tree_simplex(T)) for T in noncrossing_alternating_trees(n)]
 
 
-def _generator_inverse(S: Simplex) -> tuple[IntMat, int]:
-    """(N, d), d > 0, with N / d the inverse of the matrix whose columns are
-    the generators' first n-1 coordinates, for a full-dimensional simplex
-    with origin: it maps a point to its coefficients.  d = 1 if unimodular."""
-    if not S.with_origin or len(S.generators) != S.n - 1:
-        raise ValueError("needs a full-dimensional simplex with origin")
-    M = tuple(tuple(g[r] for g in S.generators) for r in range(S.n - 1))
-    Minv = inverse(M)
-    if Minv is None:
-        raise ValueError("generators are linearly dependent")
-    d = lcm(*(v.denominator for row in Minv for v in row))
-    return tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in Minv), d
+def _tree_cuts(T: AcyclicGraph) -> IntMat:
+    """The coefficient rows of a spanning tree's simplex, in integers: row
+    k applied to the first n-1 coordinates of a point is its coefficient on
+    the root of edge T.edges[k].  Walk T from vertex n; for edge (i, j) let
+    c be the end farther from n.  The row is +1 (c = i) or -1 (c = j) on the
+    subtree below c, 0 elsewhere: only (i, j) crosses that cut and the side
+    below c does not hold n, so the row is 1 on its own root, 0 on the rest."""
+    n = T.n
+    if len(T.edges) != n - 1:
+        raise ValueError(f"{T} on [{n}] is not a spanning tree")
+    parent, order = {n: 0}, [n]
+    for v in order:
+        for u in {a + b - v for a, b in T.edges if v in (a, b)} - parent.keys():
+            parent[u] = v
+            order.append(u)
+    below = {v: {v} for v in order}
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
+    cuts = ((i, 1) if parent[i] == j else (j, -1) for i, j in T.edges)
+    return tuple(tuple(s if k in below[c] else 0 for k in range(1, n)) for c, s in cuts)
 
 
-def barycentric_solver(S: Simplex):
-    """For a full-dimensional simplex with origin, precompute the integer
-    inverse generator matrix and return an exact coefficient map for bulk
-    point-location: integer p and q > 0 give the coefficients of p / q as
-    (c, scale), with integer c."""
-    N, d = _generator_inverse(S)
+def barycentric_solver(T: AcyclicGraph):
+    """For a spanning tree, an exact coefficient map of its simplex for
+    bulk point-location: integer p and q > 0 give the coefficients of
+    p / q over the tree's edge roots as (c, q), with integer c."""
+    rows = _tree_cuts(T)
 
     def coefficients(p: IntVec, q: int) -> tuple[IntVec, int]:
-        return matvec(N, p[:-1]), d * q
+        return matvec(rows, p[:-1]), q
 
     return coefficients
 
 
 # -- exact intersection of two full-dimensional tree simplices -------------
 
-def _halfspaces(S: Simplex) -> list[tuple[IntVec, int]]:
+def _halfspaces(T: AcyclicGraph) -> list[tuple[IntVec, int]]:
     """Integer inequalities a.z <= b in the first n-1 coordinates
-    describing a full-dimensional simplex with origin: every coefficient
-    N_r.z / d is nonnegative and their sum is at most 1."""
-    N, d = _generator_inverse(S)
-    ineqs = [(tuple(-v for v in row), 0) for row in N]
-    ineqs.append((tuple(map(sum, zip(*N))), d))
+    describing a spanning tree's simplex: every coefficient row.z is
+    nonnegative and their sum is at most 1."""
+    rows = _tree_cuts(T)
+    ineqs = [(tuple(-v for v in row), 0) for row in rows]
+    ineqs.append((tuple(map(sum, zip(*rows))), 1))
     return ineqs
 
 
-def intersect_tree_simplices(S1: Simplex, S2: Simplex) -> frozenset[Point]:
-    """Vertex set of the intersection of two full-dimensional simplices
-    sharing the origin, by exhausting basic solutions of the combined
-    halfspace description.  Desk-scale only."""
-    if S1.n != S2.n:
-        raise ValueError("ambient mismatch")
-    ineqs = _halfspaces(S1) + _halfspaces(S2)
+def intersect_tree_simplices(T1: AcyclicGraph, T2: AcyclicGraph) -> frozenset[Point]:
+    """Vertex set of the intersection of two spanning trees' simplices,
+    by exhausting basic solutions of the combined halfspace description.
+    Desk-scale only."""
+    if T1.n != T2.n:
+        raise ValueError(f"trees {T1} and {T2} are on [{T1.n}] and [{T2.n}]")
+    ineqs = _halfspaces(T1) + _halfspaces(T2)
     verts = set()
-    for subset in combinations(ineqs, S1.n - 1):
+    for subset in combinations(ineqs, T1.n - 1):
         z = solve_unique(tuple(a for a, _ in subset), tuple(b for _, b in subset))
         if z is None:
             continue

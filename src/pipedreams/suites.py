@@ -25,7 +25,6 @@ from .polytopes import (
     OUTSIDE,
     AcyclicGraph,
     barycentric_solver,
-    canonical_triangulation,
     dissect,
     flow_vertices,
     augment,
@@ -330,8 +329,8 @@ def check_point_location(n: int, seed: int = 0, samples: int = 1000) -> VerifyRe
     name = f"point-location:{n}"
     rng = random.Random(seed)
     vertices = path_polytope_vertices(n)
-    simplices = canonical_triangulation(n)
-    solvers = [barycentric_solver(S) for S in simplices]
+    trees = noncrossing_alternating_trees(n)
+    solvers = [barycentric_solver(T) for T in trees]
     for k in range(samples):
         x = sample_polytope_point(vertices, rng)
         p, q = clear_denominators(x)
@@ -350,7 +349,7 @@ def check_point_location(n: int, seed: int = 0, samples: int = 1000) -> VerifyRe
                 name, False,
                 {"sample": k, "reason": "interior point in several simplices"},
             )
-    return VerifyResult(name, True, {"samples": samples, "simplices": len(simplices)})
+    return VerifyResult(name, True, {"samples": samples, "simplices": len(trees)})
 
 
 def check_intersections(n: int, seed: int = 0, pairs: int = 15) -> VerifyResult:
@@ -363,7 +362,7 @@ def check_intersections(n: int, seed: int = 0, pairs: int = 15) -> VerifyResult:
     chosen = rng.sample(all_pairs, min(pairs, len(all_pairs)))
     for a, b in chosen:
         Ta, Tb = trees[a], trees[b]
-        got = intersect_tree_simplices(tree_simplex(Ta), tree_simplex(Tb))
+        got = intersect_tree_simplices(Ta, Tb)
         common = AcyclicGraph(n, tuple(set(Ta.edges) & set(Tb.edges)))
         expected = root_polytope_vertices(common)
         if got != expected:

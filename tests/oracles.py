@@ -12,12 +12,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from pipedreams.complexes import SimplicialComplex
 from pipedreams.dreams import Box, PipeDream, staircase_boxes, staircase_product, triangular_word
-from pipedreams.linalg import inverse, solve_unique
+from pipedreams.linalg import IntMat, Mat, _eliminate, _square, solve_unique
 from pipedreams.perms import (
     Permutation,
     Window,
@@ -411,6 +411,32 @@ def spanning_tree_edges_recursive(n: int) -> Iterator[tuple[tuple[int, int], ...
             prefix.pop()
 
     yield from rec([])
+
+
+def inverse(A: Mat) -> Mat | None:
+    """Inverse of square A from one elimination of [A | I]; None when A
+    is singular."""
+    n = _square(A)
+    done = _eliminate([(*row, *(int(i == j) for j in range(n))) for i, row in enumerate(A)], n)
+    if done is None:
+        return None
+    M, d, _ = done
+    return tuple(tuple(Fraction(v, d) for v in row[n:]) for row in M)
+
+
+def generator_inverse(S: Simplex) -> tuple[IntMat, int]:
+    """Oracle for `polytopes._tree_cuts`: (N, d), d > 0, with N / d the
+    inverse of the matrix whose columns are the generators' first n-1
+    coordinates, for a full-dimensional simplex with origin, from one
+    `Fraction` inverse cleared by the lcm of its denominators.  Row r of N
+    belongs to S.generators[r]."""
+    if not S.with_origin or len(S.generators) != S.n - 1:
+        raise ValueError("needs a full-dimensional simplex with origin")
+    Minv = inverse(tuple(tuple(g[r] for g in S.generators) for r in range(S.n - 1)))
+    if Minv is None:
+        raise ValueError("generators are linearly dependent")
+    d = lcm(*(v.denominator for row in Minv for v in row))
+    return tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in Minv), d
 
 
 def intersect_simplices_fraction(S1: Simplex, S2: Simplex) -> frozenset[Point]:

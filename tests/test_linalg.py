@@ -1,6 +1,7 @@
 """Property tests for the exact solves in `linalg`, against oracles kept
 here: the Leibniz expansion of the determinant, and rank read off from
-nonzero maximal minors."""
+nonzero maximal minors.  The same oracles check `oracles.inverse`, which
+the geometry tests use as the reference for tree simplices."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -8,10 +9,11 @@ from math import prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import inverse
 
 import pytest
 
-from pipedreams.linalg import det_int, inverse, matvec, solve_in_span, solve_unique
+from pipedreams.linalg import det_int, matvec, solve_in_span, solve_unique
 
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 

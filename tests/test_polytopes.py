@@ -306,22 +306,43 @@ def test_simplex_membership():
 def test_barycentric_solver_matches_simplex():
     rng = random.Random(41)
     for T in noncrossing_alternating_trees(4):
-        S = tree_simplex(T)
-        solve = barycentric_solver(S)
+        solve = barycentric_solver(T)
+        roots = [root(4, i, j) for i, j in T.edges]
         for _ in range(10):
             x = tuple(F(rng.randint(-2, 2)) / rng.randint(1, 3) for _ in range(4))
             x = x[:-1] + (-sum(x[:-1]),)  # land on the sum-zero hyperplane
             p, q = clear_denominators(x)
             c, scale = solve(p, q)
-            direct = solve_in_span(S.generators, x)
+            direct = solve_in_span(roots, x)
             assert direct == tuple(Fraction(v, scale) for v in c)
+
+
+def test_tree_kernels_refuse_a_forest_and_two_ranks():
+    """The coefficient rows are defined for spanning trees only, and two
+    simplices meet only in one ambient space."""
+    forest = AcyclicGraph(4, ((1, 2), (3, 4)))
+    with pytest.raises(ValueError, match=re.escape("{12,34} on [4] is not a spanning tree")):
+        barycentric_solver(forest)
+    with pytest.raises(ValueError, match=re.escape("{12,34} on [4] is not a spanning tree")):
+        intersect_tree_simplices(forest, AcyclicGraph.path(4))
+    with pytest.raises(ValueError, match=re.escape("trees {12,23} and {12,23,34} are on [3] and [4]")):
+        intersect_tree_simplices(AcyclicGraph.path(3), AcyclicGraph.path(4))
+
+
+def test_is_unimodular_refuses_points_off_the_root_lattice():
+    """A generator with a fractional coordinate or a nonzero coordinate sum
+    is not in the root lattice, whatever the determinant of its integer
+    parts: (3/2, -3/2) spans volume 3/2, and (1, 0) sums to 1."""
+    assert is_unimodular(Simplex(2, ((1, -1),)))
+    assert not is_unimodular(Simplex(2, ((Fraction(3, 2), Fraction(-3, 2)),)))
+    assert not is_unimodular(Simplex(2, ((1, 0),)))
 
 
 def test_intersections_match_common_forest_all_pairs_n4():
     trees = noncrossing_alternating_trees(4)
     for a in range(len(trees)):
         for b in range(a + 1, len(trees)):
-            got = intersect_tree_simplices(tree_simplex(trees[a]), tree_simplex(trees[b]))
+            got = intersect_tree_simplices(trees[a], trees[b])
             common = AcyclicGraph(4, tuple(set(trees[a].edges) & set(trees[b].edges)))
             assert got == root_polytope_vertices(common)
 

@@ -18,8 +18,10 @@ from pipedreams.dreams import enumerate_pipe_dreams
 from pipedreams.grothendieck import groth_beta
 from pipedreams.perms import Permutation, all_windows, parse_permutation
 from pipedreams.poly import MultiPolynomial
-from pipedreams.polytopes import random_acyclic_graph
+from pipedreams.polytopes import AcyclicGraph, noncrossing_alternating_trees, random_acyclic_graph
 from pipedreams.suites import (
+    check_intersections,
+    check_point_location,
     check_unimodularity,
     path_polytope_vertices,
     sample_acyclic_graphs,
@@ -289,3 +291,24 @@ def test_unimodularity_check_can_fail(monkeypatch):
     result = check_unimodularity(4)
     assert not result.ok
     assert result.details == {"simplices": 5}
+
+
+def test_point_location_check_can_fail(monkeypatch):
+    """With one tree's simplex missing, some sampled point of the path root
+    polytope lies in no simplex left."""
+    trees = noncrossing_alternating_trees(4)
+    monkeypatch.setattr(suites, "noncrossing_alternating_trees", lambda n: trees[1:])
+    result = check_point_location(4, seed=0, samples=200)
+    assert not result.ok
+    assert set(result.details) == {"sample", "point"}
+
+
+def test_intersections_check_can_fail(monkeypatch):
+    """A crossing spanning tree in place of a noncrossing alternating one
+    meets some canonical simplex in more than their common face."""
+    crossing = AcyclicGraph(4, ((1, 3), (2, 4), (3, 4)))
+    trees = (*noncrossing_alternating_trees(4)[:-1], crossing)
+    monkeypatch.setattr(suites, "noncrossing_alternating_trees", lambda n: trees)
+    result = check_intersections(4, seed=0, pairs=10)
+    assert not result.ok
+    assert str(crossing) in result.details["trees"]
