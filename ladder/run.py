@@ -28,9 +28,14 @@ every run, the medians per side and the faults found per case.  A case is
 at fault when a run that was not capped exits nonzero (a failed check, a
 crash, a MemoryError under the limit), when runs are capped on one side
 and not on the other, or, for a case whose stdout is compared, when two
-runs that were not capped printed different stdout.  Tier-1 prints its own
-timings, so only its exit codes count.  Exit status: 1 when some case is
-at fault, 0 otherwise.  Standard library only.
+runs that were not capped printed different stdout.  Each compared
+default case also has a reference answer, the SHA-256 of its stdout
+recorded at commit 5587a34 (REFERENCE), and is at fault when a run that
+was not capped printed anything else; a change that alters such an output
+on purpose records the new digest.  The cases run only on request have no
+reference: their runs are compared with each other alone.  Tier-1 prints
+its own timings, so only its exit codes count.  Exit status: 1 when some
+case is at fault, 0 otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -70,6 +75,17 @@ CASES = {
 # Run only when named with --cases.
 ON_REQUEST = ("verify-all-7", "groth-4321765-double", "tier-1")
 DEFAULT_CASES = tuple(name for name in CASES if name not in ON_REQUEST)
+# SHA-256 of the stdout of each compared default case, recorded at 5587a34.
+REFERENCE = {
+    "verify-all-5": "fbab78ab7c7b80bce785e5407b3e113c79805ccea6417f3eaadb78ef8d510815",
+    "verify-all-6": "596a2caaca1f65dd8520ccfb5ce494830fc265ebbbf2b05b7e417831b7cab98c",
+    "groth-654321-double": "bed3a6c5b5bb14108fb15cf615cff6257b802d9df32fcb39505913116068e872",
+    "realize-7": "d7a88dbec5553541f358134c1f1d7de69f06250cd8de9b5dd4d5a145bcca23ba",
+    "trees-8": "345b2193371314f356cfae892baec4a27eb9381b100fd14ba963608dc3d121f7",
+    "verify-groth-h-7": "8995f7aebb09431d65da2c5d0d8fe35057651e17f4830473fe83e20a566b3f13",
+    "pdc-1234567-h": "a47f8e7ec5b5a0c57c18a0bf384d91fe3cea73913b590e815c4fe28f86d7d225",
+    "verify-kirillov-11": "f64d8c6701b41aa7ce338de80241b25358499c2e29302efe0be46256dde47c17",
+}
 AS_BYTES = 4 * 2**30
 
 
@@ -121,11 +137,15 @@ def medians(runs: list[dict]) -> dict:
     return {key: round(statistics.median(r[key] for r in runs), 4) for key in ("wall_s", "peak_rss_mb")}
 
 
-def faults(by_side: dict[str, list[dict]], compared: bool) -> list[str]:
+def faults(by_side: dict[str, list[dict]], compared: bool, reference: str | None) -> list[str]:
     """What is wrong with one case's runs on the two sides; empty when
     nothing is."""
     out = [f"{side} run {i} exited {r['exit']}" for side, runs in by_side.items()
            for i, r in enumerate(runs) if not r["capped"] and r["exit"] != 0]
+    if reference is not None:
+        out += [f"{side} run {i} printed other stdout than the reference"
+                for side, runs in by_side.items() for i, r in enumerate(runs)
+                if not r["capped"] and r["stdout_sha256"] != reference]
     capped = {side: any(r["capped"] for r in runs) for side, runs in by_side.items()}
     if len(set(capped.values())) > 1:
         out.append("capped on one side only: " + ", ".join(s for s, c in capped.items() if c))
@@ -167,18 +187,19 @@ def main(argv: list[str] | None = None) -> int:
     cases = {}
     for name, by_side in runs.items():
         compared = CASES[name][1]
-        found = faults(by_side, compared)
+        found = faults(by_side, compared, REFERENCE.get(name))
         if found:
             at_fault[name] = found
         cases[name] = {
             "argv": list(CASES[name][0]),
             "stdout_compared": compared,
+            "reference_sha256": REFERENCE.get(name),
             "runs": by_side,
             "median": {side: medians(r) for side, r in by_side.items()},
             "faults": found,
         }
     report = {
-        "schema": "ladder/2",
+        "schema": "ladder/3",
         "parent": {"rev": args.rev, "commit": commit},
         "change": "working tree",
         "host": {"python": platform.python_version(), "platform": platform.platform(),

@@ -23,7 +23,7 @@ from functools import cache
 from itertools import compress
 from typing import Iterable, Sequence
 
-from .perms import Permutation, Window, bruhat_leq, demazure_fold, identity_window
+from .perms import Permutation, Window, bruhat_code, bruhat_guard, demazure_fold, identity_window
 from .report import read_canonical
 
 Box = tuple[int, int]
@@ -154,8 +154,15 @@ def staircase_transfer(w: Permutation, steps: Sequence[tuple[int, ...]]) -> dict
 
     A state is cut unless it can still end at w: the final product
     dominates u, so u <= w, and it is dominated by the fold of u with every
-    letter still to come, so w <= that fold.  The first test is memoized
-    per u; the second runs once per state.
+    letter still to come, so w <= that fold.  Both are Bruhat comparisons
+    by the rank-count criterion of `perms.bruhat_leq`: u <= v iff no count
+    r_u(k, c) = #{i <= k : u(i) >= c} exceeds r_v(k, c), each count a field
+    of `perms.bruhat_code`.  With G the guard bit of every field, that is
+    ((code(v) | G) - code(u)) & G == G, since each field of the difference
+    is g + r_v - r_u in [1, 2g) for its guard bit g, so no borrow crosses
+    a field and g survives iff r_v >= r_u.  The code of w is computed once
+    per walk; the first test is memoized per u, the second computes the
+    fold's code once per state.
 
     With every step (1,), a key is a number of crosses:
 
@@ -164,6 +171,14 @@ def staircase_transfer(w: Permutation, steps: Sequence[tuple[int, ...]]) -> dict
     """
     target = w.window
     letters = triangular_word(w.n)
+    if len(steps) != len(letters):
+        raise ValueError(f"{len(steps)} steps for the {len(letters)} boxes of the rank-{w.n} staircase")
+    for i, step in enumerate(steps):
+        if not step:
+            raise ValueError(f"step {i} has no offset")
+    guard = bruhat_guard(w.n)
+    code_w = bruhat_code(target)
+    top = code_w | guard
     below: dict[Window, bool] = {}
     states = {identity_window(w.n): {0: 1}}
     for i, (a, (first, *more)) in enumerate(zip(letters, steps)):
@@ -171,8 +186,8 @@ def staircase_transfer(w: Permutation, steps: Sequence[tuple[int, ...]]) -> dict
         for u, keys in states.items():
             ok = below.get(u)
             if ok is None:
-                ok = below[u] = bruhat_leq(u, target)
-            if not ok or not bruhat_leq(target, demazure_fold(u, letters[i:])):
+                ok = below[u] = (top - bruhat_code(u)) & guard == guard
+            if not ok or ((bruhat_code(demazure_fold(u, letters[i:])) | guard) - code_w) & guard != guard:
                 continue
             crossed = {k + first: c for k, c in keys.items()}
             for d in more:

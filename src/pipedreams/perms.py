@@ -56,8 +56,60 @@ def demazure_window(letters: Iterable[int], n: int) -> Window:
     return demazure_fold(identity_window(n), letters)
 
 
+# rank n -> (the row step of each value, bits per row, guard mask G), worked
+# out once per rank; see `bruhat_code`
+_PACKING: dict[int, tuple[tuple[int, ...], int, int]] = {}
+
+
+def _packing(n: int) -> tuple[tuple[int, ...], int, int]:
+    got = _PACKING.get(n)
+    if got is None:
+        width = (n - 1).bit_length() + 1
+        # field f of a row holds the count for v = f + 2, so a value x adds
+        # one to the fields f < x - 1, v = 2..x
+        step = tuple(sum(1 << f * width for f in range(x - 1)) for x in range(n + 1))
+        guard = sum(1 << f * width for f in range((n - 1) ** 2)) << width - 1
+        got = _PACKING[n] = (step, (n - 1) * width, guard)
+    return got
+
+
+def bruhat_code(window: Window) -> int:
+    """The rank counts r(k, v) = #{i <= k : window(i) >= v}, for
+    1 <= k <= n-1 and 2 <= v <= n, packed into one int, one field per
+    (k, v).  A field is wide enough for n-1 plus a guard bit above it.
+    The other counts are the same for every window of rank n:
+    r(k, 1) = k and r(n, v) = n - v + 1.  Row k of fields is row k-1 plus
+    a constant with a one in each field v = 2..window(k).
+
+    >>> format(bruhat_code((2, 1, 3)), "012b")  # rows k = 1, 2 of fields v = 3, 2
+    '000001000001'
+    """
+    step, row_bits, _ = _packing(len(window))
+    code = row = 0
+    for x in window[:-1]:
+        row += step[x]
+        code = code << row_bits | row
+    return code
+
+
+def bruhat_guard(n: int) -> int:
+    """The guard bit of every field of a rank-n `bruhat_code`."""
+    return _packing(n)[2]
+
+
 def bruhat_leq(u: Window, w: Window) -> bool:
-    """Strong Bruhat order comparison by the sorted-prefix criterion.
+    """Strong Bruhat order: u <= w exactly when r_u(k, v) <= r_w(k, v)
+    for every k and v, with r(k, v) = #{i <= k : p(i) >= v} (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, Thm 2.1.5).  With the codes of
+    `bruhat_code` and G their guard mask, that is one subtraction:
+    ((code(w) | G) - code(u)) & G == G.
+
+    Proof: let g be a field's guard bit and u_f, w_f its counts in u and
+    w, so 0 <= u_f, w_f < g.  The field of code(w) | G holds g + w_f, and
+    the subtraction leaves it g + w_f - u_f, which lies in [1, 2g): the
+    field neither borrows from the one above nor overflows into it, so
+    the fields are subtracted independently.  The field's guard bit
+    survives iff g + w_f - u_f >= g, that is iff w_f >= u_f.
 
     >>> bruhat_leq((2, 1, 3), (3, 1, 2))
     True
@@ -66,18 +118,9 @@ def bruhat_leq(u: Window, w: Window) -> bool:
     """
     n = len(u)
     if len(w) != n:
-        raise ValueError("rank mismatch")
-    pu: list[int] = []
-    pw: list[int] = []
-    for k in range(n - 1):
-        pu.append(u[k])
-        pu.sort()
-        pw.append(w[k])
-        pw.sort()
-        for a, b in zip(pu, pw):
-            if a > b:
-                return False
-    return True
+        raise ValueError(f"rank mismatch: {n} and {len(w)}")
+    guard = _packing(n)[2]
+    return ((bruhat_code(w) | guard) - bruhat_code(u)) & guard == guard
 
 
 def all_windows(n: int) -> Iterator[Window]:
@@ -95,6 +138,9 @@ class Permutation:
     def __post_init__(self):
         w = tuple(self.window)
         object.__setattr__(self, "window", w)
+        for v in w:
+            if type(v) is not int:
+                raise ValueError(f"entry {v!r} of {w} is not an int")
         if sorted(w) != list(range(1, len(w) + 1)):
             raise ValueError(f"{w} is not a permutation of 1..{len(w)}")
 

@@ -22,7 +22,6 @@ from pipedreams.perms import (
     Permutation,
     Window,
     Word,
-    bruhat_leq,
     catalan_permutation,
     demazure_fold,
     identity_window,
@@ -95,12 +94,33 @@ def pipe_dream_crosses_box_by_box(n: int, crosses: Sequence) -> tuple[Box, ...]:
     return held
 
 
+def bruhat_leq_prefix(u: Window, w: Window) -> bool:
+    """Oracle for `perms.bruhat_leq`: strong Bruhat order by the
+    sorted-prefix criterion, u <= w iff for every k < n the sorted first k
+    entries of u are entrywise at most those of w."""
+    n = len(u)
+    if len(w) != n:
+        raise ValueError("rank mismatch")
+    pu: list[int] = []
+    pw: list[int] = []
+    for k in range(n - 1):
+        pu.append(u[k])
+        pu.sort()
+        pw.append(w[k])
+        pw.sort()
+        for a, b in zip(pu, pw):
+            if a > b:
+                return False
+    return True
+
+
 def enumerate_pipe_dreams_dfs(w: Permutation) -> list[PipeDream]:
     """Oracle for `dreams.enumerate_pipe_dreams`: a depth-first search over
     the staircase in reading order, carrying the running Demazure product
     u of the crosses chosen so far, sorted by (size, cross list).  A branch
     is cut unless u <= w and w <= the fold of u with every letter still to
-    come; past the last box the two leave u = w."""
+    come, both by the sorted-prefix criterion (`bruhat_leq_prefix`), not
+    the transfer's packed codes; past the last box the two leave u = w."""
     n = w.n
     boxes = staircase_boxes(n)
     letters = triangular_word(n)
@@ -109,7 +129,8 @@ def enumerate_pipe_dreams_dfs(w: Permutation) -> list[PipeDream]:
     chosen: list[Box] = []
 
     def dfs(i: int, u: Window) -> None:
-        if not (bruhat_leq(u, target) and bruhat_leq(target, demazure_fold(u, letters[i:]))):
+        if not (bruhat_leq_prefix(u, target)
+                and bruhat_leq_prefix(target, demazure_fold(u, letters[i:]))):
             return
         if i == len(boxes):
             found.append(PipeDream(n, tuple(chosen)))

@@ -159,6 +159,19 @@ def test_offsets_that_meet_add_their_counts(n):
         assert staircase_transfer(w, [(1, 1)] * N) == {k: 2**k * c for k, c in once.items()}, w
 
 
+@pytest.mark.parametrize("steps, message", [
+    ([(1,)] * 3, "3 steps for the 6 boxes of the rank-4 staircase"),
+    ([(1,)] * 9, "9 steps for the 6 boxes of the rank-4 staircase"),
+    ([(1,)] * 2 + [()] + [(1,)] * 3, "step 2 has no offset"),
+])
+def test_steps_that_do_not_fit_the_staircase_are_refused(steps, message):
+    """Zipped with the letters, too few steps used to end the walk early
+    and return {}, too many were dropped, and an empty step failed to
+    unpack."""
+    with pytest.raises(ValueError, match=message):
+        staircase_transfer(W1432, steps)
+
+
 def test_identity_has_single_empty_dream():
     dreams = enumerate_pipe_dreams(Permutation(identity_window(3)))
     assert len(dreams) == 1 and dreams[0].crosses == ()

@@ -6,10 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_s, demazure_bruteforce, ordinary_product, word_contains_bruteforce
+from oracles import (
+    apply_s,
+    bruhat_leq_prefix,
+    demazure_bruteforce,
+    ordinary_product,
+    word_contains_bruteforce,
+)
 from pipedreams.perms import (
     Permutation,
     all_windows,
+    bruhat_code,
+    bruhat_guard,
     bruhat_leq,
     catalan_permutation,
     demazure_product,
@@ -151,6 +159,65 @@ def test_bruhat_leq_is_subword_containment(case):
     word = reduced_word(wwin)
     assert demazure_bruteforce(word, len(wwin)) == wwin and len(word) == inversions(wwin)
     assert bruhat_leq(uwin, wwin) == word_contains_bruteforce(word, Permutation(uwin))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_packed_bruhat_equals_sorted_prefix_on_all_pairs(n):
+    windows = list(all_windows(n))
+    for u in windows:
+        for w in windows:
+            assert bruhat_leq(u, w) == bruhat_leq_prefix(u, w), (u, w)
+
+
+@st.composite
+def bruhat_pairs(draw):
+    """A window w of rank n <= 16, a window u below it, the Demazure
+    product of a subword of a reduced word of w, and a window v drawn
+    freely: at least half the pairs compared are comparable."""
+    n = draw(st.integers(1, 16))
+    w = tuple(draw(st.permutations(range(1, n + 1))))
+    word = reduced_word(w)
+    keep = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    u = demazure_window([a for a, k in zip(word, keep) if k], n)
+    v = tuple(draw(st.permutations(range(1, n + 1))))
+    return u, v, w
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(bruhat_pairs())
+def test_packed_bruhat_equals_sorted_prefix_up_to_rank_16(case):
+    u, v, w = case
+    assert bruhat_leq_prefix(u, w)
+    for x, y in ((u, w), (w, u), (v, w), (w, v)):
+        assert bruhat_leq(x, y) == bruhat_leq_prefix(x, y), (x, y)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_a_count_of_n_minus_one_fills_its_field(n):
+    """In a window ending in 1 the count r(n-1, 2) = #{i <= n-1 : p(i) >= 2}
+    is n - 1, every bit below its guard bit at these ranks, in the lowest
+    field of the code.  The comparison stays exact on pairs of windows
+    that end in 1 or in 2, where that field is n - 1 or n - 2."""
+    ends_in_1 = [tuple(range(2, n + 1)) + (1,), tuple(range(n, 0, -1))]
+    ends_in_2 = [(1, *range(3, n + 1), 2), (*range(n, 2, -1), 1, 2)] if n > 2 else [(1, 2)]
+    low = bruhat_guard(n) & -bruhat_guard(n)
+    for p in ends_in_1:
+        assert bruhat_code(p) & 2 * low - 1 == low - 1 == n - 1
+    for u in ends_in_1 + ends_in_2:
+        for w in ends_in_1 + ends_in_2:
+            assert bruhat_leq(u, w) == bruhat_leq_prefix(u, w), (u, w)
+
+
+def test_bruhat_rank_mismatch_names_both_ranks():
+    with pytest.raises(ValueError, match="rank mismatch: 3 and 4"):
+        bruhat_leq((1, 2, 3), (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("entry", [2.0, True, "2"])
+def test_entries_that_are_not_ints_are_refused(entry):
+    """(2.0, 1.0) used to be accepted and print as 2.01.0."""
+    with pytest.raises(ValueError, match=f"entry {entry!r} of"):
+        Permutation((entry, 1))
 
 
 def test_parse_and_serialize():
